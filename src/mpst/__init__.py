@@ -3,10 +3,9 @@
 The package is organised around regular term graphs: global types,
 process types and networks are cyclic graphs compared up to
 bisimilarity.  On top of the graphs live a surface syntax
-(:mod:`mpst.syntax`), the session and type-configuration transition
-systems (:mod:`mpst.sessions`, :mod:`mpst.configs`), the type checker
-and canonical witness construction (:mod:`mpst.checker`), type
-inference (:mod:`mpst.inference`) and the well-formedness analyses
+(:mod:`mpst.syntax`), the session transition system with a liveness
+check (:mod:`mpst.sessions`), queue machines and their encoding
+(:mod:`mpst.machines`) and the well-formedness analyses
 (:mod:`mpst.wellformed`).
 """
 

@@ -332,7 +332,7 @@ class Queue:
     carries the same label sequence.
     """
 
-    __slots__ = ("_chans",)
+    __slots__ = ("_chans", "_hash")
 
     def __init__(self, chans: Optional[dict] = None):
         lanes = {}
@@ -342,6 +342,7 @@ class Queue:
                 if labels:
                     lanes[chan] = labels
         self._chans = lanes
+        self._hash = None
 
     @classmethod
     def from_msgs(cls, msgs: Iterable[Msg]) -> "Queue":
@@ -410,7 +411,9 @@ class Queue:
         return isinstance(other, Queue) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         inner = ", ".join(str(m) for m in self.messages())

@@ -32,43 +32,79 @@ INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
+# the longest-wait engine behind depth, weight, read and dread
+
+
+def _longest(start, succ, target, memo):
+    """Longest number of steps from ``start`` to a state where
+    ``target`` holds; INF when some path from ``start`` reaches a dead
+    end (a state without successors) or a cycle first.
+
+    Iterative depth-first search.  Values do not depend on the path
+    taken, so calls with the same ``succ`` and ``target`` may share
+    ``memo``.
+    """
+    # a frame is [state, successors left, longest successor value],
+    # the bottom one has ``start`` as its only successor; once a
+    # successor gives INF the others cannot matter
+    stack = [[None, iter((start,)), 0]]
+    while True:
+        frame = stack[-1]
+        state = next(frame[1], None) if frame[2] != INF else None
+        if state is None:
+            if len(stack) == 1:
+                return frame[2]
+            stack.pop()
+            val = memo[frame[0]] = 1 + frame[2]
+        elif state in memo:
+            val = memo[state]
+        elif target(state):
+            val = memo[state] = 0
+        else:
+            kids = succ(state)
+            # INF while on the current path: coming back closes a cycle
+            memo[state] = INF
+            stack.append([state, iter(kids), 0 if kids else INF])
+            continue
+        stack[-1][2] = max(stack[-1][2], val)
+
+
+def _children(node):
+    return node.branches.values()
+
+
+# ---------------------------------------------------------------------------
 # depth and boundedness
-
-
-def _avoid_depth(node, p, memo, gray):
-    # longest run of moves before p gets to move; INF when some
-    # maximal path avoids p altogether
-    if node.kind == END:
-        return INF
-    if node.player == p:
-        return 0
-    nid = id(node)
-    if nid in memo:
-        return memo[nid]
-    if nid in gray:
-        # a cycle avoiding p; everything on it has unbounded paths
-        return INF
-    gray.add(nid)
-    val = 1 + max(_avoid_depth(c, p, memo, gray)
-                  for c in node.branches.values())
-    gray.discard(nid)
-    memo[nid] = val
-    return val
 
 
 def depth(g: GNode, p: str):
     """How long p can be kept waiting in g; 0 when p plays no part."""
     if p not in players(g):
         return 0
-    return 1 + _avoid_depth(g, p, {}, set())
+    return 1 + _longest(g, _children, lambda n: n.player == p, {})
 
 
 def bounded_witness(g: GNode) -> Optional[dict]:
     """None when bounded, else a subterm and participant with
-    infinite depth."""
-    for sub in reachable_nodes(g):
-        for p in sorted(players(sub)):
-            if depth(sub, p) == INF:
+    infinite depth: the first such subterm in :func:`reachable_nodes`
+    order, and its least such participant."""
+    nodes = reachable_nodes(g)
+    preds = {n: [] for n in nodes}
+    for n in nodes:
+        for c in n.branches.values():
+            preds[c].append(n)
+    reaching = {}  # participant -> (subterms it plays a part in, memo)
+    for p in sorted(players(g)):
+        seen = {n for n in nodes if n.player == p}
+        frontier = seen
+        while frontier:
+            frontier = {m for n in frontier for m in preds[n]} - seen
+            seen |= frontier
+        reaching[p] = (seen, {})
+    for sub in nodes:
+        for p, (seen, memo) in reaching.items():
+            if sub in seen and _longest(
+                    sub, _children, lambda n: n.player == p, memo) == INF:
                 return {"participant": p, "subterm": sub}
     return None
 
@@ -82,33 +118,29 @@ def bounded(g: GNode) -> bool:
 # weight of a message
 
 
-def _weight(node, msg, memo, gray):
-    if node.kind == END:
-        return INF
-    if (node.kind == IN and (node.sender, node.receiver) == msg.channel
-            and msg.label in node.branches):
-        return 0
-    nid = id(node)
-    if nid in memo:
-        return memo[nid]
-    if nid in gray:
-        return INF
-    gray.add(nid)
-    val = 1 + max(_weight(c, msg, memo, gray)
-                  for c in node.branches.values())
-    gray.discard(nid)
-    memo[nid] = val
-    return val
-
-
 def weight(msg: Msg, g: GNode):
     """Longest wait until ``msg`` can be read; INF if some path never
     reads it."""
-    return _weight(g, msg, {}, set())
+    return _longest(g, _children, lambda n: (
+        n.kind == IN and (n.sender, n.receiver) == msg.channel
+        and msg.label in n.branches), {})
 
 
 # ---------------------------------------------------------------------------
 # readability
+
+
+def _read_succ(state):
+    node, q = state
+    chan = (node.sender, node.receiver)
+    if node.kind == IN and q.head(*chan) in node.branches:
+        q = q.pop(*chan)[1]
+    return [(c, q) for c in node.branches.values()]
+
+
+def _readable(node, queue, memo):
+    return queue.is_empty or _longest(
+        (node, queue), _read_succ, lambda s: s[1].is_empty, memo) != INF
 
 
 def read(g: GNode, queue: Queue) -> bool:
@@ -116,62 +148,26 @@ def read(g: GNode, queue: Queue) -> bool:
 
     An input choice whose channel head matches one of its labels
     consumes the head in all branches; other nodes pass the queue on
-    unchanged.  The empty queue is always readable, a leftover at End
-    never is.
+    unchanged.  Every path of (node, queue) states must reach the empty
+    queue: a leftover at End, or a recurring state, means no.
     """
-    memo = {}
-
-    def go(node, q):
-        if q.is_empty:
-            return True
-        if node.kind == END:
-            return False
-        key = (id(node), q.key())
-        if key in memo:
-            return memo[key]
-        # a revisit with the same queue makes no progress
-        memo[key] = False
-        if node.kind == IN:
-            chan = (node.sender, node.receiver)
-            head = q.head(*chan)
-            if head is not None and head in node.branches:
-                _, rest = q.pop(*chan)
-                res = all(go(c, rest) for c in node.branches.values())
-            else:
-                res = all(go(c, q) for c in node.branches.values())
-        else:
-            res = all(go(c, q) for c in node.branches.values())
-        memo[key] = res
-        return res
-
-    return go(g, queue)
+    return _readable(g, queue, {})
 
 
 def dread(g: GNode, queue: Queue) -> bool:
     """Deep readability: the queue stays readable wherever g goes.
 
-    The queue is carried unchanged into every branch until the type
-    ends, which demands emptiness, or a type already seen recurs, at
-    which point plain readability has to close the loop.
+    The empty queue always is.  Any other queue is deeply readable
+    exactly when no End is reachable from g and every cycle reachable
+    from g passes through a node n with ``read(n, queue)``; that is,
+    when no reachable node has an INF longest wait for such an n.
     """
-    memo = {}
-
-    def go(node, theta):
-        if node.kind == END:
-            return queue.is_empty
-        key = (id(node), theta)
-        if key in memo:
-            return memo[key]
-        memo[key] = False
-        if id(node) in theta and read(node, queue):
-            res = True
-        else:
-            grown = theta | {id(node)}
-            res = all(go(c, grown) for c in node.branches.values())
-        memo[key] = res
-        return res
-
-    return go(g, frozenset())
+    if queue.is_empty:
+        return True
+    read_memo, memo = {}, {}
+    return all(_longest(n, _children,
+                        lambda m: _readable(m, queue, read_memo), memo) != INF
+               for n in reachable_nodes(g))
 
 
 # ---------------------------------------------------------------------------

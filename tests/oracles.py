@@ -2,7 +2,8 @@
 
 Everything here is a slow, direct transcription of a definition:
 bounded tree unfoldings for bisimilarity, path enumeration for depth
-and weight, breadth-first closure for the type-indexed queue
+and weight, recursive path walks for readability and deep
+readability, breadth-first closure for the type-indexed queue
 equivalence, a straight-line queue machine interpreter, and uncached
 steppers for sessions and type configurations.  Expected values frozen
 into the tests were computed with these functions.
@@ -98,6 +99,59 @@ def _weight_from(node, msg, onpath):
 def oracle_weight(msg, g):
     """Length of the longest wait before ``msg`` can be read in ``g``."""
     return _weight_from(g, msg, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# readability and deep readability by walking paths
+
+
+def oracle_read(g, queue) -> bool:
+    """Every path of g reads the whole queue.  An input choice whose
+    channel head matches one of its labels consumes the head in all
+    branches; a path fails at End with a leftover, or when it comes
+    back to a node with the same queue."""
+    memo = {}
+
+    def go(node, q):
+        if q.is_empty:
+            return True
+        if node.kind == "end":
+            return False
+        key = (id(node), q.key())
+        if key in memo:
+            return memo[key]
+        memo[key] = False
+        if (node.kind == "in"
+                and q.head(node.sender, node.receiver) in node.branches):
+            _, q = q.pop(node.sender, node.receiver)
+        memo[key] = all(go(c, q) for c in node.branches.values())
+        return memo[key]
+
+    return go(g, queue)
+
+
+def oracle_dread(g, queue) -> bool:
+    """The queue, carried unchanged along every path of g, is empty at
+    End and readable wherever the path first comes back to a node it
+    visited; paths are told apart by the set of nodes they visited."""
+    memo = {}
+
+    def go(node, visited):
+        if node.kind == "end":
+            return queue.is_empty
+        key = (id(node), visited)
+        if key in memo:
+            return memo[key]
+        memo[key] = False
+        if id(node) in visited and oracle_read(node, queue):
+            res = True
+        else:
+            grown = visited | {id(node)}
+            res = all(go(c, grown) for c in node.branches.values())
+        memo[key] = res
+        return res
+
+    return go(g, frozenset())
 
 
 # ---------------------------------------------------------------------------

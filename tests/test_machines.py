@@ -18,9 +18,9 @@ from mpst.machines import (
     qm_start,
     qm_step,
 )
-from mpst.terms import Queue, reachable_nodes
+from mpst.terms import Comm, Queue, bisimilar, reachable_nodes
 from gen import random_machine, random_word
-from oracles import oracle_qm_run
+from oracles import oracle_config_step, oracle_qm_run
 from zoo import copy_loop, eraser, parity
 
 
@@ -120,17 +120,24 @@ class TestEncoding:
         assert queue == Queue({("p", "q"): ("a", "a", "$")})
 
     def test_step_alignment(self):
-        # the machine step and the type step consume the same head and
-        # append the same word, so queue contents stay aligned
+        # one machine step is the type configuration reading the head
+        # and then sending the written word, one output per symbol
         rng = random.Random(37)
         for _ in range(100):
             m = random_machine(rng)
             cfg = qm_start(m, random_word(rng, m))
+            g, queue = encode_config(m, cfg)
             for _ in range(5):
                 if cfg.final:
                     break
                 nxt = qm_step(m, cfg)
                 head = cfg.queue[0]
                 _, written = m.delta[(cfg.state, head)]
-                assert nxt.queue == cfg.queue[1:] + tuple(written)
+                g, queue = oracle_config_step(g, queue,
+                                              Comm("in", "p", "q", head))
+                for sym in written:
+                    g, queue = oracle_config_step(g, queue,
+                                                  Comm("out", "p", "q", sym))
+                assert queue == Queue({("p", "q"): nxt.queue})
+                assert bisimilar(g, encode(m)[nxt.state])
                 cfg = nxt

@@ -1,0 +1,226 @@
+"""Well-formedness judgments against the reference implementations."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from mpst.machines import Accepted, encode_config, qm_run, qm_start
+from mpst.terms import Msg, Queue, gend, gin, gout, reachable_nodes
+from mpst.wellformed import (
+    INF,
+    Accept,
+    agree,
+    balanced_inductive,
+    bounded,
+    bounded_witness,
+    depth,
+    dread,
+    indistinguishable,
+    queue_equiv_g,
+    read,
+    weakly_balanced_inductive,
+    weight,
+)
+from gen import (
+    LABELS,
+    PARTS,
+    random_gnode,
+    random_machine,
+    random_queue,
+    random_word,
+)
+from oracles import (
+    oracle_depth,
+    oracle_dread,
+    oracle_indistinguishable,
+    oracle_players,
+    oracle_queue_equiv,
+    oracle_read,
+    oracle_weight,
+)
+from zoo import (
+    burst_choice,
+    depth_example,
+    hospital,
+    mp,
+    stuck_reader,
+    unread_branch,
+)
+
+
+def graphs(seed, count, **kw):
+    rng = random.Random(seed)
+    return rng, [random_gnode(rng, **kw) for _ in range(count)]
+
+
+def oracle_witness(g):
+    """The first subterm in ``reachable_nodes`` order with a participant
+    of infinite depth, and its least such participant."""
+    for sub in reachable_nodes(g):
+        for p in sorted(oracle_players(sub)):
+            if oracle_depth(sub, p) == INF:
+                return p, sub
+    return None
+
+
+class TestDepthAndWeight:
+    def test_depth_matches_oracle(self):
+        _, gs = graphs(3, 400)
+        for g in gs:
+            for p in PARTS:
+                assert depth(g, p) == oracle_depth(g, p)
+
+    def test_weight_matches_oracle(self):
+        rng, gs = graphs(4, 400)
+        for g in gs:
+            for _ in range(3):
+                sender, receiver = rng.sample(PARTS, 2)
+                msg = Msg(sender, rng.choice(LABELS), receiver)
+                assert weight(msg, g) == oracle_weight(msg, g)
+
+    def test_bounded_witness_follows_search_order(self):
+        _, gs = graphs(5, 400, max_nodes=10)
+        unbounded = 0
+        for g in gs:
+            want = oracle_witness(g)
+            got = bounded_witness(g)
+            assert bounded(g) == (want is None)
+            if want is None:
+                assert got is None
+                continue
+            unbounded += 1
+            assert got["participant"] == want[0]
+            assert got["subterm"] is want[1]
+        assert 0 < unbounded < len(gs)
+
+    def test_zoo(self):
+        ex = depth_example()
+        assert depth(ex.inner, "r") == INF
+        # from r's first output on, the l2 loop can keep r waiting forever
+        assert bounded_witness(ex.g) == {"participant": "r",
+                                         "subterm": ex.g.branches["l"]}
+        assert bounded(hospital().g) and bounded(burst_choice().g)
+        ub = unread_branch()
+        assert weight(ub.probe, ub.g) == INF
+
+
+class TestQueueEquivalence:
+    def test_indistinguishable_matches_oracle(self):
+        rng, gs = graphs(6, 300)
+        for g in gs:
+            sender, receiver = rng.sample(PARTS, 2)
+            a, b = rng.sample(LABELS, 2)
+            m1, m2 = Msg(sender, a, receiver), Msg(sender, b, receiver)
+            assert (indistinguishable(m1, m2, g)
+                    == oracle_indistinguishable(m1, m2, g))
+
+    def test_queue_equiv_matches_oracle(self):
+        rng, gs = graphs(7, 300, parts=PARTS[:3], labels=LABELS[:3])
+        for g in gs:
+            seq1 = random_queue(rng, parts=PARTS[:3], labels=LABELS[:3],
+                                max_msgs=3).messages()
+            # half the time a relabelling of seq1, else an unrelated queue
+            if rng.random() < 0.5:
+                seq2 = [Msg(m.sender, rng.choice(LABELS[:3]), m.receiver)
+                        for m in seq1]
+            else:
+                seq2 = random_queue(rng, parts=PARTS[:3], labels=LABELS[:3],
+                                    max_msgs=3).messages()
+            rng.shuffle(seq2)
+            q1, q2 = Queue.from_msgs(seq1), Queue.from_msgs(seq2)
+            assert (queue_equiv_g(q1, q2, g)
+                    == oracle_queue_equiv(seq1, seq2, g))
+
+
+class TestReadability:
+    def check(self, g, queue):
+        assert read(g, queue) == oracle_read(g, queue)
+        assert dread(g, queue) == oracle_dread(g, queue)
+
+    def test_random_graphs_and_queues(self):
+        rng, gs = graphs(8, 500, max_nodes=10)
+        seen = set()
+        for g in gs:
+            for _ in range(3):
+                queue = random_queue(rng, max_msgs=rng.randint(1, 6))
+                for sub in reachable_nodes(g)[:3]:
+                    self.check(sub, queue)
+                    seen.add((read(sub, queue), dread(sub, queue)))
+        # every combination dread implies read allows shows up
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_machine_encodings(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            m = random_machine(rng)
+            g, queue = encode_config(m, qm_start(m, random_word(rng, m)))
+            self.check(g, queue)
+
+    def test_zoo(self):
+        for ex in (stuck_reader(), unread_branch()):
+            assert not read(ex.g, ex.queue) and not dread(ex.g, ex.queue)
+        h = hospital()
+        pending = Queue.from_msgs([Msg("p", "nd", "s")])
+        assert read(h.g1, pending) and dread(h.g1, pending)
+
+
+def chain(n):
+    """n output/input pairs on p->q ending in End."""
+    node = gend()
+    for _ in range(n):
+        node = gout("p", "q", {"l": gin("p", "q", {"l": node})})
+    return node
+
+
+def test_deep_inputs_do_not_recurse():
+    g = chain(5000)
+    stray = Msg("p", "z", "r")
+    queue = Queue.from_msgs([stray])
+    assert depth(g, "q") == 2
+    assert weight(stray, g) == INF
+    assert bounded(g)
+    assert not read(g, queue)
+    assert not dread(g, queue)
+
+
+ZOO_VERDICTS = [
+    # (example, queue, balanced, weakly balanced)
+    ("hospital", None, True, True),
+    ("burst", None, True, True),
+    ("depth", None, True, True),
+    ("stuck", "queue", False, True),
+    ("unread", "queue", False, True),
+    ("mp", None, False, False),
+]
+ZOO = {"hospital": hospital, "burst": burst_choice, "depth": depth_example,
+       "stuck": stuck_reader, "unread": unread_branch, "mp": mp}
+
+
+@pytest.mark.parametrize("name,queue,balanced,weak", ZOO_VERDICTS)
+def test_zoo_balancing_verdicts(name, queue, balanced, weak):
+    ex = ZOO[name]()
+    q = getattr(ex, queue) if queue else Queue()
+    assert isinstance(balanced_inductive(ex.g, q), Accept) == balanced
+    assert isinstance(weakly_balanced_inductive(ex.g, q), Accept) == weak
+    assert agree(ex.g, q)
+
+
+def test_machine_reduction_is_sound():
+    """A machine diverges exactly when its encoded configuration is
+    balanced, so one that accepts must never get Accept."""
+    rng = random.Random(1)
+    accepted = 0
+    for _ in range(200):
+        m = random_machine(rng)
+        w = random_word(rng, m)
+        if not isinstance(qm_run(m, w, max_steps=500), Accepted):
+            continue
+        accepted += 1
+        g, queue = encode_config(m, qm_start(m, w))
+        for max_revisits in (1, 2):
+            for mod_g in (False, True):
+                verdict = balanced_inductive(g, queue, max_revisits, mod_g)
+                assert not isinstance(verdict, Accept)
+    assert accepted >= 50
