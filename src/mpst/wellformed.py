@@ -231,44 +231,41 @@ def agree(g: GNode, queue: Queue, mod_g: bool = False) -> bool:
     At an output, the label appended behind the queue must be able to
     move to the front, up to the equivalence indexed by the branch
     continuation; the front message moves out of the way exactly when
-    the continuation cannot distinguish the two.  ``mod_g`` lets the
-    recurrence check match queues up to that same equivalence instead
-    of equality.
+    the continuation cannot distinguish the two.  A path stops where its
+    (node, queue) state recurs, with ``mod_g`` up to that same
+    equivalence.  Without ``mod_g``, a finished state holds on every
+    path, so agreement means that no reachable state breaks it.
     """
-
-    def matches(node, q, hyps):
-        for hnode, hq in hyps:
-            if hnode is not node:
-                continue
-            if hq == q or (mod_g and queue_equiv_g(hq, q, node)):
-                return True
-        return False
-
-    def go(node, q, hyps):
-        if node.kind == END:
-            return True
-        if matches(node, q, hyps):
-            return True
-        grown = hyps + ((node, q),)
-        if node.kind == IN:
-            return all(go(c, q, grown) for c in node.branches.values())
+    # path: node -> its queues on the current path; (node, None): exit
+    path, done = {}, set()
+    stack = [(g, queue)]
+    while stack:
+        node, q = stack.pop()
+        if q is None:
+            q = path[node].pop()
+            if not mod_g:
+                done.add((node, q))
+            continue
+        if node.kind == END or (node, q) in done:
+            continue
+        hyps = path.setdefault(node, [])
+        if q in hyps or mod_g and any(queue_equiv_g(hq, q, node)
+                                      for hq in hyps):
+            continue
+        hyps.append(q)
+        stack.append((node, None))
         chan = (node.sender, node.receiver)
+        head = q.head(*chan) if node.kind == OUT else None
         for lab, child in node.branches.items():
-            head = q.head(*chan)
             if head is None:
-                qi = q
-            else:
-                if head != lab and not indistinguishable(
-                        Msg(chan[0], head, chan[1]),
-                        Msg(chan[0], lab, chan[1]), child):
-                    return False
-                _, rest = q.pop(*chan)
-                qi = rest.push(chan[0], lab, chan[1])
-            if not go(child, qi, grown):
+                stack.append((child, q))
+                continue
+            if head != lab and not indistinguishable(
+                    Msg(chan[0], head, chan[1]),
+                    Msg(chan[0], lab, chan[1]), child):
                 return False
-        return True
-
-    return go(g, queue, ())
+            stack.append((child, q.pop(*chan)[1].push(chan[0], lab, chan[1])))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -330,49 +327,51 @@ class Unknown:
 
 
 def _inductive(g, queue, weak, max_revisits, mod_g):
-    def go(node, q, hyps):
+    # the derivation of a stacked (node, queue) state goes into
+    # parent[slot]; path and exit markers work as in agree.  The queues
+    # on the path are the hypotheses a loop may close against, and any
+    # failed premise fails the whole check
+    root, path, read_memo = {}, {}, {}
+    stack = [(g, queue, root, "derivation")]
+    while stack:
+        node, q, parent, slot = stack.pop()
+        if q is None:
+            path[node].pop()
+            continue
         if node.kind == END:
-            if q.is_empty:
-                return {"rule": "ib-End", "type": node, "queue": q}
-            return None
-        for hnode, hq in hyps:
-            if hnode is not node:
-                continue
+            if not q.is_empty:
+                return Unknown()
+            parent[slot] = {"rule": "ib-End", "type": node, "queue": q}
+            continue
+        hyps = path.setdefault(node, [])
+        for hq in hyps:
             suffix = ok(node, hq, q, weak, mod_g)
             if suffix is not None:
-                return {"rule": "ib-Cycle", "type": node, "queue": q,
-                        "hypothesis_queue": hq, "suffix": suffix}
-        expansions = sum(1 for hnode, _ in hyps if hnode is node)
-        if expansions > max_revisits:
-            return None
-        grown = hyps + ((node, q),)
-        if not weak and not read(node, q):
-            return None
-        if node.kind == OUT:
+                parent[slot] = {"rule": "ib-Cycle", "type": node, "queue": q,
+                                "hypothesis_queue": hq, "suffix": suffix}
+                break
+        else:
             chan = (node.sender, node.receiver)
-            branches = {}
-            for lab, child in node.branches.items():
-                sub = go(child, q.push(chan[0], lab, chan[1]), grown)
-                if sub is None:
-                    return None
-                branches[lab] = sub
-            return {"rule": "ib-Out", "type": node, "queue": q,
-                    "branches": branches}
-        chan = (node.sender, node.receiver)
-        head = q.head(*chan)
-        if head is None or head not in node.branches:
-            return None
-        _, rest = q.pop(*chan)
-        sub = go(node.branches[head], rest, grown)
-        if sub is None:
-            return None
-        return {"rule": "ib-In", "type": node, "queue": q,
-                "label": head, "branch": sub}
-
-    derivation = go(g, queue, ())
-    if derivation is None:
-        return Unknown()
-    return Accept(derivation)
+            head = q.head(*chan)
+            if (len(hyps) > max_revisits
+                    or not (weak or _readable(node, q, read_memo))
+                    or node.kind == IN and head not in node.branches):
+                return Unknown()
+            hyps.append(q)
+            stack.append((node, None, None, None))
+            if node.kind == OUT:
+                d = parent[slot] = {"rule": "ib-Out", "type": node,
+                                    "queue": q, "branches": {}}
+                # pushed reversed so that the branches fill in label order
+                stack.extend((child, q.push(chan[0], lab, chan[1]),
+                              d["branches"], lab)
+                             for lab, child in reversed(node.branches.items()))
+            else:
+                d = parent[slot] = {"rule": "ib-In", "type": node,
+                                    "queue": q, "label": head}
+                stack.append((node.branches[head], q.pop(*chan)[1], d,
+                              "branch"))
+    return Accept(root["derivation"])
 
 
 def balanced_inductive(g: GNode, queue: Queue, max_revisits: int = 1,

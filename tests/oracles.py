@@ -4,14 +4,23 @@ Everything here is a slow, direct transcription of a definition:
 bounded tree unfoldings for bisimilarity, path enumeration for depth
 and weight, recursive path walks for readability and deep
 readability, breadth-first closure for the type-indexed queue
-equivalence, a straight-line queue machine interpreter, and uncached
-steppers for sessions and type configurations.  Expected values frozen
+equivalence, recursive walks with path hypotheses for agreement and
+inductive balancing, a straight-line queue machine interpreter, and
+uncached steppers for sessions and type configurations.  Expected values frozen
 into the tests were computed with these functions.
 """
 
 from __future__ import annotations
 
 from mpst.terms import Comm, GNode, Msg, Network, Queue
+from mpst.wellformed import (
+    Accept,
+    Unknown,
+    indistinguishable,
+    ok,
+    queue_equiv_g,
+    read,
+)
 
 INF = float("inf")
 
@@ -210,6 +219,100 @@ def oracle_queue_equiv(seq1, seq2, g, limit=500000) -> bool:
                             nxt.append(repl)
         frontier = nxt
     return goal in seen
+
+
+# ---------------------------------------------------------------------------
+# agreement and inductive balancing by recursive path walks
+
+
+def oracle_agree(g, queue, mod_g=False) -> bool:
+    """Every path of (node, queue) states agrees, where a path stops at
+    End or where its state recurs (with ``mod_g``, up to the queue
+    equivalence indexed by the node); hypotheses are the path so far."""
+
+    def matches(node, q, hyps):
+        for hnode, hq in hyps:
+            if hnode is not node:
+                continue
+            if hq == q or (mod_g and queue_equiv_g(hq, q, node)):
+                return True
+        return False
+
+    def go(node, q, hyps):
+        if node.kind == "end":
+            return True
+        if matches(node, q, hyps):
+            return True
+        grown = hyps + ((node, q),)
+        if node.kind == "in":
+            return all(go(c, q, grown) for c in node.branches.values())
+        chan = (node.sender, node.receiver)
+        for lab, child in node.branches.items():
+            head = q.head(*chan)
+            if head is None:
+                qi = q
+            else:
+                if head != lab and not indistinguishable(
+                        Msg(chan[0], head, chan[1]),
+                        Msg(chan[0], lab, chan[1]), child):
+                    return False
+                _, rest = q.pop(*chan)
+                qi = rest.push(chan[0], lab, chan[1])
+            if not go(child, qi, grown):
+                return False
+        return True
+
+    return go(g, queue, ())
+
+
+def oracle_inductive(g, queue, weak, max_revisits, mod_g):
+    """Inductive balancing as a recursive derivation search: a loop
+    closes against the oldest earlier visit of its node that ``ok``
+    allows, and a missing subderivation fails the whole check."""
+
+    def go(node, q, hyps):
+        if node.kind == "end":
+            if q.is_empty:
+                return {"rule": "ib-End", "type": node, "queue": q}
+            return None
+        for hnode, hq in hyps:
+            if hnode is not node:
+                continue
+            suffix = ok(node, hq, q, weak, mod_g)
+            if suffix is not None:
+                return {"rule": "ib-Cycle", "type": node, "queue": q,
+                        "hypothesis_queue": hq, "suffix": suffix}
+        expansions = sum(1 for hnode, _ in hyps if hnode is node)
+        if expansions > max_revisits:
+            return None
+        grown = hyps + ((node, q),)
+        if not weak and not read(node, q):
+            return None
+        if node.kind == "out":
+            chan = (node.sender, node.receiver)
+            branches = {}
+            for lab, child in node.branches.items():
+                sub = go(child, q.push(chan[0], lab, chan[1]), grown)
+                if sub is None:
+                    return None
+                branches[lab] = sub
+            return {"rule": "ib-Out", "type": node, "queue": q,
+                    "branches": branches}
+        chan = (node.sender, node.receiver)
+        head = q.head(*chan)
+        if head is None or head not in node.branches:
+            return None
+        _, rest = q.pop(*chan)
+        sub = go(node.branches[head], rest, grown)
+        if sub is None:
+            return None
+        return {"rule": "ib-In", "type": node, "queue": q,
+                "label": head, "branch": sub}
+
+    derivation = go(g, queue, ())
+    if derivation is None:
+        return Unknown()
+    return Accept(derivation)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from mpst.terms import (
     subterms,
 )
 from gen import random_gnode, random_network
-from oracles import oracle_bisimilar, oracle_players
+from oracles import oracle_bisimilar, oracle_players, unfold
 from zoo import hospital, mp
 
 
@@ -92,6 +92,19 @@ class TestBisimilarity:
             b = random_gnode(rng)
             assert bisimilar(a, b) == oracle_bisimilar(a, b)
             assert bisimilar(a, a)
+
+    def test_matches_bounded_unfolding(self):
+        # two graphs that differ do so within as many steps as they
+        # have nodes together
+        rng = random.Random(19)
+        small = dict(max_nodes=4, parts=["p", "q"], labels=["a", "b", "l1"])
+        same = 0
+        for _ in range(400):
+            a, b = random_gnode(rng, **small), random_gnode(rng, **small)
+            d = len(reachable_nodes(a)) + len(reachable_nodes(b))
+            assert bisimilar(a, b) == (unfold(a, d) == unfold(b, d))
+            same += bisimilar(a, b)
+        assert 0 < same < 400
 
     def test_equivalence_laws(self):
         rng = random.Random(11)

@@ -32,9 +32,11 @@ from gen import (
     random_word,
 )
 from oracles import (
+    oracle_agree,
     oracle_depth,
     oracle_dread,
     oracle_indistinguishable,
+    oracle_inductive,
     oracle_players,
     oracle_queue_equiv,
     oracle_read,
@@ -166,6 +168,76 @@ class TestReadability:
         assert read(h.g1, pending) and dread(h.g1, pending)
 
 
+def walk_inputs():
+    """Random graphs with random queues, then encoded machine
+    configurations, for the walks with path hypotheses."""
+    rng, gs = graphs(10, 250, max_nodes=6)
+    for g in gs:
+        yield g, random_queue(rng, max_msgs=3)
+    rng = random.Random(11)
+    for _ in range(80):
+        m = random_machine(rng)
+        yield encode_config(m, qm_start(m, random_word(rng, m)))
+
+
+class TestAgreementAndBalancing:
+    def test_agree_matches_oracle(self):
+        seen = set()
+        for g, queue in walk_inputs():
+            for mod_g in (False, True):
+                got = agree(g, queue, mod_g)
+                assert got == oracle_agree(g, queue, mod_g)
+                seen.add(got)
+        assert seen == {False, True}
+
+    def test_loops_close_only_on_their_own_path(self):
+        """Up to the equivalence, whether a state closes depends on the
+        path to it: a state a sibling branch visited, or one finished
+        on another path, must still be explored."""
+        # G = p q!{l1; G1, a; G1}  G1 = p q!{a; end, l3; G}
+        g, g1 = gout("p", "q"), gout("p", "q")
+        g.branches.update(l1=g1, a=g1)
+        g1.branches.update(a=gend(), l3=g)
+        sibling = (g, Queue.from_msgs([Msg("p", "a", "q")]))
+        # H = q p!{l2; H1, l3; H2}  H1 = p q!l1; H2
+        # H2 = q p!{l2; H1, l3; end}
+        h, h1, h2 = gout("q", "p"), gout("p", "q"), gout("q", "p")
+        h.branches.update(l2=h1, l3=h2)
+        h1.branches.update(l1=h2)
+        h2.branches.update(l2=h1, l3=gend())
+        finished = (h, Queue.from_msgs([Msg("q", "l2", "p")]))
+        for root, queue in (sibling, finished):
+            assert not oracle_agree(root, queue, mod_g=True)
+            assert not agree(root, queue, mod_g=True)
+
+    def test_hypotheses_live_on_their_own_path(self):
+        # G = p q!{l1; G1, l2; G1, l3; G1}  G1 = q p!l2; G1: each branch
+        # unfolds G1 once, which a revisit budget of 1 allows
+        g1 = gout("q", "p")
+        g1.branches["l2"] = g1
+        g = gout("p", "q", {"l1": g1, "l2": g1, "l3": g1})
+        want = oracle_inductive(g, Queue(), True, 1, False)
+        got = weakly_balanced_inductive(g, Queue(), max_revisits=1)
+        assert isinstance(want, Accept)
+        assert got.derivation == want.derivation
+
+    def test_balancing_matches_oracle(self):
+        verdicts = set()
+        for g, queue in walk_inputs():
+            for weak, check in ((False, balanced_inductive),
+                                (True, weakly_balanced_inductive)):
+                for max_revisits in (1, 2):
+                    for mod_g in (False, True):
+                        got = check(g, queue, max_revisits, mod_g)
+                        want = oracle_inductive(g, queue, weak,
+                                                max_revisits, mod_g)
+                        assert type(got) is type(want)
+                        if isinstance(want, Accept):
+                            assert got.derivation == want.derivation
+                        verdicts.add((weak, type(got)))
+        assert len(verdicts) == 4
+
+
 def chain(n):
     """n output/input pairs on p->q ending in End."""
     node = gend()
@@ -183,6 +255,10 @@ def test_deep_inputs_do_not_recurse():
     assert bounded(g)
     assert not read(g, queue)
     assert not dread(g, queue)
+    for mod_g in (False, True):
+        assert agree(g, Queue(), mod_g)
+    assert isinstance(balanced_inductive(g, Queue()), Accept)
+    assert isinstance(weakly_balanced_inductive(g, Queue()), Accept)
 
 
 ZOO_VERDICTS = [
