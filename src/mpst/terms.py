@@ -8,7 +8,8 @@ hashed or compared it must not be mutated further.
 
 Equality of types is bisimilarity.  Every node can produce a canonical
 key via partition refinement of its reachable subgraph; two nodes are
-bisimilar exactly when their keys coincide.
+bisimilar exactly when their keys coincide.  Nodes and networks build
+their keys once, on first use, and queues their hashes.
 """
 
 from __future__ import annotations
@@ -167,33 +168,83 @@ def _refine(nodes: list) -> dict:
     """Partition refinement; returns a map id(node) -> block index.
 
     Two nodes land in the same block exactly when they are bisimilar.
+
+    This is splitter-worklist refinement (Paige and Tarjan 1987,
+    Valmari 2009).  Blocks start as the classes of local signatures.
+    A round signs nodes by their block and their children's blocks in
+    label order, and splits each block by signature.  The first round
+    signs every node; each later round signs only the predecessors of
+    the nodes that changed block in the round before.  The unsigned
+    members of a block still share one signature, and a signed member
+    differs from them, since one of its children holds a block index
+    made in the round before; so the unsigned members form one part.
+    The largest part of a split keeps the block's index and the others
+    move to new ones.  A node thus only moves into a block at most half
+    the size of its old one, at most log2 n times, and refinement signs
+    O(m log n) nodes for m edges.  Predecessors and block members are
+    built at the first split, so a graph whose local signatures already
+    give the bisimilarity classes costs at most one signing pass.
     """
-    sigs = {}
-    for n in nodes:
-        sigs[id(n)] = n._local_sig()
     index = {}
     block = {}
     for n in nodes:
-        block[id(n)] = index.setdefault(sigs[id(n)], len(index))
-    while True:
-        index = {}
-        nxt = {}
-        for n in nodes:
-            sig = (block[id(n)],
-                   tuple((lab, block[id(n.branches[lab])])
-                         for lab in sorted(n.branches)))
-            nxt[id(n)] = index.setdefault(sig, len(index))
-        if nxt == block:
-            return block
-        block = nxt
+        block[id(n)] = index.setdefault(n._local_sig(), len(index))
+    fresh = len(index)
+    members = preds = None
+    # blocks of one node each cannot split
+    signed = nodes if fresh < len(nodes) else ()
+    while signed:
+        parts = {}
+        for n in signed:
+            br = n.branches
+            sig = (block[id(n)], tuple([block[id(br[lab])] for lab in sorted(br)]))
+            parts.setdefault(sig, []).append(id(n))
+        if members is None:
+            if len(parts) == fresh:
+                return block
+            members, preds = {}, {}
+            for n in nodes:
+                members.setdefault(block[id(n)], set()).add(id(n))
+                for child in n.branches.values():
+                    preds.setdefault(id(child), []).append(n)
+        splits = {}
+        for (b, _), part in parts.items():
+            splits.setdefault(b, []).append(part)
+        moved = []
+        for b, split in splits.items():
+            old = members[b]
+            rest = len(old) - sum(map(len, split))
+            big = max(split, key=len)
+            if len(big) < rest:
+                big = None  # the unsigned members are the largest part
+            elif rest:
+                split.append(list(old.difference(*split)))
+            for part in split:
+                if part is big:
+                    continue
+                for i in part:
+                    block[i] = fresh
+                old.difference_update(part)
+                members[fresh] = set(part)
+                fresh += 1
+                moved.extend(part)
+        signed = {id(p): p for i in moved for p in preds.get(i, ())}.values()
+    return block
 
 
-def _canonical_key(root):
+def _classes(root):
+    """The blocks of the nodes reachable from ``root`` and a map from
+    each block to its first node in :func:`reachable_nodes` order."""
     nodes = reachable_nodes(root)
     block = _refine(nodes)
     rep = {}
     for n in nodes:
         rep.setdefault(block[id(n)], n)
+    return block, rep
+
+
+def _canonical_key(root):
+    block, rep = _classes(root)
     # number the blocks by a depth-first walk of the quotient graph,
     # taking branches in label order, so the key only depends on the
     # graph up to bisimilarity
@@ -224,11 +275,7 @@ def bisimilar(a, b) -> bool:
 
 def minimize(root):
     """The quotient of ``root`` by bisimilarity, as a fresh graph."""
-    nodes = reachable_nodes(root)
-    block = _refine(nodes)
-    rep = {}
-    for n in nodes:
-        rep.setdefault(block[id(n)], n)
+    block, rep = _classes(root)
     fresh = {b: n._bare_clone() for b, n in rep.items()}
     for b, n in rep.items():
         for lab, child in n.branches.items():
@@ -238,12 +285,7 @@ def minimize(root):
 
 def subterms(root) -> list:
     """One representative per bisimilarity class of subterm of ``root``."""
-    nodes = reachable_nodes(root)
-    block = _refine(nodes)
-    picked = {}
-    for n in nodes:
-        picked.setdefault(block[id(n)], n)
-    return list(picked.values())
+    return list(_classes(root)[1].values())
 
 
 def players(g: GNode) -> set:
@@ -428,10 +470,11 @@ class Network:
     """A finite map from participants to process types.
 
     Terminated components are dropped, so a network equals the empty
-    one exactly when every participant has ended.
+    one exactly when every participant has ended.  A network is never
+    changed after construction, so its key is computed once.
     """
 
-    __slots__ = ("_procs",)
+    __slots__ = ("_procs", "_key")
 
     def __init__(self, procs: Optional[dict] = None):
         kept = {}
@@ -440,6 +483,7 @@ class Network:
                 if proc.kind != END:
                     kept[name] = proc
         self._procs = kept
+        self._key = None
 
     @property
     def is_empty(self) -> bool:
@@ -466,8 +510,10 @@ class Network:
         return Network(procs)
 
     def key(self):
-        return tuple(sorted((name, proc.key())
-                            for name, proc in self._procs.items()))
+        if self._key is None:
+            self._key = tuple(sorted((name, proc.key())
+                                     for name, proc in self._procs.items()))
+        return self._key
 
     def __contains__(self, name):
         return name in self._procs

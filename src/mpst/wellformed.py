@@ -187,10 +187,11 @@ def indistinguishable(m1: Msg, m2: Msg, g: GNode) -> bool:
     """
     if m1.channel != m2.channel:
         raise ChannelMismatch(f"{m1} and {m2} travel on different channels")
-    occurring = {lab for n in reachable_nodes(g) for lab in n.branches}
+    nodes = reachable_nodes(g)
+    occurring = {lab for n in nodes for lab in n.branches}
     if m1.label not in occurring or m2.label not in occurring:
         return False
-    for node in reachable_nodes(g):
+    for node in nodes:
         if node.kind != IN or (node.sender, node.receiver) != m1.channel:
             continue
         offered = {m1.label, m2.label} & set(node.branches)

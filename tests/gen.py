@@ -1,11 +1,24 @@
-"""Seeded random generators for graphs, networks, queues and machines."""
+"""Seeded random generators for graphs, networks, queues and machines,
+and the ``ring`` and ``chain`` scaling families."""
 
 from __future__ import annotations
 
 import random
 
 from mpst.machines import QueueMachine
-from mpst.terms import END, IN, OUT, GNode, Msg, Network, PNode, Queue
+from mpst.terms import (
+    END,
+    IN,
+    OUT,
+    GNode,
+    Msg,
+    Network,
+    PNode,
+    Queue,
+    gend,
+    gin,
+    gout,
+)
 
 PARTS = ["p", "q", "r", "s"]
 LABELS = ["l1", "l2", "l3", "a", "b"]
@@ -79,3 +92,20 @@ def random_machine(rng: random.Random, max_states=4, max_write=2) -> QueueMachin
 def random_word(rng: random.Random, machine: QueueMachine, max_len=4) -> str:
     return "".join(rng.choice(machine.input_alphabet)
                    for _ in range(rng.randint(0, max_len)))
+
+
+def ring(n: int) -> GNode:
+    """A cycle of n ``p q!`` outputs, labelled ``a`` but for the last,
+    labelled ``b``; no two of its nodes are bisimilar."""
+    nodes = [gout("p", "q") for _ in range(n)]
+    for i, node in enumerate(nodes):
+        node.branches["b" if i == n - 1 else "a"] = nodes[(i + 1) % n]
+    return nodes[0]
+
+
+def chain(n: int) -> GNode:
+    """n output/input pairs on p->q ending in End."""
+    node = gend()
+    for _ in range(n):
+        node = gout("p", "q", {"l": gin("p", "q", {"l": node})})
+    return node

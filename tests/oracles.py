@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is a slow, direct transcription of a definition:
-bounded tree unfoldings for bisimilarity, path enumeration for depth
+bounded tree unfoldings and Moore's round-by-round partition
+refinement for bisimilarity, path enumeration for depth
 and weight, recursive path walks for readability and deep
 readability, breadth-first closure for the type-indexed queue
 equivalence, recursive walks with path hypotheses for agreement and
@@ -64,6 +65,30 @@ def oracle_bisimilar(a, b) -> bool:
         for lab in x.branches:
             todo.append((x.branches[lab], y.branches[lab]))
     return True
+
+
+def oracle_refine(nodes: list) -> dict:
+    """Moore's partition refinement: every round re-signs every node by
+    its block and its children's blocks, until no block splits.  Up to
+    n rounds of n signatures; returns a map id(node) -> block index."""
+    sigs = {}
+    for n in nodes:
+        sigs[id(n)] = n._local_sig()
+    index = {}
+    block = {}
+    for n in nodes:
+        block[id(n)] = index.setdefault(sigs[id(n)], len(index))
+    while True:
+        index = {}
+        nxt = {}
+        for n in nodes:
+            sig = (block[id(n)],
+                   tuple((lab, block[id(n.branches[lab])])
+                         for lab in sorted(n.branches)))
+            nxt[id(n)] = index.setdefault(sig, len(index))
+        if nxt == block:
+            return block
+        block = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from mpst import terms
 from mpst.terms import (
     Comm,
     GNode,
@@ -26,8 +27,8 @@ from mpst.terms import (
     reachable_nodes,
     subterms,
 )
-from gen import random_gnode, random_network
-from oracles import oracle_bisimilar, oracle_players, unfold
+from gen import chain, random_gnode, random_network, random_pnode, ring
+from oracles import oracle_bisimilar, oracle_players, oracle_refine, unfold
 from zoo import hospital, mp
 
 
@@ -128,6 +129,64 @@ class TestBisimilarity:
         two = gout("p", "q")
         two.branches["l"] = gout("p", "q", {"l": two})
         assert len(reachable_nodes(minimize(two))) == 1
+
+
+def partition(block):
+    classes = {}
+    for i, b in block.items():
+        classes.setdefault(b, set()).add(i)
+    return sorted(sorted(c) for c in classes.values())
+
+
+def few_labels(seed, count, max_nodes):
+    """Graphs over two participants and three labels, so that many
+    nodes are bisimilar and splits take several rounds."""
+    rng = random.Random(seed)
+    kw = dict(parts=["p", "q"], labels=["a", "b", "c"], max_nodes=max_nodes)
+    for _ in range(count):
+        yield random_gnode(rng, **kw)
+        yield random_pnode(rng, "p", **kw)
+
+
+def shape(root):
+    nodes = reachable_nodes(root)
+    at = {id(n): i for i, n in enumerate(nodes)}
+    return [(n._local_sig(), [(lab, at[id(c)]) for lab, c in n.branches.items()])
+            for n in nodes]
+
+
+class TestRefinement:
+    def test_partition_matches_moore_oracle(self):
+        refined = 0
+        for root in few_labels(29, 300, 40):
+            nodes = reachable_nodes(root)
+            got = partition(terms._refine(nodes))
+            assert got == partition(oracle_refine(nodes))
+            refined += len(got) > len({n._local_sig() for n in nodes})
+        assert refined > 100
+
+    def test_blocks_are_bisimilarity_classes(self):
+        for root in few_labels(31, 150, 8):
+            nodes = reachable_nodes(root)
+            block = terms._refine(nodes)
+            for a in nodes:
+                for b in nodes:
+                    assert (block[id(a)] == block[id(b)]) == oracle_bisimilar(a, b)
+
+    def test_key_subterms_minimize_match_moore(self, monkeypatch):
+        roots = list(few_labels(37, 100, 40))
+        roots += [ring(7), chain(7), hospital().g]
+        got = [(terms._canonical_key(r), subterms(r), shape(minimize(r)))
+               for r in roots]
+        monkeypatch.setattr(terms, "_refine", oracle_refine)
+        want = [(terms._canonical_key(r), subterms(r), shape(minimize(r)))
+                for r in roots]
+        assert got == want
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_minimize_families(self, n):
+        assert len(reachable_nodes(minimize(ring(n)))) == n
+        assert len(reachable_nodes(minimize(chain(n)))) == 2 * n + 1
 
 
 class TestPlayers:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from mpst.machines import Accepted, encode_config, qm_run, qm_start
-from mpst.terms import Msg, Queue, gend, gin, gout, reachable_nodes
+from mpst.terms import Msg, Queue, gend, gout, reachable_nodes
 from mpst.wellformed import (
     INF,
     Accept,
@@ -26,10 +26,12 @@ from mpst.wellformed import (
 from gen import (
     LABELS,
     PARTS,
+    chain,
     random_gnode,
     random_machine,
     random_queue,
     random_word,
+    ring,
 )
 from oracles import (
     oracle_agree,
@@ -238,16 +240,10 @@ class TestAgreementAndBalancing:
         assert len(verdicts) == 4
 
 
-def chain(n):
-    """n output/input pairs on p->q ending in End."""
-    node = gend()
-    for _ in range(n):
-        node = gout("p", "q", {"l": gin("p", "q", {"l": node})})
-    return node
-
-
 def test_deep_inputs_do_not_recurse():
     g = chain(5000)
+    assert len(g.key()) == 2 * 5000 + 1
+    assert len(ring(10**4).key()) == 10**4
     stray = Msg("p", "z", "r")
     queue = Queue.from_msgs([stray])
     assert depth(g, "q") == 2
