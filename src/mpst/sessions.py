@@ -4,8 +4,14 @@ A session is a network side by side with a queue.  Outputs append to
 the queue and never block; inputs read the head of their channel and
 block until it carries an expected label.  On top of single steps the
 module offers a lockstep round, where every participant able to move
-performs one communication, and a bounded liveness check over all
-lockstep schedules.
+performs one communication, and a liveness check over all lockstep
+schedules.  The check explores the reachable lockstep states once,
+breadth-first, with ``horizon`` bounding the depth.  It names a state
+by the bisimilarity blocks of its processes, from one partition
+refinement of the start network's graphs, and by its queue.  A failed
+obligation is found on the strongly connected components of the
+explored graph and reported as a lasso: a shortest trace to a state,
+then a cycle back to it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from mpst.terms import Comm, IN, Network, OUT, Queue
+from mpst.terms import Comm, IN, Network, OUT, Queue, _refine, reachable_nodes
 
 
 class _Sentinel:
@@ -43,9 +49,6 @@ class Classification(enum.Enum):
 class Session:
     net: Network
     queue: Queue
-
-    def key(self):
-        return (self.net.key(), self.queue.key())
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +163,30 @@ class ScriptPolicy(ChoicePolicy):
         return want
 
 
-def _options_by_player(session: Session) -> dict:
+def _options_by_player(session: Session, memo: Optional[dict] = None) -> dict:
+    """The communications of each participant able to move, in
+    ``sort_key`` order: its outputs by label, or the one input that
+    the head of its channel allows.  Calls that share a ``memo`` share
+    the lists, keyed by participant, process node and channel head, so
+    the nodes must outlive the memo."""
+    memo = {} if memo is None else memo
     by_player = {}
-    for comm in enabled(session):
-        by_player.setdefault(comm.play, []).append(comm)
-    return {p: sorted(cs, key=lambda c: c.sort_key)
-            for p, cs in by_player.items()}
+    for name, proc in session.net.items():
+        head = session.queue.head(proc.partner, name) if proc.kind == IN else None
+        key = (name, id(proc), head)
+        comms = memo.get(key)
+        if comms is None:
+            if proc.kind == OUT:
+                comms = [Comm(OUT, name, proc.partner, lab)
+                         for lab in sorted(proc.branches)]
+            elif head in proc.branches:
+                comms = [Comm(IN, proc.partner, name, head)]
+            else:
+                comms = []
+            memo[key] = comms
+        if comms:
+            by_player[name] = comms
+    return by_player
 
 
 def lockstep(session: Session, policy: ChoicePolicy = None):
@@ -249,70 +270,201 @@ class HorizonExceeded:
     horizon: int
 
 
-def _cycle_ok(mode, sessions, deltas) -> bool:
-    """Check the fairness obligations on one lasso cycle."""
+def _owed(mode, session: Session) -> set:
+    """The obligations a session owes: the participants waiting on an
+    input, or the channels holding a message.  A session where nobody
+    can move has completed exactly when it owes nothing, since every
+    participant left there waits on an input (no choice is empty)."""
     if mode is LivenessMode.INPUT_ENABLING:
-        waiting = {name
-                   for s in sessions
-                   for name, proc in s.net.items() if proc.kind == IN}
-        served = {c.play for d in deltas for c in d if c.kind == IN}
-        return waiting <= served
-    busy = {chan for s in sessions for chan in s.queue.channels()}
-    read = {(c.sender, c.receiver)
-            for d in deltas for c in d if c.kind == IN}
-    return busy <= read
+        return {name for name, proc in session.net.items() if proc.kind == IN}
+    return set(session.queue.channels())
 
 
-def _completion_ok(mode, session: Session) -> bool:
+def _served(mode, delta) -> set:
+    """The obligations a round serves: its readers, or their channels."""
     if mode is LivenessMode.INPUT_ENABLING:
-        return session.net.is_empty
-    return session.queue.is_empty
+        return {c.play for c in delta if c.kind == IN}
+    return {(c.sender, c.receiver) for c in delta if c.kind == IN}
+
+
+def _components(nodes, succ) -> dict:
+    """Tarjan's strongly connected components of the graph on ``nodes``
+    with successor lists ``succ(v)``, as a map from node to component;
+    the depth-first search keeps its own stack."""
+    order, low, comp = {}, {}, {}
+    path = []
+    for root in nodes:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        path.append(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, todo = work[-1]
+            for w in todo:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    path.append(w)
+                    work.append((w, iter(succ(w))))
+                    break
+                if w not in comp:
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    while True:
+                        w = path.pop()
+                        comp[w] = v
+                        if w == v:
+                            break
+    return comp
+
+
+def _on_cycle(comp, succ) -> list:
+    """The nodes of ``comp`` that lie on a cycle, in ascending order."""
+    size = {}
+    for c in comp.values():
+        size[c] = size.get(c, 0) + 1
+    return sorted(v for v, c in comp.items() if size[c] > 1 or v in succ(v))
+
+
+def _lasso(mode, sessions, edges, parent):
+    """A trace that reaches a state owing an obligation and then goes
+    round a cycle back to it on rounds that never serve it, or None.
+
+    Such a cycle exists exactly when the state lies on a cycle of the
+    subgraph of rounds that do not serve the obligation.  Among all
+    obligations the state found first by the exploration is taken, and
+    the shortest such cycle through it.
+    """
+    def succ(v):
+        return [j for j, _, _ in edges[v] if j < len(edges)]
+
+    comp = _components(range(len(edges)), succ)
+    cyclic = _on_cycle(comp, succ)
+    owes = {v: _owed(mode, sessions[v]) for v in cyclic}
+    best = None
+    for ob in sorted({ob for v in cyclic for ob in owes[v]}):
+        def unserved(v, ob=ob):
+            return [j for j, _, served in edges[v]
+                    if ob not in served and comp.get(j) == comp[v]]
+
+        sub = _components(cyclic, unserved)
+        for v in _on_cycle(sub, unserved):
+            if ob in owes[v]:
+                if best is None or v < best[0]:
+                    best = (v, ob, sub)
+                break
+    if best is None:
+        return None
+    start, ob, sub = best
+    # breadth-first search for the shortest way back to start
+    back = {}
+    frontier = [start]
+    while start not in back:
+        nxt = []
+        for v in frontier:
+            for j, delta, served in edges[v]:
+                if ob in served or sub.get(j) != sub[start] or j in back:
+                    continue
+                back[j] = (v, delta)
+                nxt.append(j)
+        frontier = nxt
+    last, delta = back[start]
+    return (_steps(sessions, parent, start, 0)
+            + _steps(sessions, back, last, start)
+            + ((delta, sessions[start]),))
+
+
+def _steps(sessions, links, v, stop) -> tuple:
+    """The trace from state ``stop`` to state ``v`` along ``links``, which
+    map a state to its predecessor and the round between them."""
+    steps = []
+    while v != stop:
+        u, delta = links[v]
+        steps.append((delta, sessions[v]))
+        v = u
+    return tuple(reversed(steps))
 
 
 def check_liveness(session: Session, horizon: int = 50,
                    mode: LivenessMode = LivenessMode.INPUT_ENABLING):
-    """Explore every lockstep schedule up to ``horizon`` rounds.
+    """Explore the lockstep rounds from ``session`` breadth-first, up to
+    ``horizon`` rounds deep, and check the mode's obligations.
 
-    A schedule either completes, closes a lasso whose cycle is checked
-    for the mode's obligations, or runs past the horizon.  Any failed
-    obligation yields the offending trace; otherwise the result is
-    Verified, weakened to HorizonExceeded if some schedule was cut off.
+    Every reachable state is visited once.  A state's processes are
+    nodes of the start network's graphs, so one partition refinement of
+    those graphs names each process by its bisimilarity block, and a
+    state is identified by its blocks and its queue.  A state where
+    nobody can move and something is still owed yields its shortest
+    trace at once.  After each layer that closes a cycle, the strongly
+    connected components of the explored graph are checked: a failed
+    obligation yields a lasso, a shortest trace to a state that owes it
+    followed by a cycle back to that state on which it is never served,
+    so the trace ends in a state it passed before.  Otherwise the
+    result is Verified, weakened to HorizonExceeded if some state at
+    depth ``horizon`` could still move.
     """
-    truncated = False
+    nodes = {}
+    for _, proc in session.net.items():
+        for node in reachable_nodes(proc):
+            nodes[id(node)] = node
+    block = _refine(list(nodes.values()))
 
-    def walk(path_sessions, path_deltas):
-        nonlocal truncated
-        current = path_sessions[-1]
-        options = _options_by_player(current)
-        if not options:
-            if _completion_ok(mode, current):
-                return None
-            return tuple(zip(path_deltas, path_sessions[1:]))
-        if len(path_deltas) >= horizon:
-            truncated = True
-            return None
-        players = sorted(options)
-        for combo in itertools.product(*(options[p] for p in players)):
-            delta = frozenset(combo)
-            nxt = current
-            for comm in combo:
-                nxt = step_session(nxt, comm)
-            if nxt in path_sessions:
-                at = path_sessions.index(nxt)
-                cycle_sessions = path_sessions[at:]
-                cycle_deltas = path_deltas[at:] + [delta]
-                if not _cycle_ok(mode, cycle_sessions, cycle_deltas):
-                    return tuple(zip(path_deltas + [delta],
-                                     path_sessions[1:] + [nxt]))
-                continue
-            bad = walk(path_sessions + [nxt], path_deltas + [delta])
+    def ident(s):
+        return (tuple([(name, block[id(proc)]) for name, proc in s.net.items()]),
+                s.queue)
+
+    moves, rounds = {}, {}  # shared option lists, deltas and served sets
+    sessions = [session]
+    index = {ident(session): 0}
+    options = [_options_by_player(session, moves)]
+    parent = [None]  # (predecessor, delta) on a shortest trace
+    edges = []  # per expanded state: (successor, delta, obligations served)
+    if not options[0] and _owed(mode, session):
+        return CounterexampleTrace(())
+    first = 0
+    for _ in range(horizon):
+        layer_end = len(sessions)
+        if first == layer_end:
+            break
+        closing = False
+        for i in range(first, layer_end):
+            current, opts = sessions[i], options[i]
+            out = []
+            edges.append(out)
+            if not opts:
+                continue  # stuck and owing nothing: completed
+            for combo in itertools.product(*(opts[p] for p in sorted(opts))):
+                got = rounds.get(combo)
+                if got is None:
+                    got = rounds[combo] = (frozenset(combo), _served(mode, combo))
+                delta, served = got
+                nxt = current
+                for comm in combo:
+                    nxt = step_session(nxt, comm)
+                key = ident(nxt)
+                j = index.get(key)
+                if j is None:
+                    j = index[key] = len(sessions)
+                    sessions.append(nxt)
+                    options.append(_options_by_player(nxt, moves))
+                    parent.append((i, delta))
+                    if not options[j] and _owed(mode, nxt):
+                        return CounterexampleTrace(_steps(sessions, parent, j, 0))
+                elif j < layer_end:
+                    # a cycle can only close on an edge that does not
+                    # lead one layer deeper
+                    closing = True
+                out.append((j, delta, served))
+        first = layer_end
+        if closing:
+            bad = _lasso(mode, sessions, edges, parent)
             if bad is not None:
-                return bad
-        return None
-
-    bad = walk([session], [])
-    if bad is not None:
-        return CounterexampleTrace(bad)
-    if truncated:
+                return CounterexampleTrace(bad)
+    if any(options[first:]):
         return HorizonExceeded(horizon)
     return Verified()

@@ -1,5 +1,6 @@
 """Seeded random generators for graphs, networks, queues and machines,
-and the ``ring`` and ``chain`` scaling families."""
+and the ``ring``, ``chain``, ``chain_network`` and ``pairs`` scaling
+families."""
 
 from __future__ import annotations
 
@@ -18,6 +19,9 @@ from mpst.terms import (
     gend,
     gin,
     gout,
+    pend,
+    pin,
+    pout,
 )
 
 PARTS = ["p", "q", "r", "s"]
@@ -109,3 +113,28 @@ def chain(n: int) -> GNode:
     for _ in range(n):
         node = gout("p", "q", {"l": gin("p", "q", {"l": node})})
     return node
+
+
+def chain_network(n: int) -> Network:
+    """p sends ``l`` to q n times and q reads it n times."""
+    p, q = pend(), pend()
+    for _ in range(n):
+        p = pout("q", {"l": p})
+        q = pin("p", {"l": q})
+    return Network({"p": p, "q": q})
+
+
+def pairs(k: int) -> Network:
+    """k independent sender/receiver pairs, each looping on a choice of
+    ``x`` or ``y``."""
+    procs = {}
+    for i in range(1, k + 1):
+        out = pout(f"q{i}")
+        out.branches["x"] = out
+        out.branches["y"] = out
+        inp = pin(f"p{i}")
+        inp.branches["x"] = inp
+        inp.branches["y"] = inp
+        procs[f"p{i}"] = out
+        procs[f"q{i}"] = inp
+    return Network(procs)

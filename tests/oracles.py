@@ -6,13 +6,25 @@ refinement for bisimilarity, path enumeration for depth
 and weight, recursive path walks for readability and deep
 readability, breadth-first closure for the type-indexed queue
 equivalence, recursive walks with path hypotheses for agreement and
-inductive balancing, a straight-line queue machine interpreter, and
-uncached steppers for sessions and type configurations.  Expected values frozen
-into the tests were computed with these functions.
+inductive balancing, a straight-line queue machine interpreter,
+uncached steppers for sessions and type configurations, and path
+enumeration over every lockstep schedule for liveness.  Expected
+values frozen into the tests were computed with these functions.
 """
 
 from __future__ import annotations
 
+import itertools
+
+from mpst.sessions import (
+    CounterexampleTrace,
+    HorizonExceeded,
+    LivenessMode,
+    Session,
+    Verified,
+    _options_by_player,
+    step_session,
+)
 from mpst.terms import Comm, GNode, Msg, Network, Queue
 from mpst.wellformed import (
     Accept,
@@ -383,6 +395,77 @@ def oracle_session_successors(net: Network, queue: Queue):
                             net.with_comp(name, proc.branches[head]),
                             rest))
     return out
+
+
+def _cycle_ok(mode, sessions, deltas) -> bool:
+    """Check the fairness obligations on one lasso cycle."""
+    if mode is LivenessMode.INPUT_ENABLING:
+        waiting = {name
+                   for s in sessions
+                   for name, proc in s.net.items() if proc.kind == "in"}
+        served = {c.play for d in deltas for c in d if c.kind == "in"}
+        return waiting <= served
+    busy = {chan for s in sessions for chan in s.queue.channels()}
+    read = {(c.sender, c.receiver)
+            for d in deltas for c in d if c.kind == "in"}
+    return busy <= read
+
+
+def _completion_ok(mode, session: Session) -> bool:
+    if mode is LivenessMode.INPUT_ENABLING:
+        return session.net.is_empty
+    return session.queue.is_empty
+
+
+def oracle_liveness(session: Session, horizon: int = 50,
+                    mode: LivenessMode = LivenessMode.INPUT_ENABLING):
+    """Explore every lockstep schedule up to ``horizon`` rounds.
+
+    A schedule either completes, closes a lasso whose cycle is checked
+    for the mode's obligations, or runs past the horizon.  Any failed
+    obligation yields the offending trace; otherwise the result is
+    Verified, weakened to HorizonExceeded if some schedule was cut off.
+    The path search keeps no visited set, so it is exponential in the
+    horizon, and it recurses once per round.
+    """
+    truncated = False
+
+    def walk(path_sessions, path_deltas):
+        nonlocal truncated
+        current = path_sessions[-1]
+        options = _options_by_player(current)
+        if not options:
+            if _completion_ok(mode, current):
+                return None
+            return tuple(zip(path_deltas, path_sessions[1:]))
+        if len(path_deltas) >= horizon:
+            truncated = True
+            return None
+        players = sorted(options)
+        for combo in itertools.product(*(options[p] for p in players)):
+            delta = frozenset(combo)
+            nxt = current
+            for comm in combo:
+                nxt = step_session(nxt, comm)
+            if nxt in path_sessions:
+                at = path_sessions.index(nxt)
+                cycle_sessions = path_sessions[at:]
+                cycle_deltas = path_deltas[at:] + [delta]
+                if not _cycle_ok(mode, cycle_sessions, cycle_deltas):
+                    return tuple(zip(path_deltas + [delta],
+                                     path_sessions[1:] + [nxt]))
+                continue
+            bad = walk(path_sessions + [nxt], path_deltas + [delta])
+            if bad is not None:
+                return bad
+        return None
+
+    bad = walk([session], [])
+    if bad is not None:
+        return CounterexampleTrace(bad)
+    if truncated:
+        return HorizonExceeded(horizon)
+    return Verified()
 
 
 # ---------------------------------------------------------------------------

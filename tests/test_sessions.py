@@ -19,6 +19,7 @@ from mpst.sessions import (
     ScriptPolicy,
     Session,
     Verified,
+    _options_by_player,
     check_liveness,
     classify,
     deadlock_info,
@@ -29,8 +30,13 @@ from mpst.sessions import (
     LivenessMode,
 )
 from mpst.terms import Comm, Network, Queue, pend, pin, pout
-from gen import random_network, random_queue
-from oracles import oracle_session_successors
+from gen import chain_network, pairs, random_network, random_queue
+from oracles import (
+    _cycle_ok,
+    oracle_bisimilar,
+    oracle_liveness,
+    oracle_session_successors,
+)
 from zoo import growing, hospital, mp
 
 
@@ -69,6 +75,11 @@ class TestStep:
             for comm, net2, q2 in oracle_session_successors(net, queue):
                 succ[comm] = Session(net2, q2)
             assert enabled(s) == set(succ)
+            options = _options_by_player(s)
+            assert {c for cs in options.values() for c in cs} == set(succ)
+            for player, cs in options.items():
+                assert {c.play for c in cs} == {player}
+                assert cs == sorted(cs, key=lambda c: c.sort_key)
             for comm, expect in succ.items():
                 assert step_session(s, comm) == expect
 
@@ -240,6 +251,92 @@ class TestLiveness:
         assert isinstance(result, CounterexampleTrace)
         assert check_liveness(fresh(net, stray), 10,
                               LivenessMode.INPUT_ENABLING) == Verified()
+
+    def test_stuck_at_the_start(self):
+        waiting = fresh(Network({"q": pin("p", {"l": pend()})}))
+        stray = fresh(Network(), Queue().push("p", "l", "q"))
+        for s, owing in ((waiting, LivenessMode.INPUT_ENABLING),
+                         (stray, LivenessMode.QUEUE_CONSUMING)):
+            for mode in LivenessMode:
+                expect = CounterexampleTrace(()) if mode is owing else Verified()
+                assert check_liveness(s, 10, mode) == expect
+
+    def test_obligation_owed_off_the_cycle_is_not_reported(self):
+        # r may send a forever; on that cycle r never waits and s reads
+        # each a.  r waits, and the channel s->r holds a message, only
+        # after a b, and both are served two rounds later
+        r, r_waits = pout("s"), pin("s")
+        r.branches.update(a=r, b=r_waits)
+        r_waits.branches["c"] = r
+        s, s_owes = pin("r"), pout("r")
+        s.branches.update(a=s, b=s_owes)
+        s_owes.branches["c"] = s
+        session = fresh(Network({"r": r, "s": s}))
+        for mode in LivenessMode:
+            assert check_liveness(session, 8, mode) == Verified()
+            assert oracle_liveness(session, 8, mode) == Verified()
+
+    def test_independent_pairs_verified(self):
+        # pairs(3) has 9 reachable states, all explored within 4 rounds
+        assert check_liveness(fresh(pairs(3)), 4) == Verified()
+
+    def test_long_chain_does_not_recurse(self):
+        assert check_liveness(fresh(chain_network(5000)), 10**4) == Verified()
+
+    def test_agrees_with_path_enumeration(self):
+        rng = random.Random(73)
+        decided = 0
+        for _ in range(60):
+            s = fresh(random_network(rng), random_queue(rng))
+            for horizon in (2, 4):
+                for mode in LivenessMode:
+                    new = check_liveness(s, horizon, mode)
+                    old = oracle_liveness(s, horizon, mode)
+                    if isinstance(new, CounterexampleTrace):
+                        assert _genuine(s, new.trace, mode)
+                    # where the oracle decides, a new Verified never
+                    # meets an oracle counterexample, nor the reverse
+                    if not isinstance(old, HorizonExceeded):
+                        assert type(new) is type(old)
+                        decided += 1
+        assert decided > 100
+
+
+def _same(a, b):
+    return (a.queue == b.queue and a.net.players() == b.net.players()
+            and all(oracle_bisimilar(a.net.get(p), b.net.get(p))
+                    for p in a.net.players()))
+
+
+def _genuine(session, trace, mode):
+    """The trace replays round by round, one enabled communication per
+    participant able to move, and ends stuck short of completion or
+    closes a lasso at its last state whose cycle breaks the mode's
+    obligation."""
+    states = [session]
+    for delta, after in trace:
+        net, queue = states[-1].net, states[-1].queue
+        movers = {c.play for c, _, _ in oracle_session_successors(net, queue)}
+        if len(delta) != len(movers) or {c.play for c in delta} != movers:
+            return False
+        for comm in sorted(delta, key=str):
+            step = {c: (n, q) for c, n, q in oracle_session_successors(net, queue)}
+            if comm not in step:
+                return False
+            net, queue = step[comm]
+        if not _same(Session(net, queue), after):
+            return False
+        states.append(after)
+    last = states[-1]
+    if not oracle_session_successors(last.net, last.queue):
+        if mode is LivenessMode.INPUT_ENABLING:
+            return not last.net.is_empty
+        return not last.queue.is_empty
+    for at, earlier in enumerate(states[:-1]):
+        if _same(earlier, last):
+            return not _cycle_ok(mode, states[at:-1],
+                                 [delta for delta, _ in trace[at:]])
+    return False
 
 
 def _loop_out(partner, label):
