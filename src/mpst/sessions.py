@@ -77,16 +77,8 @@ def step_session(session: Session, comm: Comm):
 
 def enabled(session: Session) -> set:
     """All communications the session can do right now."""
-    found = set()
-    for name, proc in session.net.items():
-        if proc.kind == OUT:
-            for lab in proc.branches:
-                found.add(Comm(OUT, name, proc.partner, lab))
-        elif proc.kind == IN:
-            head = session.queue.head(proc.partner, name)
-            if head is not None and head in proc.branches:
-                found.add(Comm(IN, proc.partner, name, head))
-    return found
+    return {comm for comms in _options_by_player(session).values()
+            for comm in comms}
 
 
 def classify(session: Session) -> Classification:
@@ -99,16 +91,15 @@ def classify(session: Session) -> Classification:
 
 def deadlock_info(session: Session) -> dict:
     """What each blocked participant waits for and what sits unread."""
+    options = _options_by_player(session)
     blocked = {}
     for name, proc in session.net.items():
-        if proc.kind == IN:
-            head = session.queue.head(proc.partner, name)
-            if head is None or head not in proc.branches:
-                blocked[name] = {
-                    "from": proc.partner,
-                    "expects": sorted(proc.branches),
-                    "head": head,
-                }
+        if proc.kind == IN and name not in options:
+            blocked[name] = {
+                "from": proc.partner,
+                "expects": sorted(proc.branches),
+                "head": session.queue.head(proc.partner, name),
+            }
     unread = [str(m) for m in session.queue.messages()]
     return {"blocked": blocked, "unread": unread}
 
@@ -163,27 +154,20 @@ class ScriptPolicy(ChoicePolicy):
         return want
 
 
-def _options_by_player(session: Session, memo: Optional[dict] = None) -> dict:
+def _options_by_player(session: Session) -> dict:
     """The communications of each participant able to move, in
     ``sort_key`` order: its outputs by label, or the one input that
-    the head of its channel allows.  Calls that share a ``memo`` share
-    the lists, keyed by participant, process node and channel head, so
-    the nodes must outlive the memo."""
-    memo = {} if memo is None else memo
+    the head of its channel allows."""
     by_player = {}
     for name, proc in session.net.items():
-        head = session.queue.head(proc.partner, name) if proc.kind == IN else None
-        key = (name, id(proc), head)
-        comms = memo.get(key)
-        if comms is None:
-            if proc.kind == OUT:
-                comms = [Comm(OUT, name, proc.partner, lab)
-                         for lab in sorted(proc.branches)]
-            elif head in proc.branches:
+        comms = []
+        if proc.kind == OUT:
+            comms = [Comm(OUT, name, proc.partner, lab)
+                     for lab in sorted(proc.branches)]
+        elif proc.kind == IN:
+            head = session.queue.head(proc.partner, name)
+            if head is not None and head in proc.branches:
                 comms = [Comm(IN, proc.partner, name, head)]
-            else:
-                comms = []
-            memo[key] = comms
         if comms:
             by_player[name] = comms
     return by_player
@@ -400,13 +384,15 @@ def check_liveness(session: Session, horizon: int = 50,
     those graphs names each process by its bisimilarity block, and a
     state is identified by its blocks and its queue.  A state where
     nobody can move and something is still owed yields its shortest
-    trace at once.  After each layer that closes a cycle, the strongly
-    connected components of the explored graph are checked: a failed
-    obligation yields a lasso, a shortest trace to a state that owes it
-    followed by a cycle back to that state on which it is never served,
-    so the trace ends in a state it passed before.  Otherwise the
-    result is Verified, weakened to HorizonExceeded if some state at
-    depth ``horizon`` could still move.
+    trace at once.  The strongly connected components of the explored
+    graph are checked after the first layer that closes a cycle, then
+    once the expanded states have doubled since the last check, and
+    after the last layer.  A failed obligation yields a lasso: a
+    shortest trace to a state that owes it, followed by a cycle back to
+    that state on which it is never served, so the trace ends in a
+    state it passed before.  Otherwise the result is Verified, weakened
+    to HorizonExceeded if some state at depth ``horizon`` could still
+    move.
     """
     nodes = {}
     for _, proc in session.net.items():
@@ -418,20 +404,20 @@ def check_liveness(session: Session, horizon: int = 50,
         return (tuple([(name, block[id(proc)]) for name, proc in s.net.items()]),
                 s.queue)
 
-    moves, rounds = {}, {}  # shared option lists, deltas and served sets
     sessions = [session]
     index = {ident(session): 0}
-    options = [_options_by_player(session, moves)]
+    options = [_options_by_player(session)]
     parent = [None]  # (predecessor, delta) on a shortest trace
     edges = []  # per expanded state: (successor, delta, obligations served)
     if not options[0] and _owed(mode, session):
         return CounterexampleTrace(())
     first = 0
-    for _ in range(horizon):
+    checked = 0  # states expanded at the last cycle check
+    unchecked = False  # an edge closed a cycle since then
+    for depth in range(horizon):
         layer_end = len(sessions)
         if first == layer_end:
             break
-        closing = False
         for i in range(first, layer_end):
             current, opts = sessions[i], options[i]
             out = []
@@ -439,10 +425,7 @@ def check_liveness(session: Session, horizon: int = 50,
             if not opts:
                 continue  # stuck and owing nothing: completed
             for combo in itertools.product(*(opts[p] for p in sorted(opts))):
-                got = rounds.get(combo)
-                if got is None:
-                    got = rounds[combo] = (frozenset(combo), _served(mode, combo))
-                delta, served = got
+                delta = frozenset(combo)
                 nxt = current
                 for comm in combo:
                     nxt = step_session(nxt, comm)
@@ -451,20 +434,25 @@ def check_liveness(session: Session, horizon: int = 50,
                 if j is None:
                     j = index[key] = len(sessions)
                     sessions.append(nxt)
-                    options.append(_options_by_player(nxt, moves))
+                    options.append(_options_by_player(nxt))
                     parent.append((i, delta))
                     if not options[j] and _owed(mode, nxt):
                         return CounterexampleTrace(_steps(sessions, parent, j, 0))
                 elif j < layer_end:
                     # a cycle can only close on an edge that does not
                     # lead one layer deeper
-                    closing = True
-                out.append((j, delta, served))
+                    unchecked = True
+                out.append((j, delta, _served(mode, combo)))
         first = layer_end
-        if closing:
+        # check again once the expanded graph has doubled, and after the
+        # last layer: the checks cost linear time in total, and a lasso
+        # is found within twice the states it needs
+        last = depth == horizon - 1 or first == len(sessions)
+        if unchecked and (last or len(edges) >= 2 * checked):
             bad = _lasso(mode, sessions, edges, parent)
             if bad is not None:
                 return CounterexampleTrace(bad)
+            checked, unchecked = len(edges), False
     if any(options[first:]):
         return HorizonExceeded(horizon)
     return Verified()

@@ -115,12 +115,20 @@ def chain(n: int) -> GNode:
     return node
 
 
-def chain_network(n: int) -> Network:
-    """p sends ``l`` to q n times and q reads it n times."""
+def chain_network(n: int, restart: bool = False) -> Network:
+    """p sends ``l`` to q n times and q reads it n times.  With
+    ``restart``, p may send ``r`` instead at every step, and the ``r``
+    takes p, and q once it reads it, back to the start."""
     p, q = pend(), pend()
+    steps = []
     for _ in range(n):
         p = pout("q", {"l": p})
         q = pin("p", {"l": q})
+        steps.append((p, q))
+    if restart:
+        for sender, reader in steps:
+            sender.branches["r"] = p
+            reader.branches["r"] = q
     return Network({"p": p, "q": q})
 
 

@@ -22,7 +22,6 @@ from mpst.sessions import (
     LivenessMode,
     Session,
     Verified,
-    _options_by_player,
     step_session,
 )
 from mpst.terms import Comm, GNode, Msg, Network, Queue
@@ -433,7 +432,12 @@ def oracle_liveness(session: Session, horizon: int = 50,
     def walk(path_sessions, path_deltas):
         nonlocal truncated
         current = path_sessions[-1]
-        options = _options_by_player(current)
+        options = {}
+        for comm, _, _ in oracle_session_successors(current.net,
+                                                    current.queue):
+            options.setdefault(comm.play, []).append(comm)
+        for comms in options.values():
+            comms.sort(key=lambda c: c.sort_key)
         if not options:
             if _completion_ok(mode, current):
                 return None

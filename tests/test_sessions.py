@@ -276,12 +276,37 @@ class TestLiveness:
             assert check_liveness(session, 8, mode) == Verified()
             assert oracle_liveness(session, 8, mode) == Verified()
 
+    def test_cycle_closed_after_the_last_check_is_reported(self):
+        # after ok, p and q loop and q reads each a; the first cycle
+        # check passes there.  After bad, b0 and b1, p sends m to r,
+        # which nobody reads, and loops with q: that cycle closes after
+        # the graph has stopped doubling, so only the final check sees it
+        p_ok, q_ok = _loop_out("q", "a"), _loop_in("p", "a")
+        p_bad = pout("q", {"b0": pout("q", {"b1": pout("r", {
+            "m": _loop_out("q", "a")})})})
+        q_bad = pin("p", {"b0": pin("p", {"b1": q_ok})})
+        session = fresh(Network({
+            "p": pout("q", {"ok": p_ok, "bad": p_bad}),
+            "q": pin("p", {"ok": q_ok, "bad": q_bad}),
+        }))
+        mode = LivenessMode.QUEUE_CONSUMING
+        result = check_liveness(session, 20, mode)
+        assert isinstance(result, CounterexampleTrace)
+        assert isinstance(oracle_liveness(session, 20, mode),
+                          CounterexampleTrace)
+
     def test_independent_pairs_verified(self):
         # pairs(3) has 9 reachable states, all explored within 4 rounds
         assert check_liveness(fresh(pairs(3)), 4) == Verified()
 
     def test_long_chain_does_not_recurse(self):
         assert check_liveness(fresh(chain_network(5000)), 10**4) == Verified()
+
+    def test_long_restartable_chain(self):
+        # nearly every layer closes a cycle back to the start, so
+        # checking the components after every such layer is quadratic
+        net = chain_network(2000, restart=True)
+        assert check_liveness(fresh(net), 10**4) == Verified()
 
     def test_agrees_with_path_enumeration(self):
         rng = random.Random(73)
