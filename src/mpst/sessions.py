@@ -2,16 +2,19 @@
 
 A session is a network side by side with a queue.  Outputs append to
 the queue and never block; inputs read the head of their channel and
-block until it carries an expected label.  On top of single steps the
-module offers a lockstep round, where every participant able to move
-performs one communication, and a liveness check over all lockstep
-schedules.  The check explores the reachable lockstep states once,
-breadth-first, with ``horizon`` bounding the depth.  It names a state
-by the bisimilarity blocks of its processes, from one partition
-refinement of the start network's graphs, and by its queue.  A failed
-obligation is found on the strongly connected components of the
-explored graph and reported as a lasso: a shortest trace to a state,
-then a cycle back to it.
+block until it carries an expected label.  One round function,
+``_apply``, performs a sequence of communications with one new session
+at the end; single steps, lockstep rounds (every participant able to
+move performs one communication), simulation and the liveness check
+over all lockstep schedules all go through it, and through one
+enabledness rule, ``_options_by_player``.  The check explores the
+reachable lockstep states once, breadth-first, with ``horizon``
+bounding the depth.  It names a state by the bisimilarity blocks of its
+processes, from one partition refinement of the start network's graphs,
+and by its queue, and keeps of a state only that name and its links.
+A failed obligation is found on the strongly connected components of
+the explored graph and reported as a lasso: a shortest trace to a
+state, then a cycle back to it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from mpst.terms import Comm, IN, Network, OUT, Queue, _refine, reachable_nodes
+from mpst.terms import (Comm, IN, Network, OUT, Queue, _lane_head, _lane_pop,
+                        _lane_push, _refine, reachable_nodes)
 
 
 class _Sentinel:
@@ -55,24 +59,34 @@ class Session:
 # single steps
 
 
+def _apply(session: Session, comms):
+    """Perform ``comms`` in order, or NOT_ENABLED as soon as one of them
+    is not enabled at its turn.  This is the one transition rule: the
+    process map and the lanes are copied once, so a round costs O(moves)
+    beyond those copies."""
+    procs = dict(session.net.items())
+    lanes = session.queue._lanes.copy()
+    for comm in comms:
+        player, label = comm.play, comm.label
+        proc = procs.get(player)
+        if proc is None or proc.kind != comm.kind or label not in proc.branches:
+            return NOT_ENABLED
+        chan = (comm.sender, comm.receiver)
+        if comm.kind == OUT:
+            if proc.partner != comm.receiver:
+                return NOT_ENABLED
+            _lane_push(lanes, chan, label)
+        elif proc.partner != comm.sender or _lane_head(lanes, chan) != label:
+            return NOT_ENABLED
+        else:
+            _lane_pop(lanes, chan)
+        procs[player] = proc.branches[label]
+    return Session(Network(procs), Queue._of(lanes))
+
+
 def step_session(session: Session, comm: Comm):
     """Perform one communication, or NOT_ENABLED."""
-    player = comm.play
-    proc = session.net.get(player)
-    if proc.kind != comm.kind or comm.label not in proc.branches:
-        return NOT_ENABLED
-    cont = proc.branches[comm.label]
-    if comm.kind == OUT:
-        if proc.partner != comm.receiver:
-            return NOT_ENABLED
-        return Session(session.net.with_comp(player, cont),
-                       session.queue.push(player, comm.label, comm.receiver))
-    if proc.partner != comm.sender:
-        return NOT_ENABLED
-    if session.queue.head(comm.sender, player) != comm.label:
-        return NOT_ENABLED
-    _, rest = session.queue.pop(comm.sender, player)
-    return Session(session.net.with_comp(player, cont), rest)
+    return _apply(session, (comm,))
 
 
 def enabled(session: Session) -> set:
@@ -185,13 +199,9 @@ def lockstep(session: Session, policy: ChoicePolicy = None):
     options = _options_by_player(session)
     if not options:
         return NOT_LIVE
-    chosen = []
-    for player in sorted(options):
-        chosen.append(policy.choose(options[player], player))
-    current = session
-    for comm in chosen:
-        current = step_session(current, comm)
-        assert current is not NOT_ENABLED, f"{comm} lost enabledness"
+    chosen = [policy.choose(options[player], player) for player in sorted(options)]
+    current = _apply(session, chosen)
+    assert current is not NOT_ENABLED, f"{chosen} lost enabledness"
     return frozenset(chosen), current
 
 
@@ -218,11 +228,12 @@ def simulate(session: Session, policy: ChoicePolicy = None,
                 return
             delta, session = result
         else:
-            options = sorted(enabled(session), key=lambda c: c.sort_key)
+            options = sorted((c for comms in _options_by_player(session).values()
+                              for c in comms), key=lambda c: c.sort_key)
             if not options:
                 return
             comm = policy.choose(options)
-            session = step_session(session, comm)
+            session = _apply(session, (comm,))
             assert session is not NOT_ENABLED
             delta = frozenset({comm})
         yield TraceStep(index + 1, delta, session)
@@ -254,21 +265,32 @@ class HorizonExceeded:
     horizon: int
 
 
-def _owed(mode, session: Session) -> set:
-    """The obligations a session owes: the participants waiting on an
-    input, or the channels holding a message.  A session where nobody
-    can move has completed exactly when it owes nothing, since every
-    participant left there waits on an input (no choice is empty)."""
+def _owed(mode, state, waits) -> set:
+    """The obligations a state owes: the participants waiting on an
+    input, or the channels holding a message.  ``state`` is a state key
+    of :func:`check_liveness` and ``waits`` holds the blocks of its input
+    nodes.  A state where nobody can move has completed exactly when it
+    owes nothing, since every participant left there waits on an input
+    (no choice is empty)."""
+    procs, queue = state
     if mode is LivenessMode.INPUT_ENABLING:
-        return {name for name, proc in session.net.items() if proc.kind == IN}
-    return set(session.queue.channels())
+        return {name for name, b in procs if b in waits}
+    return {chan for chan, _ in queue}
 
 
-def _served(mode, delta) -> set:
-    """The obligations a round serves: its readers, or their channels."""
+def _served(mode, delta) -> tuple:
+    """The obligations a round serves: its readers, or their channels.
+    Each participant moves once and each channel has one reader, so
+    they are distinct."""
     if mode is LivenessMode.INPUT_ENABLING:
-        return {c.play for c in delta if c.kind == IN}
-    return {(c.sender, c.receiver) for c in delta if c.kind == IN}
+        return tuple([c.play for c in delta if c.kind == IN])
+    return tuple([(c.sender, c.receiver) for c in delta if c.kind == IN])
+
+
+def _rounds(options) -> Iterable:
+    """The lockstep rounds of a state's options, one communication per
+    participant able to move, in a fixed order."""
+    return itertools.product(*(options[p] for p in sorted(options)))
 
 
 def _components(nodes, succ) -> dict:
@@ -315,9 +337,9 @@ def _on_cycle(comp, succ) -> list:
     return sorted(v for v, c in comp.items() if size[c] > 1 or v in succ(v))
 
 
-def _lasso(mode, sessions, edges, parent):
-    """A trace that reaches a state owing an obligation and then goes
-    round a cycle back to it on rounds that never serve it, or None.
+def _lasso(edges, owes):
+    """A state owing an obligation and a cycle back to it on rounds that
+    never serve it, as ``(state, rounds of the cycle)``, or None.
 
     Such a cycle exists exactly when the state lies on a cycle of the
     subgraph of rounds that do not serve the obligation.  Among all
@@ -329,16 +351,16 @@ def _lasso(mode, sessions, edges, parent):
 
     comp = _components(range(len(edges)), succ)
     cyclic = _on_cycle(comp, succ)
-    owes = {v: _owed(mode, sessions[v]) for v in cyclic}
+    owed = {v: owes(v) for v in cyclic}
     best = None
-    for ob in sorted({ob for v in cyclic for ob in owes[v]}):
+    for ob in sorted({ob for v in cyclic for ob in owed[v]}):
         def unserved(v, ob=ob):
             return [j for j, _, served in edges[v]
                     if ob not in served and comp.get(j) == comp[v]]
 
         sub = _components(cyclic, unserved)
         for v in _on_cycle(sub, unserved):
-            if ob in owes[v]:
+            if ob in owed[v]:
                 if best is None or v < best[0]:
                     best = (v, ob, sub)
                 break
@@ -351,27 +373,36 @@ def _lasso(mode, sessions, edges, parent):
     while start not in back:
         nxt = []
         for v in frontier:
-            for j, delta, served in edges[v]:
+            for j, k, served in edges[v]:
                 if ob in served or sub.get(j) != sub[start] or j in back:
                     continue
-                back[j] = (v, delta)
+                back[j] = (v, k)
                 nxt.append(j)
         frontier = nxt
-    last, delta = back[start]
-    return (_steps(sessions, parent, start, 0)
-            + _steps(sessions, back, last, start)
-            + ((delta, sessions[start]),))
+    last, k = back[start]
+    return start, _path(back, last, start) + [k]
 
 
-def _steps(sessions, links, v, stop) -> tuple:
-    """The trace from state ``stop`` to state ``v`` along ``links``, which
-    map a state to its predecessor and the round between them."""
-    steps = []
+def _path(links, v, stop) -> list:
+    """The rounds from state ``stop`` to state ``v`` along ``links``,
+    which map a state to its predecessor and the round between them."""
+    rounds = []
     while v != stop:
-        u, delta = links[v]
-        steps.append((delta, sessions[v]))
-        v = u
-    return tuple(reversed(steps))
+        v, k = links[v]
+        rounds.append(k)
+    rounds.reverse()
+    return rounds
+
+
+def _replay(session: Session, path) -> tuple:
+    """The trace from ``session`` along ``path``, which names each round
+    by its position in :func:`_rounds`, as ``(delta, session)`` pairs."""
+    trace = []
+    for k in path:
+        combo = next(itertools.islice(_rounds(_options_by_player(session)), k, None))
+        session = _apply(session, combo)
+        trace.append((frozenset(combo), session))
+    return tuple(trace)
 
 
 def check_liveness(session: Session, horizon: int = 50,
@@ -382,77 +413,87 @@ def check_liveness(session: Session, horizon: int = 50,
     Every reachable state is visited once.  A state's processes are
     nodes of the start network's graphs, so one partition refinement of
     those graphs names each process by its bisimilarity block, and a
-    state is identified by its blocks and its queue.  A state where
-    nobody can move and something is still owed yields its shortest
-    trace at once.  The strongly connected components of the explored
-    graph are checked after the first layer that closes a cycle, then
-    once the expanded states have doubled since the last check, and
-    after the last layer.  A failed obligation yields a lasso: a
-    shortest trace to a state that owes it, followed by a cycle back to
-    that state on which it is never served, so the trace ends in a
-    state it passed before.  Otherwise the result is Verified, weakened
-    to HorizonExceeded if some state at depth ``horizon`` could still
-    move.
+    state is identified by its blocks and its queue's key.  A state is
+    kept as that key, its parent link and, once expanded, its edges; to
+    expand it, a session is rebuilt from the key with one node standing
+    for each block.  A state where nobody can move and something is
+    still owed yields its shortest trace at once.  The strongly
+    connected components of the explored graph are checked after the
+    first layer that closes a cycle, then once the expanded states have
+    doubled since the last check, and after the last layer.  A failed
+    obligation yields a lasso: a shortest trace to a state that owes
+    it, followed by a cycle back to that state on which it is never
+    served, so the trace ends in a state it passed before.  A returned
+    trace is replayed from ``session``.  Otherwise the result is
+    Verified, weakened to HorizonExceeded if some state at depth
+    ``horizon`` could still move.
     """
     nodes = {}
     for _, proc in session.net.items():
         for node in reachable_nodes(proc):
             nodes[id(node)] = node
     block = _refine(list(nodes.values()))
+    rep = {block[i]: node for i, node in nodes.items()}
+    waits = {b for b, node in rep.items() if node.kind == IN}
 
     def ident(s):
         return (tuple([(name, block[id(proc)]) for name, proc in s.net.items()]),
-                s.queue)
+                s.queue.key())
 
-    sessions = [session]
-    index = {ident(session): 0}
-    options = [_options_by_player(session)]
-    parent = [None]  # (predecessor, delta) on a shortest trace
-    edges = []  # per expanded state: (successor, delta, obligations served)
-    if not options[0] and _owed(mode, session):
+    def rebuild(v):
+        procs, queue = keys[v]
+        return Session(Network({name: rep[b] for name, b in procs}),
+                       Queue(dict(queue)))
+
+    def owes(v):
+        return _owed(mode, keys[v], waits)
+
+    keys = [ident(session)]
+    index = {keys[0]: 0}
+    # a round is named by its position in _rounds of its state
+    parent = [None]  # (predecessor, round) on a shortest trace
+    edges = []  # per expanded state: (successor, round, obligations served)
+    if owes(0) and not _options_by_player(session):
         return CounterexampleTrace(())
     first = 0
     checked = 0  # states expanded at the last cycle check
     unchecked = False  # an edge closed a cycle since then
     for depth in range(horizon):
-        layer_end = len(sessions)
+        layer_end = len(keys)
         if first == layer_end:
             break
         for i in range(first, layer_end):
-            current, opts = sessions[i], options[i]
+            current = rebuild(i)
             out = []
-            edges.append(out)
-            if not opts:
-                continue  # stuck and owing nothing: completed
-            for combo in itertools.product(*(opts[p] for p in sorted(opts))):
-                delta = frozenset(combo)
-                nxt = current
-                for comm in combo:
-                    nxt = step_session(nxt, comm)
+            # a state with no options is stuck and owes nothing: completed
+            for k, combo in enumerate(_rounds(_options_by_player(current))):
+                nxt = _apply(current, combo)
                 key = ident(nxt)
-                j = index.get(key)
-                if j is None:
-                    j = index[key] = len(sessions)
-                    sessions.append(nxt)
-                    options.append(_options_by_player(nxt))
-                    parent.append((i, delta))
-                    if not options[j] and _owed(mode, nxt):
-                        return CounterexampleTrace(_steps(sessions, parent, j, 0))
+                j = index.setdefault(key, len(keys))
+                if j == len(keys):
+                    keys.append(key)
+                    parent.append((i, k))
+                    if owes(j) and not _options_by_player(nxt):
+                        return CounterexampleTrace(
+                            _replay(session, _path(parent, j, 0)))
                 elif j < layer_end:
                     # a cycle can only close on an edge that does not
                     # lead one layer deeper
                     unchecked = True
-                out.append((j, delta, _served(mode, combo)))
+                out.append((j, k, _served(mode, combo)))
+            edges.append(tuple(out))
         first = layer_end
         # check again once the expanded graph has doubled, and after the
         # last layer: the checks cost linear time in total, and a lasso
         # is found within twice the states it needs
-        last = depth == horizon - 1 or first == len(sessions)
+        last = depth == horizon - 1 or first == len(keys)
         if unchecked and (last or len(edges) >= 2 * checked):
-            bad = _lasso(mode, sessions, edges, parent)
+            bad = _lasso(edges, owes)
             if bad is not None:
-                return CounterexampleTrace(bad)
+                start, cycle = bad
+                return CounterexampleTrace(
+                    _replay(session, _path(parent, start, 0) + cycle))
             checked, unchecked = len(edges), False
-    if any(options[first:]):
+    if any(_options_by_player(rebuild(v)) for v in range(first, len(keys))):
         return HorizonExceeded(horizon)
     return Verified()

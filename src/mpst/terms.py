@@ -9,7 +9,7 @@ hashed or compared it must not be mutated further.
 Equality of types is bisimilarity.  Every node can produce a canonical
 key via partition refinement of its reachable subgraph; two nodes are
 bisimilar exactly when their keys coincide.  Nodes and networks build
-their keys once, on first use, and queues their hashes.
+their keys once, on first use, and queues their keys and hashes.
 """
 
 from __future__ import annotations
@@ -365,26 +365,99 @@ def comms(g: GNode) -> set:
 # queues
 
 
+# a lane of up to this many messages keeps a tuple buffer, copied on
+# each push
+_SHORT = 8
+
+
+def _lane_push(lanes: dict, chan, label) -> None:
+    """Append ``label`` to the lane of ``chan`` in a lane map, in place.
+
+    A lane ``(buf, lo, hi)`` holds ``buf[lo:hi]``.  A short lane's
+    buffer is a tuple, which the cyclic collector can stop tracking, and
+    a push copies it.  A longer lane's buffer is a list that queues
+    share and only ever append to, so a view never changes under its
+    queue: a push appends to the list when the lane ends where the list
+    does, and otherwise a push of another queue got there first and
+    the live slice is copied.
+    """
+    lane = lanes.get(chan)
+    if lane is None:
+        lanes[chan] = ((label,), 0, 1)
+        return
+    buf, lo, hi = lane
+    if type(buf) is list and len(buf) == hi:
+        buf.append(label)
+    elif hi - lo < _SHORT:
+        buf, lo, hi = (*buf[lo:hi], label), 0, hi - lo
+    else:
+        buf, lo, hi = [*buf[lo:hi], label], 0, hi - lo
+    lanes[chan] = (buf, lo, hi + 1)
+
+
+def _lane_pop(lanes: dict, chan):
+    """Remove and return the head of the lane of ``chan``, or None when
+    the lane is empty.  A lane whose dead prefix outgrows its live part
+    is copied, so the dead prefix never does and the copies cost O(1)
+    per pop amortised."""
+    lane = lanes.get(chan)
+    if lane is None:
+        return None
+    buf, lo, hi = lane
+    label = buf[lo]
+    lo += 1
+    if lo == hi:
+        del lanes[chan]
+    elif lo > hi - lo:
+        lanes[chan] = (buf[lo:hi], 0, hi - lo)
+    else:
+        lanes[chan] = (buf, lo, hi)
+    return label
+
+
+def _lane_head(lanes: dict, chan) -> Optional[str]:
+    lane = lanes.get(chan)
+    return lane[0][lane[1]] if lane else None
+
+
 class Queue:
     """An immutable message queue, one FIFO lane per ordered channel.
+
+    A lane is a slice ``buf[lo:hi]`` of a buffer: a tuple for a short
+    lane, and for a longer one an append-only list that queues may
+    share.  Push and pop cost O(1) amortised, not the length of the
+    lane, and a lane's dead prefix never outgrows its live part (see
+    :func:`_lane_push` and :func:`_lane_pop`).  Empty lanes are
+    dropped.
 
     Equality and hashing see queues up to the structural equivalence:
     messages on different channels commute and empty lanes are
     invisible, so two queues are equal exactly when every channel
-    carries the same label sequence.
+    carries the same label sequence.  The key and the hash are each
+    computed once, on first use.
     """
 
-    __slots__ = ("_chans", "_hash")
+    __slots__ = ("_lanes", "_key", "_hash")
 
     def __init__(self, chans: Optional[dict] = None):
         lanes = {}
         if chans:
             for chan, labels in chans.items():
-                labels = tuple(labels)
-                if labels:
-                    lanes[chan] = labels
-        self._chans = lanes
+                buf = tuple(labels)
+                if buf:
+                    lanes[chan] = (buf, 0, len(buf))
+        self._lanes = lanes
+        self._key = None
         self._hash = None
+
+    @classmethod
+    def _of(cls, lanes: dict) -> "Queue":
+        """The queue of a lane map, which it takes over."""
+        q = cls.__new__(cls)
+        q._lanes = lanes
+        q._key = None
+        q._hash = None
+        return q
 
     @classmethod
     def from_msgs(cls, msgs: Iterable[Msg]) -> "Queue":
@@ -395,62 +468,52 @@ class Queue:
 
     @property
     def is_empty(self) -> bool:
-        return not self._chans
+        return not self._lanes
 
     def labels(self, sender: str, receiver: str) -> tuple:
-        return self._chans.get((sender, receiver), ())
+        lane = self._lanes.get((sender, receiver))
+        if lane is None:
+            return ()
+        buf, lo, hi = lane
+        return tuple(buf[lo:hi])
 
     def channels(self) -> list:
-        return sorted(self._chans)
+        return sorted(self._lanes)
 
     def head(self, sender: str, receiver: str) -> Optional[str]:
-        lane = self._chans.get((sender, receiver))
-        return lane[0] if lane else None
+        return _lane_head(self._lanes, (sender, receiver))
 
     def push(self, sender: str, label: str, receiver: str) -> "Queue":
-        lanes = dict(self._chans)
-        lanes[(sender, receiver)] = lanes.get((sender, receiver), ()) + (label,)
-        return Queue(lanes)
-
-    def push_front(self, sender: str, label: str, receiver: str) -> "Queue":
-        lanes = dict(self._chans)
-        lanes[(sender, receiver)] = (label,) + lanes.get((sender, receiver), ())
-        return Queue(lanes)
+        lanes = self._lanes.copy()
+        _lane_push(lanes, (sender, receiver), label)
+        return Queue._of(lanes)
 
     def pop(self, sender: str, receiver: str):
         """Remove the head of a channel; returns ``(label, rest)``."""
-        lane = self._chans.get((sender, receiver))
-        if not lane:
+        lanes = self._lanes.copy()
+        label = _lane_pop(lanes, (sender, receiver))
+        if label is None:
             raise LookupError(f"empty channel {sender}->{receiver}")
-        lanes = dict(self._chans)
-        lanes[(sender, receiver)] = lane[1:]
-        return lane[0], Queue(lanes)
-
-    def pop_last(self, sender: str, receiver: str):
-        """Remove the last message of a channel; returns ``(label, rest)``."""
-        lane = self._chans.get((sender, receiver))
-        if not lane:
-            raise LookupError(f"empty channel {sender}->{receiver}")
-        lanes = dict(self._chans)
-        lanes[(sender, receiver)] = lane[:-1]
-        return lane[-1], Queue(lanes)
+        return label, Queue._of(lanes)
 
     def messages(self) -> list:
         """All messages, channels in sorted order, FIFO within each."""
-        out = []
-        for chan in sorted(self._chans):
-            for lab in self._chans[chan]:
-                out.append(Msg(chan[0], lab, chan[1]))
-        return out
+        return [Msg(chan[0], lab, chan[1])
+                for chan, labels in self.key() for lab in labels]
 
     def key(self):
-        return tuple(sorted(self._chans.items()))
+        if self._key is None:
+            self._key = tuple(sorted(
+                (chan, tuple(buf[lo:hi]))
+                for chan, (buf, lo, hi) in self._lanes.items()))
+        return self._key
 
     def __len__(self):
-        return sum(len(v) for v in self._chans.values())
+        return sum(hi - lo for _, lo, hi in self._lanes.values())
 
     def __eq__(self, other):
-        return isinstance(other, Queue) and self.key() == other.key()
+        return isinstance(other, Queue) and (
+            self is other or self.key() == other.key())
 
     def __hash__(self):
         if self._hash is None:
@@ -477,12 +540,9 @@ class Network:
     __slots__ = ("_procs", "_key")
 
     def __init__(self, procs: Optional[dict] = None):
-        kept = {}
-        if procs:
-            for name, proc in procs.items():
-                if proc.kind != END:
-                    kept[name] = proc
-        self._procs = kept
+        # kept in name order, so ``items`` need not sort
+        self._procs = {name: proc for name, proc in sorted((procs or {}).items())
+                       if proc.kind != END}
         self._key = None
 
     @property
@@ -497,7 +557,7 @@ class Network:
         return proc if proc is not None else pend()
 
     def items(self) -> Iterator:
-        return iter(sorted(self._procs.items()))
+        return iter(self._procs.items())
 
     def with_comp(self, name: str, proc: PNode) -> "Network":
         procs = dict(self._procs)

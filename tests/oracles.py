@@ -8,8 +8,10 @@ readability, breadth-first closure for the type-indexed queue
 equivalence, recursive walks with path hypotheses for agreement and
 inductive balancing, a straight-line queue machine interpreter,
 uncached steppers for sessions and type configurations, and path
-enumeration over every lockstep schedule for liveness.  Expected
-values frozen into the tests were computed with these functions.
+enumeration over every lockstep schedule for liveness.  The session
+oracles take every step through ``oracle_session_successors``, never
+through the package's round function.  Expected values frozen into
+the tests were computed with these functions.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from mpst.sessions import (
     LivenessMode,
     Session,
     Verified,
-    step_session,
 )
 from mpst.terms import Comm, GNode, Msg, Network, Queue
 from mpst.wellformed import (
@@ -396,6 +397,15 @@ def oracle_session_successors(net: Network, queue: Queue):
     return out
 
 
+def oracle_step(net: Network, queue: Queue, comm: Comm):
+    """The ``(network, queue)`` after ``comm``, or None when it is not
+    enabled, found among ``oracle_session_successors``."""
+    for cand, nxt_net, nxt_queue in oracle_session_successors(net, queue):
+        if cand == comm:
+            return nxt_net, nxt_queue
+    return None
+
+
 def _cycle_ok(mode, sessions, deltas) -> bool:
     """Check the fairness obligations on one lasso cycle."""
     if mode is LivenessMode.INPUT_ENABLING:
@@ -448,9 +458,10 @@ def oracle_liveness(session: Session, horizon: int = 50,
         players = sorted(options)
         for combo in itertools.product(*(options[p] for p in players)):
             delta = frozenset(combo)
-            nxt = current
+            state = (current.net, current.queue)
             for comm in combo:
-                nxt = step_session(nxt, comm)
+                state = oracle_step(*state, comm)
+            nxt = Session(*state)
             if nxt in path_sessions:
                 at = path_sessions.index(nxt)
                 cycle_sessions = path_sessions[at:]
@@ -474,6 +485,27 @@ def oracle_liveness(session: Session, horizon: int = 50,
 
 # ---------------------------------------------------------------------------
 # type configurations
+
+
+def _lanes(queue: Queue) -> dict:
+    return {chan: queue.labels(*chan) for chan in queue.channels()}
+
+
+def push_front(queue: Queue, sender: str, label: str, receiver: str) -> Queue:
+    """``queue`` with ``label`` put in front of the channel's lane."""
+    lanes = _lanes(queue)
+    lanes[(sender, receiver)] = (label,) + lanes.get((sender, receiver), ())
+    return Queue(lanes)
+
+
+def pop_last(queue: Queue, sender: str, receiver: str):
+    """Remove the last message of a channel; returns ``(label, rest)``."""
+    lanes = _lanes(queue)
+    lane = lanes.get((sender, receiver))
+    if not lane:
+        raise LookupError(f"empty channel {sender}->{receiver}")
+    lanes[(sender, receiver)] = lane[:-1]
+    return lane[-1], Queue(lanes)
 
 
 def oracle_config_step(g: GNode, queue: Queue, comm: Comm, fuel=200):
@@ -510,7 +542,7 @@ def oracle_config_step(g: GNode, queue: Queue, comm: Comm, fuel=200):
             child, qres = res
             if not qres.labels(gp, gq):
                 return None
-            last, qrest = qres.pop_last(gp, gq)
+            last, qrest = pop_last(qres, gp, gq)
             if last != lab:
                 return None
             stepped[lab] = child
@@ -532,4 +564,4 @@ def oracle_config_step(g: GNode, queue: Queue, comm: Comm, fuel=200):
         rests.append(qres)
     if any(r != rests[0] for r in rests):
         return None
-    return GNode("in", gp, gq, stepped), rests[0].push_front(gp, head, gq)
+    return GNode("in", gp, gq, stepped), push_front(rests[0], gp, head, gq)

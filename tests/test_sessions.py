@@ -36,6 +36,7 @@ from oracles import (
     oracle_bisimilar,
     oracle_liveness,
     oracle_session_successors,
+    oracle_step,
 )
 from zoo import growing, hospital, mp
 
@@ -142,11 +143,11 @@ class TestLockstep:
                 continue
             delta, nxt = result
             for perm in itertools.permutations(delta):
-                cur = s
+                state = (s.net, s.queue)
                 for comm in perm:
-                    cur = step_session(cur, comm)
-                    assert cur is not NOT_ENABLED
-                assert cur == nxt
+                    state = oracle_step(*state, comm)
+                    assert state is not None
+                assert Session(*state) == nxt
                 checked += 1
         assert checked > 50
 

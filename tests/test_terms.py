@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mpst import terms
+from mpst.sessions import Session, simulate
 from mpst.terms import (
     Comm,
     GNode,
@@ -28,8 +29,9 @@ from mpst.terms import (
     subterms,
 )
 from gen import chain, random_gnode, random_network, random_pnode, ring
-from oracles import oracle_bisimilar, oracle_players, oracle_refine, unfold
-from zoo import hospital, mp
+from oracles import (oracle_bisimilar, oracle_players, oracle_refine, pop_last,
+                     push_front, unfold)
+from zoo import growing, hospital, mp
 
 
 class TestNodes:
@@ -258,13 +260,13 @@ class TestQueue:
             Queue().pop("p", "q")
 
     def test_push_front_then_pop(self):
-        q = Queue().push("p", "b", "q").push_front("p", "a", "q")
+        q = push_front(Queue().push("p", "b", "q"), "p", "a", "q")
         lab, q2 = q.pop("p", "q")
         assert lab == "a" and q2 == Queue().push("p", "b", "q")
 
     def test_pop_last_undoes_push(self):
         base = Queue().push("p", "a", "q")
-        lab, q2 = base.push("p", "z", "q").pop_last("p", "q")
+        lab, q2 = pop_last(base.push("p", "z", "q"), "p", "q")
         assert lab == "z" and q2 == base
 
     def test_empty_lane_is_invisible(self):
@@ -297,6 +299,106 @@ class TestQueue:
             assert q.labels(*chan) == expect
 
 
+_CHANS = [("p", "q"), ("q", "p"), ("r", "q")]
+
+
+def _agrees(q, model):
+    """``q`` reads like the plain-tuple lanes of ``model``."""
+    model = {chan: lane for chan, lane in model.items() if lane}
+    assert q.channels() == sorted(model)
+    for chan in _CHANS:
+        lane = model.get(chan, ())
+        assert q.labels(*chan) == lane
+        assert q.head(*chan) == (lane[0] if lane else None)
+    assert len(q) == sum(map(len, model.values()))
+    assert q.is_empty == (not model)
+    assert q.messages() == [Msg(chan[0], lab, chan[1])
+                            for chan in sorted(model) for lab in model[chan]]
+    assert q.key() == tuple(sorted(model.items()))
+    plain = Queue(model)
+    assert q == plain and hash(q) == hash(plain)
+
+
+class TestQueueLanes:
+    """Lanes are slices of shared append-only buffers; a queue must
+    never see a push made later on another queue sharing its buffer."""
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 10**6),
+                              st.sampled_from(_CHANS), st.sampled_from("abc")),
+                    max_size=40))
+    def test_matches_tuple_model(self, ops):
+        # each operation works on any earlier queue, so the sequences
+        # fork: two pushes onto one ancestor, a push after a pop on a
+        # shared buffer.  The long lane starts past the tuple buffers
+        long = Queue()
+        for lab in "abcabcabcab":
+            long = long.push("p", lab, "q")
+        made = [(Queue(), {}), (long, {("p", "q"): tuple("abcabcabcab")})]
+        for is_push, at, chan, lab in ops:
+            q, model = made[at % len(made)]
+            lane = model.get(chan, ())
+            if is_push:
+                made.append((q.push(chan[0], lab, chan[1]),
+                             {**model, chan: lane + (lab,)}))
+            elif not lane:
+                with pytest.raises(LookupError):
+                    q.pop(*chan)
+            else:
+                head, rest = q.pop(*chan)
+                assert head == lane[0]
+                made.append((rest, {**model, chan: lane[1:]}))
+        for q, model in made:
+            _agrees(q, model)
+        norm = [{c: lane for c, lane in m.items() if lane} for _, m in made]
+        for (q1, _), m1 in zip(made, norm):
+            for (q2, _), m2 in zip(made, norm):
+                assert (q1 == q2) == (m1 == m2)
+                if m1 == m2:
+                    assert hash(q1) == hash(q2)
+
+    def test_forks_do_not_see_later_pushes(self):
+        front = tuple("abcdefghij")
+        base = Queue()
+        for lab in front:
+            base = base.push("p", lab, "q")
+        one = base.push("p", "x", "q")
+        two = base.push("p", "y", "q")
+        _, popped = base.pop("p", "q")
+        three = popped.push("p", "z", "q")
+        four = one.push("p", "w", "q")
+        assert base.labels("p", "q") == front
+        assert one.labels("p", "q") == front + ("x",)
+        assert two.labels("p", "q") == front + ("y",)
+        assert popped.labels("p", "q") == front[1:]
+        assert three.labels("p", "q") == front[1:] + ("z",)
+        assert four.labels("p", "q") == front + ("x", "w")
+
+    def test_buffer_stays_within_twice_the_live_length(self):
+        rng = random.Random(3)
+        q = Queue()
+        for _ in range(10**4):
+            live = len(q)
+            if live < 12 or live < 30 and rng.random() < 0.5:
+                q = q.push("p", rng.choice("ab"), "q")
+            else:
+                _, q = q.pop("p", "q")
+            for buf, lo, hi in q._lanes.values():
+                assert len(buf) <= 2 * (hi - lo) + 1
+
+    def test_lockstep_trace_keeps_its_queues(self):
+        # p and r each send once per round and q reads once from the
+        # second round on, alternating p and r; every round's queue
+        # shares its buffers with the rounds after it
+        seen = list(simulate(Session(growing().net, Queue()), max_steps=50,
+                             lockstep_rounds=True))
+        assert len(seen) == 50
+        for step in seen:
+            n, queue = step.step, step.session.queue
+            assert len(queue) == n + 1
+            assert queue.labels("p", "q") == ("l",) * (n - n // 2)
+            assert queue.labels("r", "q") == ("lp",) * (n - (n - 1) // 2)
+
+
 class TestNetwork:
     def test_terminated_components_dropped(self):
         assert Network({"p": pend()}).is_empty
@@ -315,6 +417,8 @@ class TestNetwork:
         bigger = net.with_comp("r", pout("p", {"l": pend()}))
         assert bigger.players() == {"p", "q", "r"}
         assert "r" in bigger and "r" not in net
+        first = bigger.with_comp("a", pin("p", {"l": pend()}))
+        assert [name for name, _ in first.items()] == ["a", "p", "q", "r"]
 
     def test_equality_is_componentwise_bisimilarity(self):
         one = pout("q")
