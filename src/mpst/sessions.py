@@ -417,16 +417,19 @@ def check_liveness(session: Session, horizon: int = 50,
     kept as that key, its parent link and, once expanded, its edges; to
     expand it, a session is rebuilt from the key with one node standing
     for each block.  A state where nobody can move and something is
-    still owed yields its shortest trace at once.  The strongly
-    connected components of the explored graph are checked after the
-    first layer that closes a cycle, then once the expanded states have
-    doubled since the last check, and after the last layer.  A failed
-    obligation yields a lasso: a shortest trace to a state that owes
-    it, followed by a cycle back to that state on which it is never
-    served, so the trace ends in a state it passed before.  A returned
-    trace is replayed from ``session``.  Otherwise the result is
-    Verified, weakened to HorizonExceeded if some state at depth
-    ``horizon`` could still move.
+    still owed yields its shortest trace.  Such a state is looked for
+    when it is expanded, and in the next layer before each cycle check
+    and at the end, so the first one generated is reported before
+    anything found later.  The strongly connected components of the
+    explored graph are checked after the first layer that closes a
+    cycle, then once the expanded states have doubled since the last
+    check, and after the last layer.  A failed obligation yields a
+    lasso: a shortest trace to a state that owes it, followed by a
+    cycle back to that state on which it is never served, so the trace
+    ends in a state it passed before.  A returned trace is replayed
+    from ``session``.  Otherwise the result is Verified, weakened to
+    HorizonExceeded if some state at depth ``horizon`` could still
+    move.
     """
     nodes = {}
     for _, proc in session.net.items():
@@ -453,8 +456,14 @@ def check_liveness(session: Session, horizon: int = 50,
     # a round is named by its position in _rounds of its state
     parent = [None]  # (predecessor, round) on a shortest trace
     edges = []  # per expanded state: (successor, round, obligations served)
-    if owes(0) and not _options_by_player(session):
-        return CounterexampleTrace(())
+    def deadlock(states):
+        """The trace to the first of ``states`` where nobody can move and
+        something is owed, or None."""
+        for v in states:
+            if owes(v) and not _options_by_player(rebuild(v)):
+                return CounterexampleTrace(_replay(session, _path(parent, v, 0)))
+        return None
+
     first = 0
     checked = 0  # states expanded at the last cycle check
     unchecked = False  # an edge closed a cycle since then
@@ -464,18 +473,17 @@ def check_liveness(session: Session, horizon: int = 50,
             break
         for i in range(first, layer_end):
             current = rebuild(i)
+            opts = _options_by_player(current)
+            if not opts and owes(i):
+                return CounterexampleTrace(_replay(session, _path(parent, i, 0)))
             out = []
             # a state with no options is stuck and owes nothing: completed
-            for k, combo in enumerate(_rounds(_options_by_player(current))):
-                nxt = _apply(current, combo)
-                key = ident(nxt)
+            for k, combo in enumerate(_rounds(opts)):
+                key = ident(_apply(current, combo))
                 j = index.setdefault(key, len(keys))
                 if j == len(keys):
                     keys.append(key)
                     parent.append((i, k))
-                    if owes(j) and not _options_by_player(nxt):
-                        return CounterexampleTrace(
-                            _replay(session, _path(parent, j, 0)))
                 elif j < layer_end:
                     # a cycle can only close on an edge that does not
                     # lead one layer deeper
@@ -488,12 +496,18 @@ def check_liveness(session: Session, horizon: int = 50,
         # is found within twice the states it needs
         last = depth == horizon - 1 or first == len(keys)
         if unchecked and (last or len(edges) >= 2 * checked):
+            bad = deadlock(range(first, len(keys)))
+            if bad is not None:
+                return bad
             bad = _lasso(edges, owes)
             if bad is not None:
                 start, cycle = bad
                 return CounterexampleTrace(
                     _replay(session, _path(parent, start, 0) + cycle))
             checked, unchecked = len(edges), False
+    bad = deadlock(range(first, len(keys)))
+    if bad is not None:
+        return bad
     if any(_options_by_player(rebuild(v)) for v in range(first, len(keys))):
         return HorizonExceeded(horizon)
     return Verified()
