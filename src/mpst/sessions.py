@@ -25,8 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from mpst.terms import (Comm, IN, Network, OUT, Queue, _lane_head, _lane_pop,
-                        _lane_push, _refine, reachable_nodes)
+from mpst.terms import Comm, IN, Network, OUT, Queue, _refine, reachable_nodes
 
 
 class _Sentinel:
@@ -60,28 +59,25 @@ class Session:
 
 
 def _apply(session: Session, comms):
-    """Perform ``comms`` in order, or NOT_ENABLED as soon as one of them
-    is not enabled at its turn.  This is the one transition rule: the
-    process map and the lanes are copied once, so a round costs O(moves)
-    beyond those copies."""
+    """Perform ``comms`` in order, or NOT_ENABLED when one of them is not
+    enabled at its turn.  This is the one transition rule: the process
+    map is copied once and :meth:`Queue.after` does the queue's part, so
+    a round costs O(moves) beyond the copies.  A round happens whole or
+    not at all, so the processes may be checked before the queue."""
     procs = dict(session.net.items())
-    lanes = session.queue._lanes.copy()
-    for comm in comms:
-        player, label = comm.play, comm.label
+    for kind, sender, receiver, label in comms:
+        player = sender if kind == OUT else receiver
         proc = procs.get(player)
-        if proc is None or proc.kind != comm.kind or label not in proc.branches:
+        # a process node names the partner, not its own participant
+        if (proc is None or proc.kind != kind or label not in proc.branches
+                or proc.sender not in (None, sender)
+                or proc.receiver not in (None, receiver)):
             return NOT_ENABLED
-        chan = (comm.sender, comm.receiver)
-        if comm.kind == OUT:
-            if proc.partner != comm.receiver:
-                return NOT_ENABLED
-            _lane_push(lanes, chan, label)
-        elif proc.partner != comm.sender or _lane_head(lanes, chan) != label:
-            return NOT_ENABLED
-        else:
-            _lane_pop(lanes, chan)
         procs[player] = proc.branches[label]
-    return Session(Network(procs), Queue._of(lanes))
+    queue = session.queue.after(comms)
+    if queue is None:
+        return NOT_ENABLED
+    return Session(Network(procs), queue)
 
 
 def step_session(session: Session, comm: Comm):
@@ -110,9 +106,9 @@ def deadlock_info(session: Session) -> dict:
     for name, proc in session.net.items():
         if proc.kind == IN and name not in options:
             blocked[name] = {
-                "from": proc.partner,
+                "from": proc.sender,
                 "expects": sorted(proc.branches),
-                "head": session.queue.head(proc.partner, name),
+                "head": session.queue.head(proc.sender, name),
             }
     unread = [str(m) for m in session.queue.messages()]
     return {"blocked": blocked, "unread": unread}
@@ -176,12 +172,12 @@ def _options_by_player(session: Session) -> dict:
     for name, proc in session.net.items():
         comms = []
         if proc.kind == OUT:
-            comms = [Comm(OUT, name, proc.partner, lab)
+            comms = [Comm(OUT, name, proc.receiver, lab)
                      for lab in sorted(proc.branches)]
         elif proc.kind == IN:
-            head = session.queue.head(proc.partner, name)
+            head = session.queue.head(proc.sender, name)
             if head is not None and head in proc.branches:
-                comms = [Comm(IN, proc.partner, name, head)]
+                comms = [Comm(IN, proc.sender, name, head)]
         if comms:
             by_player[name] = comms
     return by_player
@@ -456,13 +452,21 @@ def check_liveness(session: Session, horizon: int = 50,
     # a round is named by its position in _rounds of its state
     parent = [None]  # (predecessor, round) on a shortest trace
     edges = []  # per expanded state: (successor, round, obligations served)
-    def deadlock(states):
+    def scan(states):
         """The trace to the first of ``states`` where nobody can move and
-        something is owed, or None."""
+        something is owed, or else whether one of them can move.  The
+        options of a state are built once, and only for states that owe
+        something or come before the first one that can move."""
+        moves = False
         for v in states:
-            if owes(v) and not _options_by_player(rebuild(v)):
-                return CounterexampleTrace(_replay(session, _path(parent, v, 0)))
-        return None
+            owing = owes(v)
+            if owing or not moves:
+                if _options_by_player(rebuild(v)):
+                    moves = True
+                elif owing:
+                    return CounterexampleTrace(
+                        _replay(session, _path(parent, v, 0)))
+        return moves
 
     first = 0
     checked = 0  # states expanded at the last cycle check
@@ -496,18 +500,16 @@ def check_liveness(session: Session, horizon: int = 50,
         # is found within twice the states it needs
         last = depth == horizon - 1 or first == len(keys)
         if unchecked and (last or len(edges) >= 2 * checked):
-            bad = deadlock(range(first, len(keys)))
-            if bad is not None:
-                return bad
+            found = scan(range(first, len(keys)))
+            if isinstance(found, CounterexampleTrace):
+                return found
             bad = _lasso(edges, owes)
             if bad is not None:
                 start, cycle = bad
                 return CounterexampleTrace(
                     _replay(session, _path(parent, start, 0) + cycle))
             checked, unchecked = len(edges), False
-    bad = deadlock(range(first, len(keys)))
-    if bad is not None:
-        return bad
-    if any(_options_by_player(rebuild(v)) for v in range(first, len(keys))):
-        return HorizonExceeded(horizon)
-    return Verified()
+    found = scan(range(first, len(keys)))
+    if isinstance(found, CounterexampleTrace):
+        return found
+    return HorizonExceeded(horizon) if found else Verified()

@@ -34,10 +34,8 @@ from mpst.terms import (
     GNode,
     Msg,
     Network,
-    PNode,
     Queue,
     gend,
-    pend,
     reachable_nodes,
 )
 
@@ -153,7 +151,8 @@ def _lex(text: str):
 #   ("end",)
 #   ("ref", name, line, col)
 #   ("comm", kind, sender, receiver, ((label, ast), ...), line, col)
-# for proc terms the sender slot holds the partner and receiver is None
+# sender and receiver fill the slots of the node; a proc term leaves the
+# slot of its own participant None, as pout and pin do
 
 
 @dataclass
@@ -221,13 +220,13 @@ class _Parser:
         self.expect("proc")
         name = self.name()
         self.expect("=")
-        return ("proc", name, self.proc_term())
+        return ("proc", name, self.term("process"))
 
     def globaldef(self):
         self.expect("global")
         name = self.name()
         self.expect("=")
-        return ("global", name, self.gty_term())
+        return ("global", name, self.term("global type"))
 
     def netdef(self):
         self.expect("network")
@@ -243,7 +242,7 @@ class _Parser:
     def component(self):
         part = self.name("participant")
         self.expect("|>")
-        return (part, self.proc_term())
+        return (part, self.term("process"))
 
     def queuedef(self):
         self.expect("queue")
@@ -273,58 +272,52 @@ class _Parser:
 
     # ---- terms
 
-    def proc_term(self):
+    def term(self, what):
+        """A term of a process, or of a global type when ``what`` is
+        "global type".  A process prefix ``q!`` or ``p?`` names the
+        partner only, a global one ``p q!`` or ``p q?`` both
+        participants."""
         tok = self.next()
         if tok.type != "ident" or tok.value in KEYWORDS - {"end"}:
-            raise ParseError(f"expected a process, found {tok.value!r}",
+            raise ParseError(f"expected a {what}, found {tok.value!r}",
                              tok.line, tok.col)
         if tok.value == "end":
             return ("end",)
-        mark = self.peek()
-        if mark.value in ("!", "?"):
-            self.next()
-            kind = OUT if mark.value == "!" else IN
-            branches = self.choice(self.proc_term)
-            return ("comm", kind, tok.value, None, branches, tok.line, tok.col)
-        return ("ref", tok.value, tok.line, tok.col)
+        names = [tok.value]
+        after = self.peek()
+        if what != "global type":
+            if after.value not in ("!", "?"):
+                return ("ref", tok.value, tok.line, tok.col)
+        elif after.type == "ident" and after.value not in KEYWORDS:
+            names.append(self.next().value)
+        else:
+            return ("ref", tok.value, tok.line, tok.col)
+        mark = self.next()
+        if mark.value not in ("!", "?"):
+            raise ParseError(
+                f"expected '!' or '?', found {mark.value!r}",
+                mark.line, mark.col)
+        kind = OUT if mark.value == "!" else IN
+        if len(names) == 1:
+            # a process leaves out its own participant, the one that moves
+            names.insert(0 if kind == OUT else 1, None)
+        elif names[0] == names[1]:
+            raise SelfCommunication(
+                f"participant {tok.value!r} talking to itself",
+                tok.line, tok.col)
+        return ("comm", kind, *names, self.choice(what), tok.line, tok.col)
 
-    def gty_term(self):
-        tok = self.next()
-        if tok.type != "ident" or tok.value in KEYWORDS - {"end"}:
-            raise ParseError(f"expected a global type, found {tok.value!r}",
-                             tok.line, tok.col)
-        if tok.value == "end":
-            return ("end",)
-        if self.peek().type == "ident" and self.peek().value not in KEYWORDS:
-            second = self.next()
-            mark = self.next()
-            if mark.value not in ("!", "?"):
-                raise ParseError(
-                    f"expected '!' or '?', found {mark.value!r}",
-                    mark.line, mark.col)
-            if tok.value == second.value:
-                raise SelfCommunication(
-                    f"participant {tok.value!r} talking to itself",
-                    tok.line, tok.col)
-            kind = OUT if mark.value == "!" else IN
-            branches = self.choice(self.gty_term)
-            return ("comm", kind, tok.value, second.value, branches,
-                    tok.line, tok.col)
-        return ("ref", tok.value, tok.line, tok.col)
-
-    def choice(self, term):
+    def choice(self, what):
         if self.peek().value != "{":
-            label = self.name("label")
-            self.expect(";")
-            return ((label.value, term()),)
+            return (self.branch(what),)
         brace = self.next()
         if self.peek().value == "}":
             raise EmptyChoice("a choice needs at least one branch",
                               brace.line, brace.col)
-        branches = [self.branch(term)]
+        branches = [self.branch(what)]
         while self.peek().value == ",":
             self.next()
-            branches.append(self.branch(term))
+            branches.append(self.branch(what))
         self.expect("}")
         seen = set()
         for lab, _ in branches:
@@ -335,10 +328,10 @@ class _Parser:
             seen.add(lab)
         return tuple(branches)
 
-    def branch(self, term):
+    def branch(self, what):
         label = self.name("label")
         self.expect(";")
-        return (label.value, term())
+        return (label.value, self.term(what))
 
     # ---- machines
 
@@ -429,10 +422,8 @@ class _Resolver:
     already pinned and back references just wire edges.
     """
 
-    def __init__(self, defs: dict, make_end, make_node):
+    def __init__(self, defs: dict):
         self.defs = defs
-        self.make_end = make_end
-        self.make_node = make_node
         self.built = {}
         self.visiting = []
 
@@ -453,18 +444,14 @@ class _Resolver:
             raise ParseError(f"unguarded cycle {chain}", line, col)
         ast = self.defs[name]
         if ast[0] == "comm":
-            self.built[name] = self.shell(ast)
+            self.built[name] = GNode(*ast[1:4])
         elif ast[0] == "end":
-            self.built[name] = self.make_end()
+            self.built[name] = gend()
         else:
             self.visiting.append(name)
             self.built[name] = self.node_for(ast[1], ast[2], ast[3])
             self.visiting.pop()
         return self.built[name]
-
-    def shell(self, ast):
-        _, kind, first, second, _, line, col = ast
-        return self.make_node(kind, first, second)
 
     def fill(self, shell, ast):
         for label, sub in ast[4]:
@@ -472,20 +459,12 @@ class _Resolver:
 
     def build(self, ast):
         if ast[0] == "end":
-            return self.make_end()
+            return gend()
         if ast[0] == "ref":
             return self.node_for(ast[1], ast[2], ast[3])
-        shell = self.shell(ast)
+        shell = GNode(*ast[1:4])
         self.fill(shell, ast)
         return shell
-
-
-def _gmake(kind, sender, receiver):
-    return GNode(kind, sender, receiver)
-
-
-def _pmake(kind, partner, _unused):
-    return PNode(kind, partner)
 
 
 def parse(text: str) -> Document:
@@ -505,8 +484,8 @@ def parse(text: str) -> Document:
             proc_defs[name.value] = item[2]
         elif tag == "global":
             gty_defs[name.value] = item[2]
-    procs = _Resolver(proc_defs, pend, _pmake)
-    gtys = _Resolver(gty_defs, gend, _gmake)
+    procs = _Resolver(proc_defs)
+    gtys = _Resolver(gty_defs)
     procs.resolve_all()
     gtys.resolve_all()
     doc.procs.update(procs.built)
@@ -522,7 +501,7 @@ def parse(text: str) -> Document:
                         part.line, part.col)
                 node = procs.build(ast)
                 for sub in reachable_nodes(node):
-                    if sub.kind != END and sub.partner == part.value:
+                    if part.value in (sub.sender, sub.receiver):
                         raise SelfCommunication(
                             f"{part.value!r} communicates with itself",
                             part.line, part.col)
@@ -585,47 +564,40 @@ def _aux_names(root, base):
     return names
 
 
-def _fmt_term(node, names, at_def, fmt_prefix):
+def _fmt_term(node, names, at_def):
     if node.kind == END:
         return "end"
     if not at_def and id(node) in names:
         return names[id(node)]
     parts = []
     for lab in sorted(node.branches):
-        sub = _fmt_term(node.branches[lab], names, False, fmt_prefix)
+        sub = _fmt_term(node.branches[lab], names, False)
         parts.append(f"{lab}; {sub}")
-    head = fmt_prefix(node)
+    # the participants the node names: both in a global type, the
+    # partner alone in a process
+    who = " ".join(filter(None, (node.sender, node.receiver)))
+    head = f"{who}{'!' if node.kind == OUT else '?'}"
     if len(parts) == 1:
         return f"{head}{parts[0]}"
     return f"{head}{{{', '.join(parts)}}}"
 
 
-def _gprefix(node):
-    mark = "!" if node.kind == OUT else "?"
-    return f"{node.sender} {node.receiver}{mark}"
-
-
-def _pprefix(node):
-    mark = "!" if node.kind == OUT else "?"
-    return f"{node.partner}{mark}"
-
-
-def _fmt_defs(root, base, keyword, fmt_prefix) -> str:
+def _fmt_defs(root, base, keyword) -> str:
     names = _aux_names(root, base)
     by_id = {id(n): n for n in reachable_nodes(root)}
     lines = []
     for nid, name in names.items():
-        body = _fmt_term(by_id[nid], names, True, fmt_prefix)
+        body = _fmt_term(by_id[nid], names, True)
         lines.append(f"{keyword} {name} = {body}")
     return "\n".join(lines)
 
 
 def format_gtype(g: GNode, name: str = "G") -> str:
-    return _fmt_defs(g, name, "global", _gprefix)
+    return _fmt_defs(g, name, "global")
 
 
-def format_proc(p: PNode, name: str = "P") -> str:
-    return _fmt_defs(p, name, "proc", _pprefix)
+def format_proc(p: GNode, name: str = "P") -> str:
+    return _fmt_defs(p, name, "proc")
 
 
 def format_network(net: Network, name: str = "N") -> str:

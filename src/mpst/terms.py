@@ -1,10 +1,13 @@
 """Regular term graphs for global types and process types.
 
 Types with recursion are represented as (possibly cyclic) graphs of
-nodes.  A node is either ``end`` or a choice carrying a branch map from
-labels to child nodes; the branch map may be filled in after
-construction, which is how back edges are tied.  Once a graph has been
-hashed or compared it must not be mutated further.
+nodes of one class, :class:`GNode`.  A node is either ``end`` or a
+choice carrying a branch map from labels to child nodes; the branch map
+may be filled in after construction, which is how back edges are tied.
+Once a graph has been hashed or compared it must not be mutated
+further.  A process node is a choice seen by the participant that
+moves, whose own slot is left None: ``pout(q)`` has receiver q and no
+sender, ``pin(p)`` sender p and no receiver.
 
 Equality of types is bisimilarity.  Every node can produce a canonical
 key via partition refinement of its reachable subgraph; two nodes are
@@ -14,8 +17,7 @@ their keys once, on first use, and queues their keys and hashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 END = "end"
 OUT = "out"
@@ -27,12 +29,17 @@ IN = "in"
 
 
 class GNode:
-    """A node of a global type.
+    """A node of a global type or of a process type.
 
     ``out`` is an output choice ``p q ! {l_i; G_i}``, ``in`` an input
     choice ``p q ? {l_i; G_i}``; in both cases ``sender`` is p and
     ``receiver`` is q.  The participant moving first is the sender of
     an output and the receiver of an input.
+
+    A process node leaves out the participant that moves: ``q ! {...}``
+    has no sender and ``p ? {...}`` no receiver.  Every choice names its
+    partner, the participant that does not move, and a global choice
+    names both, so a process choice never equals a global one.
     """
 
     __slots__ = ("kind", "sender", "receiver", "branches", "_key")
@@ -43,8 +50,8 @@ class GNode:
         if kind not in (END, OUT, IN):
             raise ValueError(f"unknown node kind {kind!r}")
         if kind != END:
-            if not sender or not receiver:
-                raise ValueError("choice nodes need a sender and a receiver")
+            if not (receiver if kind == OUT else sender):
+                raise ValueError("choice nodes need a partner")
             if sender == receiver:
                 raise ValueError(f"self-communication {sender!r} -> {receiver!r}")
         self.kind = kind
@@ -55,17 +62,19 @@ class GNode:
 
     @property
     def player(self) -> Optional[str]:
-        """The participant that moves at this node."""
-        if self.kind == OUT:
-            return self.sender
-        if self.kind == IN:
-            return self.receiver
-        return None
+        """The participant that moves at this node; None at ``end`` and
+        in a process node."""
+        return self.sender if self.kind == OUT else self.receiver
+
+    @property
+    def partner(self) -> Optional[str]:
+        """The participant that does not move; None at ``end``."""
+        return self.receiver if self.kind == OUT else self.sender
 
     def _local_sig(self):
         if self.kind == END:
-            return ("g", END)
-        return ("g", self.kind, self.sender, self.receiver,
+            return (END,)
+        return (self.kind, self.sender, self.receiver,
                 tuple(sorted(self.branches)))
 
     def _bare_clone(self) -> "GNode":
@@ -78,48 +87,14 @@ class GNode:
 
     def __repr__(self):
         if self.kind == END:
-            return "<G end>"
+            return "<end>"
         mark = "!" if self.kind == OUT else "?"
+        names = " ".join(filter(None, (self.sender, self.receiver)))
         labs = ",".join(sorted(self.branches))
-        return f"<G {self.sender}{self.receiver}{mark}{{{labs}}}>"
+        return f"<{names}{mark}{{{labs}}}>"
 
 
-class PNode:
-    """A node of a process type: ``end``, ``partner ! choice`` or
-    ``partner ? choice``."""
-
-    __slots__ = ("kind", "partner", "branches", "_key")
-
-    def __init__(self, kind: str, partner: Optional[str] = None,
-                 branches: Optional[dict] = None):
-        if kind not in (END, OUT, IN):
-            raise ValueError(f"unknown node kind {kind!r}")
-        if kind != END and not partner:
-            raise ValueError("choice nodes need a partner")
-        self.kind = kind
-        self.partner = partner
-        self.branches = {} if branches is None else dict(branches)
-        self._key = None
-
-    def _local_sig(self):
-        if self.kind == END:
-            return ("p", END)
-        return ("p", self.kind, self.partner, tuple(sorted(self.branches)))
-
-    def _bare_clone(self) -> "PNode":
-        return PNode(self.kind, self.partner)
-
-    def key(self):
-        if self._key is None:
-            self._key = _canonical_key(self)
-        return self._key
-
-    def __repr__(self):
-        if self.kind == END:
-            return "<P end>"
-        mark = "!" if self.kind == OUT else "?"
-        labs = ",".join(sorted(self.branches))
-        return f"<P {self.partner}{mark}{{{labs}}}>"
+PNode = GNode
 
 
 def gend() -> GNode:
@@ -134,16 +109,15 @@ def gin(sender: str, receiver: str, branches: Optional[dict] = None) -> GNode:
     return GNode(IN, sender, receiver, branches)
 
 
-def pend() -> PNode:
-    return PNode(END)
+pend = gend
 
 
-def pout(partner: str, branches: Optional[dict] = None) -> PNode:
-    return PNode(OUT, partner, branches)
+def pout(partner: str, branches: Optional[dict] = None) -> GNode:
+    return GNode(OUT, None, partner, branches)
 
 
-def pin(partner: str, branches: Optional[dict] = None) -> PNode:
-    return PNode(IN, partner, branches)
+def pin(partner: str, branches: Optional[dict] = None) -> GNode:
+    return GNode(IN, partner, None, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +271,7 @@ def players(g: GNode) -> set:
 # communications and messages
 
 
-@dataclass(frozen=True)
-class Comm:
+class Comm(NamedTuple):
     """A single communication: output ``p->q!l`` or input ``p->q?l``."""
 
     kind: str
@@ -334,8 +307,7 @@ class Comm:
         raise ValueError(f"cannot parse communication {text!r}")
 
 
-@dataclass(frozen=True)
-class Msg:
+class Msg(NamedTuple):
     """A message ``sender->receiver:label`` travelling in a queue."""
 
     sender: str
@@ -415,11 +387,6 @@ def _lane_pop(lanes: dict, chan):
     return label
 
 
-def _lane_head(lanes: dict, chan) -> Optional[str]:
-    lane = lanes.get(chan)
-    return lane[0][lane[1]] if lane else None
-
-
 class Queue:
     """An immutable message queue, one FIFO lane per ordered channel.
 
@@ -481,7 +448,8 @@ class Queue:
         return sorted(self._lanes)
 
     def head(self, sender: str, receiver: str) -> Optional[str]:
-        return _lane_head(self._lanes, (sender, receiver))
+        lane = self._lanes.get((sender, receiver))
+        return lane[0][lane[1]] if lane else None
 
     def push(self, sender: str, label: str, receiver: str) -> "Queue":
         lanes = self._lanes.copy()
@@ -495,6 +463,18 @@ class Queue:
         if label is None:
             raise LookupError(f"empty channel {sender}->{receiver}")
         return label, Queue._of(lanes)
+
+    def after(self, comms: Iterable[Comm]) -> Optional["Queue"]:
+        """The queue after ``comms`` in order: an output appends its
+        label to its channel and an input removes its channel's head.
+        None when an input's label is not the head it would read."""
+        lanes = self._lanes.copy()
+        for kind, sender, receiver, label in comms:
+            if kind == OUT:
+                _lane_push(lanes, (sender, receiver), label)
+            elif _lane_pop(lanes, (sender, receiver)) != label:
+                return None
+        return Queue._of(lanes)
 
     def messages(self) -> list:
         """All messages, channels in sorted order, FIFO within each."""
@@ -552,14 +532,14 @@ class Network:
     def players(self) -> set:
         return set(self._procs)
 
-    def get(self, name: str) -> PNode:
+    def get(self, name: str) -> GNode:
         proc = self._procs.get(name)
-        return proc if proc is not None else pend()
+        return proc if proc is not None else gend()
 
     def items(self) -> Iterator:
         return iter(self._procs.items())
 
-    def with_comp(self, name: str, proc: PNode) -> "Network":
+    def with_comp(self, name: str, proc: GNode) -> "Network":
         procs = dict(self._procs)
         procs[name] = proc
         return Network(procs)

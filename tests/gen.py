@@ -14,7 +14,6 @@ from mpst.terms import (
     GNode,
     Msg,
     Network,
-    PNode,
     Queue,
     gend,
     gin,
@@ -47,15 +46,16 @@ def random_gnode(rng: random.Random, max_nodes=8, parts=PARTS,
 
 
 def random_pnode(rng: random.Random, owner: str, max_nodes=6,
-                 parts=PARTS, labels=LABELS, end_bias=0.25) -> PNode:
+                 parts=PARTS, labels=LABELS, end_bias=0.25) -> GNode:
     partners = [x for x in parts if x != owner]
     count = rng.randint(1, max_nodes)
     shells = []
     for _ in range(count):
         if rng.random() < end_bias:
-            shells.append(PNode(END))
+            shells.append(pend())
         else:
-            shells.append(PNode(rng.choice((OUT, IN)), rng.choice(partners)))
+            make = rng.choice((pout, pin))
+            shells.append(make(rng.choice(partners)))
     for node in shells:
         if node.kind == END:
             continue

@@ -109,6 +109,12 @@ class TestParsing:
     def test_end_is_a_term(self):
         assert parse("proc P = end").procs["P"].kind == "end"
 
+    def test_process_prefix_names_the_partner(self):
+        doc = parse("proc P = q!l; Q  proc Q = p?l; end")
+        out, inp = doc.procs["P"], doc.procs["Q"]
+        assert (out.kind, out.sender, out.receiver) == ("out", None, "q")
+        assert (inp.kind, inp.sender, inp.receiver) == ("in", "p", None)
+
 
 class TestParseErrors:
     def test_unbound_name(self):
@@ -186,6 +192,13 @@ class TestParseErrors:
     def test_machine_missing_section(self):
         with pytest.raises(ParseError, match="without"):
             parse("machine M { states s; }")
+
+    def test_prefix_forms_do_not_mix(self):
+        # a process prefix names one participant, a global prefix two
+        for sample in ["proc P = p q!l; end", "global G = q!l; end",
+                       "network N { p |> r q!l; end }"]:
+            with pytest.raises(SourceError):
+                parse(sample)
 
     def test_errors_are_source_errors(self):
         for sample in ["proc P = q!{}", "global G = p p!l; end", "proc A = A"]:

@@ -14,6 +14,7 @@ from mpst.terms import (
     GNode,
     Msg,
     Network,
+    PNode,
     Queue,
     bisimilar,
     comms,
@@ -46,6 +47,8 @@ class TestNodes:
     def test_choice_needs_participants(self):
         with pytest.raises(ValueError):
             GNode("out", "p", None)
+        with pytest.raises(ValueError):
+            GNode("in", None, "q")
 
     def test_player(self):
         assert gout("p", "q", {"l": gend()}).player == "p"
@@ -56,6 +59,23 @@ class TestNodes:
         g = gout("p", "q", {"l": gend()})
         p = pout("q", {"l": pend()})
         assert not bisimilar(g, p)
+
+    def test_process_nodes_are_global_nodes(self):
+        # a process node leaves out the participant that moves
+        assert PNode is GNode
+        out, inp = pout("q"), pin("p")
+        assert (out.sender, out.receiver, out.player) == (None, "q", None)
+        assert (inp.sender, inp.receiver, inp.player) == ("p", None, None)
+
+    def test_partner(self):
+        assert pout("q").partner == "q"
+        assert pin("p").partner == "p"
+        assert gout("p", "q").partner == "q"
+        assert gin("p", "q").partner == "p"
+        assert pend().partner is None
+
+    def test_end_is_one_term(self):
+        assert bisimilar(gend(), pend())
 
 
 class TestBisimilarity:
