@@ -237,23 +237,25 @@ def agree(g: GNode, queue: Queue, mod_g: bool = False) -> bool:
     equivalence.  Without ``mod_g``, a finished state holds on every
     path, so agreement means that no reachable state breaks it.
     """
-    # path: node -> its queues on the current path; (node, None): exit
-    path, done = {}, set()
+    # path: node -> its queues on the current path, oldest first, as
+    # the keys of a dict; (node, None): exit.  A queue occurs at most
+    # once per node on the path, so the exit pops the last one entered
+    path, done, swaps = {}, set(), set()
     stack = [(g, queue)]
     while stack:
         node, q = stack.pop()
         if q is None:
-            q = path[node].pop()
+            q = path[node].popitem()[0]
             if not mod_g:
                 done.add((node, q))
             continue
         if node.kind == END or (node, q) in done:
             continue
-        hyps = path.setdefault(node, [])
+        hyps = path.setdefault(node, {})
         if q in hyps or mod_g and any(queue_equiv_g(hq, q, node)
                                       for hq in hyps):
             continue
-        hyps.append(q)
+        hyps[q] = None
         stack.append((node, None))
         chan = (node.sender, node.receiver)
         head = q.head(*chan) if node.kind == OUT else None
@@ -261,10 +263,14 @@ def agree(g: GNode, queue: Queue, mod_g: bool = False) -> bool:
             if head is None:
                 stack.append((child, q))
                 continue
-            if head != lab and not indistinguishable(
-                    Msg(chan[0], head, chan[1]),
-                    Msg(chan[0], lab, chan[1]), child):
-                return False
+            # the first failed swap ends the call, so only swaps that
+            # held are remembered
+            swap = (chan, head, lab, child)
+            if head != lab and swap not in swaps:
+                if not indistinguishable(Msg(chan[0], head, chan[1]),
+                                         Msg(chan[0], lab, chan[1]), child):
+                    return False
+                swaps.add(swap)
             stack.append((child, q.pop(*chan)[1].push(chan[0], lab, chan[1])))
     return True
 

@@ -360,7 +360,9 @@ def oracle_qm_run(delta, start, bottom, word, max_steps):
     """Run a queue machine from ``<start, word bottom>``.
 
     ``delta`` maps (state, symbol) to (state, written string).  Returns
-    ("accepted", steps) or ("running", max_steps).
+    ("accepted", steps) or ("running", max_steps).  The tape is a fresh
+    tuple at every step, as in the definition: quadratic on purpose, a
+    reference that shares no code or data structure with ``qm_run``.
     """
     state, tape = start, tuple(word) + (bottom,)
     for step in range(max_steps):

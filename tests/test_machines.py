@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -61,6 +62,20 @@ class TestRuns:
         assert qm_run(parity(), "aaaa") == Accepted(5)
         assert isinstance(qm_run(parity(), "a", max_steps=200), RunningAfter)
         assert isinstance(qm_run(parity(), "aaa", max_steps=200), RunningAfter)
+
+    def test_queue_empties_on_the_last_step(self):
+        assert qm_run(eraser(), "ab", max_steps=3) == Accepted(3)
+        assert qm_run(eraser(), "ab", max_steps=2) == RunningAfter(2)
+
+    def test_long_run_takes_linear_time(self):
+        # each a is read once and written twice, so the queue grows by
+        # one symbol per step; copying it at every step is quadratic
+        doubler = QueueMachine(
+            ("s",), ("a",), ("a", "$"), "$", "s",
+            {("s", "a"): ("s", ("a", "a")), ("s", "$"): ("s", ())})
+        start = time.perf_counter()
+        assert qm_run(doubler, "a", max_steps=200000) == RunningAfter(200000)
+        assert time.perf_counter() - start < 1
 
     def test_rejects_symbol_outside_input_alphabet(self):
         with pytest.raises(InvalidInputSymbol):

@@ -223,6 +223,21 @@ class TestAgreementAndBalancing:
         assert isinstance(want, Accept)
         assert got.derivation == want.derivation
 
+    def test_output_only_graph_with_many_swaps(self):
+        # G = p q!{a; G1, b; p q!{a; G3, b; G4, c; G1}, c; G4}
+        # G1 = p q!{a; G, b; G2, c; G2}  G2 = p q!{a; G2, b; G1, c; G}
+        # G3 = p q!{a; G1, b; G1, c; G4}  G4 = p q!{a; G2, b; G3}:
+        # the agree calls of its loops swap labels in many states
+        g, g1, g2, g3, g4 = (gout("p", "q") for _ in range(5))
+        g.branches.update(a=g1, b=gout("p", "q", {"a": g3, "b": g4, "c": g1}),
+                          c=g4)
+        g1.branches.update(a=g, b=g2, c=g2)
+        g2.branches.update(a=g2, b=g1, c=g)
+        g3.branches.update(a=g1, b=g1, c=g4)
+        g4.branches.update(a=g2, b=g3)
+        verdict = weakly_balanced_inductive(g, Queue(), max_revisits=1)
+        assert isinstance(verdict, Accept)
+
     def test_balancing_matches_oracle(self):
         verdicts = set()
         for g, queue in walk_inputs():
