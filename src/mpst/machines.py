@@ -51,6 +51,11 @@ class QueueMachine:
     def __post_init__(self):
         if not self.states:
             raise ValueError("machine needs at least one state")
+        for what, syms in (("state", self.states),
+                           ("input symbol", self.input_alphabet),
+                           ("queue symbol", self.queue_alphabet)):
+            if len(set(syms)) < len(syms):
+                raise ValueError(f"{what} listed twice in {' '.join(syms)}")
         if self.start not in self.states:
             raise ValueError(f"start state {self.start!r} unknown")
         gamma = set(self.queue_alphabet)

@@ -11,14 +11,17 @@ A file is a sequence of definitions:
                 bottom $; start q0; delta (q0, a) -> (q0, "a");
                 delta (q0, $) -> (q0, "$"); }
 
-Definitions may reference each other by name in any order; cycles
-through such references tie the back edges of the term graphs.  A
-cycle that never passes through a communication, like ``proc A = B``
-with ``proc B = A``, is rejected.
+Terms are parsed straight into graph nodes.  Definitions may
+reference each other by name in any order: a name stays in its place
+as a token until the whole file is read, and then becomes an edge to
+its definition's node, so cycles through names tie the back edges of
+the term graphs.  A cycle that never passes through a communication,
+like ``proc A = B`` with ``proc B = A``, is rejected.
 
 Printing produces the same surface form back: nodes that are shared,
 sit on a cycle, or are the root get a name, everything else is printed
-inline.  Parsing the output yields bisimilar graphs.
+inline.  Parsing the output yields bisimilar graphs.  Neither parsing
+nor printing recurses, so no term is too deep for either.
 """
 
 from __future__ import annotations
@@ -145,14 +148,13 @@ def _lex(text: str):
 
 
 # ---------------------------------------------------------------------------
-# parser producing a small ast
+# parser
 #
-# term ast nodes:
-#   ("end",)
-#   ("ref", name, line, col)
-#   ("comm", kind, sender, receiver, ((label, ast), ...), line, col)
-# sender and receiver fill the slots of the node; a proc term leaves the
-# slot of its own participant None, as pout and pin do
+# Terms are parsed straight into nodes: each goes into a slot, which is
+# a branch map and a label, a definition map and a name, or a network's
+# component map and a participant.  A name in term position stays in
+# its slot as a token until the whole file is read; ``_resolve`` then
+# swaps it for the node of its definition.
 
 
 @dataclass
@@ -166,16 +168,26 @@ class Document:
     machines: dict = field(default_factory=dict)
 
 
+# the keywords that start a definition: "end" is a term
+_DEFINERS = KEYWORDS - {"end"}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _lex(text)
         self.pos = 0
+        self.doc = Document()
+        # the slots that hold a name token, per kind of term
+        self.refs = {"process": [], "global type": []}
+        # (component map, participant token) of every network component
+        self.parts = []
 
-    def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        # ``next`` never moves past the eof token
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type == "eof":
             raise ParseError("unexpected end of file", tok.line, tok.col)
         self.pos += 1
@@ -195,58 +207,74 @@ class _Parser:
                              tok.line, tok.col)
         return tok
 
-    # ---- items
+    def head(self, keyword: str, defs: dict) -> str:
+        """Reads ``keyword name`` of a definition that goes into
+        ``defs``, and returns the name."""
+        self.expect(keyword)
+        name = self.name()
+        if name.value in defs:
+            raise ParseError(f"duplicate {keyword} definition {name.value!r}",
+                             name.line, name.col)
+        return name.value
 
-    def document(self):
-        items = []
+    # ---- definitions
+
+    def document(self) -> Document:
+        doc = self.doc
         while self.peek().type != "eof":
             tok = self.peek()
             if tok.value == "proc":
-                items.append(self.procdef())
+                self.termdef("proc", "process", doc.procs)
             elif tok.value == "global":
-                items.append(self.globaldef())
+                self.termdef("global", "global type", doc.globals_)
             elif tok.value == "network":
-                items.append(self.netdef())
+                self.netdef()
             elif tok.value == "queue":
-                items.append(self.queuedef())
+                self.queuedef()
             elif tok.value == "machine":
-                items.append(self.machinedef())
+                self.machinedef()
             else:
                 raise ParseError(f"expected a definition, found {tok.value!r}",
                                  tok.line, tok.col)
-        return items
+        _resolve(doc.procs, self.refs["process"])
+        _resolve(doc.globals_, self.refs["global type"])
+        for comps, part in self.parts:
+            for sub in reachable_nodes(comps[part.value]):
+                if part.value in (sub.sender, sub.receiver):
+                    raise SelfCommunication(
+                        f"{part.value!r} communicates with itself",
+                        part.line, part.col)
+        for name, comps in doc.networks.items():
+            doc.networks[name] = Network(comps)
+        return doc
 
-    def procdef(self):
-        self.expect("proc")
-        name = self.name()
+    def termdef(self, keyword, what, defs):
+        name = self.head(keyword, defs)
         self.expect("=")
-        return ("proc", name, self.term("process"))
-
-    def globaldef(self):
-        self.expect("global")
-        name = self.name()
-        self.expect("=")
-        return ("global", name, self.term("global type"))
+        self.term(what, defs, name)
 
     def netdef(self):
-        self.expect("network")
-        name = self.name()
+        # the component map stands in for the network until names resolve
+        comps = {}
+        self.doc.networks[self.head("network", self.doc.networks)] = comps
         self.expect("{")
-        comps = [self.component()]
+        self.component(comps)
         while self.peek().value == ",":
             self.next()
-            comps.append(self.component())
+            self.component(comps)
         self.expect("}")
-        return ("network", name, comps)
 
-    def component(self):
+    def component(self, comps):
         part = self.name("participant")
+        if part.value in comps:
+            raise ParseError(f"participant {part.value!r} listed twice",
+                             part.line, part.col)
         self.expect("|>")
-        return (part, self.term("process"))
+        self.parts.append((comps, part))
+        self.term("process", comps, part.value)
 
     def queuedef(self):
-        self.expect("queue")
-        name = self.name()
+        name = self.head("queue", self.doc.queues)
         self.expect("=")
         self.expect("[")
         msgs = []
@@ -256,7 +284,7 @@ class _Parser:
                 self.next()
                 msgs.append(self.message())
         self.expect("]")
-        return ("queue", name, msgs)
+        self.doc.queues[name] = Queue.from_msgs(msgs)
 
     def message(self):
         sender = self.name("participant")
@@ -272,72 +300,84 @@ class _Parser:
 
     # ---- terms
 
-    def term(self, what):
-        """A term of a process, or of a global type when ``what`` is
-        "global type".  A process prefix ``q!`` or ``p?`` names the
-        partner only, a global one ``p q!`` or ``p q?`` both
-        participants."""
-        tok = self.next()
-        if tok.type != "ident" or tok.value in KEYWORDS - {"end"}:
-            raise ParseError(f"expected a {what}, found {tok.value!r}",
-                             tok.line, tok.col)
-        if tok.value == "end":
-            return ("end",)
-        names = [tok.value]
-        after = self.peek()
-        if what != "global type":
-            if after.value not in ("!", "?"):
-                return ("ref", tok.value, tok.line, tok.col)
-        elif after.type == "ident" and after.value not in KEYWORDS:
-            names.append(self.next().value)
-        else:
-            return ("ref", tok.value, tok.line, tok.col)
-        mark = self.next()
-        if mark.value not in ("!", "?"):
-            raise ParseError(
-                f"expected '!' or '?', found {mark.value!r}",
-                mark.line, mark.col)
-        kind = OUT if mark.value == "!" else IN
-        if len(names) == 1:
-            # a process leaves out its own participant, the one that moves
-            names.insert(0 if kind == OUT else 1, None)
-        elif names[0] == names[1]:
-            raise SelfCommunication(
-                f"participant {tok.value!r} talking to itself",
-                tok.line, tok.col)
-        return ("comm", kind, *names, self.choice(what), tok.line, tok.col)
+    def term(self, what, slots, key):
+        """Parses a term of a process, or of a global type when ``what``
+        is "global type", into ``slots[key]``.
 
-    def choice(self, what):
-        if self.peek().value != "{":
-            return (self.branch(what),)
-        brace = self.next()
-        if self.peek().value == "}":
-            raise EmptyChoice("a choice needs at least one branch",
-                              brace.line, brace.col)
-        branches = [self.branch(what)]
-        while self.peek().value == ",":
-            self.next()
-            branches.append(self.branch(what))
-        self.expect("}")
-        seen = set()
-        for lab, _ in branches:
-            if lab in seen:
-                raise DuplicateLabelInChoice(
-                    f"label {lab!r} appears twice in one choice",
-                    brace.line, brace.col)
-            seen.add(lab)
-        return tuple(branches)
-
-    def branch(self, what):
-        label = self.name("label")
-        self.expect(";")
-        return (label.value, self.term(what))
+        A process prefix ``q!`` or ``p?`` names the partner only, a
+        global one ``p q!`` or ``p q?`` both participants.  A name is
+        left in its slot as its token, and the slot is recorded for
+        ``_resolve``.  A prefix without braces has one branch, so the
+        loop walks down a ``;`` chain; each open ``{...}`` waits on
+        ``braces`` with its branch map, its brace and the first label
+        it repeats, which is reported once it closes.
+        """
+        is_global = what == "global type"
+        refs = self.refs[what]
+        braces = []
+        while True:
+            tok = self.next()
+            if tok.type != "ident" or tok.value in _DEFINERS:
+                raise ParseError(f"expected a {what}, found {tok.value!r}",
+                                 tok.line, tok.col)
+            after = self.tokens[self.pos]
+            if tok.value == "end" or not (
+                    after.type == "ident" and after.value not in KEYWORDS
+                    if is_global else after.value in ("!", "?")):
+                # a leaf: close the choices it completes, then go on
+                # with the next branch of the innermost open one
+                if tok.value == "end":
+                    slots[key] = gend()
+                else:
+                    slots[key] = tok
+                    refs.append((slots, key))
+                while braces and self.tokens[self.pos].value != ",":
+                    self.expect("}")
+                    _, brace, twice = braces.pop()
+                    if twice is not None:
+                        raise DuplicateLabelInChoice(
+                            f"label {twice!r} appears twice in one choice",
+                            brace.line, brace.col)
+                if not braces:
+                    return
+                self.next()
+                slots = braces[-1][0]
+            else:
+                names = ([tok.value, self.next().value] if is_global
+                         else [tok.value])
+                mark = self.next()
+                if mark.value not in ("!", "?"):
+                    raise ParseError(
+                        f"expected '!' or '?', found {mark.value!r}",
+                        mark.line, mark.col)
+                kind = OUT if mark.value == "!" else IN
+                if len(names) == 1:
+                    # a process leaves out its own participant, the one
+                    # that moves
+                    names.insert(0 if kind == OUT else 1, None)
+                elif names[0] == names[1]:
+                    raise SelfCommunication(
+                        f"participant {tok.value!r} talking to itself",
+                        tok.line, tok.col)
+                node = slots[key] = GNode(kind, *names)
+                slots = node.branches
+                if self.tokens[self.pos].value == "{":
+                    brace = self.next()
+                    if self.tokens[self.pos].value == "}":
+                        raise EmptyChoice("a choice needs at least one branch",
+                                          brace.line, brace.col)
+                    braces.append([slots, brace, None])
+            key = self.name("label").value
+            self.expect(";")
+            if key in slots and braces[-1][2] is None:
+                # a new node's map is empty, so ``slots`` is the brace's
+                braces[-1][2] = key
 
     # ---- machines
 
     def machinedef(self):
-        head = self.expect("machine")
-        name = self.name()
+        head = self.peek()
+        name = self.head("machine", self.doc.machines)
         self.expect("{")
         states = input_ = gamma = None
         bottom = start = None
@@ -387,11 +427,10 @@ class _Parser:
                 raise ParseError(f"machine without {part}",
                                  head.line, head.col)
         try:
-            machine = QueueMachine(states, input_ or (), gamma, bottom,
-                                   start, delta)
+            self.doc.machines[name] = QueueMachine(
+                states, input_ or (), gamma, bottom, start, delta)
         except ValueError as err:
             raise ParseError(str(err), head.line, head.col) from None
-        return ("machine", name, machine)
 
     def symbols_until_semi(self, allow_empty=False):
         syms = []
@@ -408,110 +447,41 @@ class _Parser:
         return tuple(syms)
 
 
-# ---------------------------------------------------------------------------
-# name resolution
+def _resolve(defs: dict, refs: list) -> None:
+    """Swaps the name tokens the parser left in ``defs`` and in the
+    slots ``refs`` lists for nodes.
 
-
-class _Resolver:
-    """Turns term asts into graphs, wiring named references.
-
-    Names resolve in two phases: first every definition is pinned to a
-    node, following alias chains like ``proc A = B`` but not entering
-    any choice, so an unguarded cycle is a chain of pure aliases;
-    then the branch maps are filled, at which point every name is
-    already pinned and back references just wire edges.
+    A definition that is a bare name, like ``proc A = B``, first takes
+    the node at the end of its alias chain.  A chain that comes back to
+    one of its names never passes a communication, so it is rejected.
+    Every other name is then an edge to its definition's node.
     """
+    for name, body in defs.items():
+        chain = {name: None}  # ordered, with O(1) membership
+        while isinstance(body, Token):
+            if body.value in chain:
+                raise ParseError(
+                    f"unguarded cycle {' = '.join(chain)} = {body.value}",
+                    body.line, body.col)
+            chain[body.value] = None
+            body = _definition(defs, body)
+        for link in chain:
+            defs[link] = body
+    for slots, key in refs:
+        if isinstance(slots[key], Token):
+            slots[key] = _definition(defs, slots[key])
 
-    def __init__(self, defs: dict):
-        self.defs = defs
-        self.built = {}
-        self.visiting = []
 
-    def resolve_all(self):
-        for name in self.defs:
-            self.node_for(name, 0, 0)
-        for name, ast in self.defs.items():
-            if ast[0] == "comm":
-                self.fill(self.built[name], ast)
-
-    def node_for(self, name, line, col):
-        if name in self.built:
-            return self.built[name]
-        if name not in self.defs:
-            raise UnboundName(f"undefined name {name!r}", line, col)
-        if name in self.visiting:
-            chain = " = ".join(self.visiting + [name])
-            raise ParseError(f"unguarded cycle {chain}", line, col)
-        ast = self.defs[name]
-        if ast[0] == "comm":
-            self.built[name] = GNode(*ast[1:4])
-        elif ast[0] == "end":
-            self.built[name] = gend()
-        else:
-            self.visiting.append(name)
-            self.built[name] = self.node_for(ast[1], ast[2], ast[3])
-            self.visiting.pop()
-        return self.built[name]
-
-    def fill(self, shell, ast):
-        for label, sub in ast[4]:
-            shell.branches[label] = self.build(sub)
-
-    def build(self, ast):
-        if ast[0] == "end":
-            return gend()
-        if ast[0] == "ref":
-            return self.node_for(ast[1], ast[2], ast[3])
-        shell = GNode(*ast[1:4])
-        self.fill(shell, ast)
-        return shell
+def _definition(defs: dict, name: Token):
+    if name.value not in defs:
+        raise UnboundName(f"undefined name {name.value!r}",
+                          name.line, name.col)
+    return defs[name.value]
 
 
 def parse(text: str) -> Document:
     """Parse a definition file into resolved graphs."""
-    items = _Parser(text).document()
-    doc = Document()
-    proc_defs = {}
-    gty_defs = {}
-    placed = {}
-    for item in items:
-        tag, name = item[0], item[1]
-        if name.value in placed.get(tag, set()):
-            raise ParseError(f"duplicate {tag} definition {name.value!r}",
-                             name.line, name.col)
-        placed.setdefault(tag, set()).add(name.value)
-        if tag == "proc":
-            proc_defs[name.value] = item[2]
-        elif tag == "global":
-            gty_defs[name.value] = item[2]
-    procs = _Resolver(proc_defs)
-    gtys = _Resolver(gty_defs)
-    procs.resolve_all()
-    gtys.resolve_all()
-    doc.procs.update(procs.built)
-    doc.globals_.update(gtys.built)
-    for item in items:
-        tag, name = item[0], item[1]
-        if tag == "network":
-            comps = {}
-            for part, ast in item[2]:
-                if part.value in comps:
-                    raise ParseError(
-                        f"participant {part.value!r} listed twice",
-                        part.line, part.col)
-                node = procs.build(ast)
-                for sub in reachable_nodes(node):
-                    if part.value in (sub.sender, sub.receiver):
-                        raise SelfCommunication(
-                            f"{part.value!r} communicates with itself",
-                            part.line, part.col)
-                comps[part.value] = node
-            doc.networks[name.value] = Network(comps)
-        elif tag == "queue":
-            doc.queues[name.value] = Queue.from_msgs(item[2])
-        elif tag == "machine":
-            doc.machines[name.value] = item[2]
-    return doc
+    return _Parser(text).document()
 
 
 # ---------------------------------------------------------------------------
@@ -519,14 +489,14 @@ def parse(text: str) -> Document:
 
 
 def _needs_name(root):
-    """Nodes that get a definition of their own: the root, shared
-    nodes, and targets of back edges; returned in discovery order."""
+    """Nodes that get a definition of their own, in discovery order:
+    the root, shared nodes, and targets of back edges."""
     indeg = {}
     for node in reachable_nodes(root):
         for child in node.branches.values():
             indeg[id(child)] = indeg.get(id(child), 0) + 1
     marked = {id(root)}
-    order = [id(root)]
+    order = [root]
     state = {id(root): "open"}
     stack = [[root, [root.branches[l] for l in sorted(root.branches)], 0]]
     while stack:
@@ -542,54 +512,60 @@ def _needs_name(root):
             # back edge; its target starts a cycle
             if id(child) not in marked:
                 marked.add(id(child))
-                order.append(id(child))
+                order.append(child)
         elif status is None:
             if (child.kind != END and indeg.get(id(child), 0) >= 2
                     and id(child) not in marked):
                 # ends print inline even when shared
                 marked.add(id(child))
-                order.append(id(child))
+                order.append(child)
             state[id(child)] = "open"
             stack.append([child,
                           [child.branches[l] for l in sorted(child.branches)],
                           0])
-    return marked, order
+    return order
 
 
-def _aux_names(root, base):
-    marked, order = _needs_name(root)
-    names = {}
-    for i, nid in enumerate(order):
-        names[nid] = base if i == 0 else f"{base}_{i}"
-    return names
-
-
-def _fmt_term(node, names, at_def):
-    if node.kind == END:
-        return "end"
-    if not at_def and id(node) in names:
-        return names[id(node)]
-    parts = []
-    for lab in sorted(node.branches):
-        sub = _fmt_term(node.branches[lab], names, False)
-        parts.append(f"{lab}; {sub}")
-    # the participants the node names: both in a global type, the
-    # partner alone in a process
-    who = " ".join(filter(None, (node.sender, node.receiver)))
-    head = f"{who}{'!' if node.kind == OUT else '?'}"
-    if len(parts) == 1:
-        return f"{head}{parts[0]}"
-    return f"{head}{{{', '.join(parts)}}}"
+def _fmt_term(root, names, out):
+    """Appends the body of ``root``'s definition to ``out``.  Below the
+    root a node prints as its name if it has one and inline otherwise;
+    ``stack`` holds what is still to be written, the next piece last."""
+    stack = [root]
+    at_def = True
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            out.append(node)
+        elif node.kind == END:
+            out.append("end")
+        elif not at_def and id(node) in names:
+            out.append(names[id(node)])
+        else:
+            at_def = False
+            # the participants the node names: both in a global type,
+            # the partner alone in a process
+            who = " ".join(filter(None, (node.sender, node.receiver)))
+            out.append(f"{who}{'!' if node.kind == OUT else '?'}")
+            labs = sorted(node.branches)
+            if len(labs) != 1:
+                out.append("{")
+                stack.append("}")
+            for i in range(len(labs) - 1, -1, -1):
+                stack.append(node.branches[labs[i]])
+                stack.append(f", {labs[i]}; " if i else f"{labs[i]}; ")
 
 
 def _fmt_defs(root, base, keyword) -> str:
-    names = _aux_names(root, base)
-    by_id = {id(n): n for n in reachable_nodes(root)}
-    lines = []
-    for nid, name in names.items():
-        body = _fmt_term(by_id[nid], names, True)
-        lines.append(f"{keyword} {name} = {body}")
-    return "\n".join(lines)
+    named = _needs_name(root)
+    names = {id(node): f"{base}_{i}" if i else base
+             for i, node in enumerate(named)}
+    out = []
+    for node in named:
+        out.append(f"{keyword} {names[id(node)]} = ")
+        _fmt_term(node, names, out)
+        out.append("\n")
+    out.pop()
+    return "".join(out)
 
 
 def format_gtype(g: GNode, name: str = "G") -> str:

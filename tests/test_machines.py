@@ -46,6 +46,16 @@ class TestValidation:
             QueueMachine(("s",), ("a",), ("a", "$"), "$", "s",
                          {("s", "a"): ("t", ()), ("s", "$"): ("s", ())})
 
+    def test_repeated_state_or_symbol(self):
+        # the printer writes a delta row per listed state and symbol,
+        # so a repeat would print every row of it twice
+        delta = {("s", "a"): ("s", ()), ("s", "$"): ("s", ())}
+        for args, what in (((("s", "s"), ("a",), ("a", "$")), "state"),
+                           ((("s",), ("a", "a"), ("a", "$")), "input"),
+                           ((("s",), ("a",), ("a", "$", "a")), "queue")):
+            with pytest.raises(ValueError, match=f"^{what}.* listed twice"):
+                QueueMachine(*args, "$", "s", delta)
+
 
 class TestRuns:
     def test_eraser_accepts_everything(self):

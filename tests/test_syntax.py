@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from operator import eq
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpst.syntax import (
     DuplicateLabelInChoice,
@@ -21,8 +23,9 @@ from mpst.syntax import (
     parse,
 )
 from mpst.terms import Msg, Network, Queue, bisimilar, gend, reachable_nodes
-from conftest import load_protocol
-from gen import random_gnode, random_machine, random_network, random_queue
+from conftest import PROTOCOLS, load_protocol
+from gen import chain, chain_network, random_gnode, random_machine, \
+    random_network, random_pnode, random_queue
 from zoo import burst_choice, copy_loop, depth_example, eraser, growing, \
     hospital, mp, parity, stuck_reader, unread_branch
 
@@ -189,6 +192,13 @@ class TestParseErrors:
                   ' bottom $; start s; delta (s, a) -> (s, "");'
                   ' delta (s, a) -> (s, "a"); delta (s, $) -> (s, ""); }')
 
+    def test_machine_repeated_state(self):
+        with pytest.raises(ParseError, match="listed twice") as err:
+            parse("machine M { states s s; input a; queue_alphabet a $;"
+                  ' bottom $; start s; delta (s, a) -> (s, "");'
+                  ' delta (s, $) -> (s, ""); }')
+        assert (err.value.line, err.value.col) == (1, 1)
+
     def test_machine_missing_section(self):
         with pytest.raises(ParseError, match="without"):
             parse("machine M { states s; }")
@@ -272,3 +282,88 @@ class TestRoundTrips:
     def test_machine_fixture_roundtrip(self):
         for machine in (copy_loop(), eraser(), parity()):
             assert parse(format_machine(machine, "M")).machines["M"] == machine
+
+
+DEEP = 10**4
+
+
+class TestDeepInputs:
+    """Terms parse and print with loops, so depth has no limit."""
+
+    def test_chain(self):
+        text = "global G = " + "p q!l; p q?l; " * DEEP + "end"
+        assert bisimilar(parse(text).globals_["G"], chain(DEEP))
+
+    def test_nested_choices(self):
+        text = "proc P = " + "q!{l; " * DEEP + "end" + "}" * DEEP
+        assert len(reachable_nodes(parse(text).procs["P"])) == DEEP + 1
+
+    def test_alias_chain(self):
+        text = "".join(f"proc A{i} = A{i + 1}\n" for i in range(DEEP))
+        procs = parse(text + f"proc A{DEEP} = q!l; A0").procs
+        assert len({id(node) for node in procs.values()}) == 1
+
+    def test_network_component(self):
+        text = ("network N { p |> " + "q!l; " * DEEP + "end, q |> "
+                + "p?l; " * DEEP + "end }")
+        assert parse(text).networks["N"] == chain_network(DEEP)
+
+    def test_printing_round_trips(self):
+        g = chain(DEEP)
+        assert bisimilar(parse(format_gtype(g)).globals_["G"], g)
+        net = chain_network(DEEP)
+        p = net.get("p")
+        assert bisimilar(parse(format_proc(p)).procs["P"], p)
+        assert parse(format_network(net)).networks["N"] == net
+
+
+# every kind of token, a comment, a lone quote and stray characters
+_PIECES = ["p", "q", "l", "A", "$", "s0", "proc", "global", "network",
+           "queue", "machine", "end", "states", "input", "queue_alphabet",
+           "bottom", "start", "delta", "=", "{", "}", "(", ")", ",", ";",
+           "!", "?", "[", "]", ":", "->", "|>", "-", "|", '"', '"a $"',
+           "//", "#"]
+
+
+class TestFuzzing:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_PIECES),
+                              st.sampled_from(["", " ", "\n"])),
+                    max_size=40))
+    def test_any_text_raises_only_source_errors(self, pieces):
+        try:
+            parse("".join(piece + gap for piece, gap in pieces))
+        except SourceError:
+            pass
+
+    def test_every_prefix_of_the_protocols(self):
+        # each cut reaches an end of file in some other state
+        for path in sorted(PROTOCOLS.glob("*.mps")):
+            text = path.read_text()
+            for cut in range(len(text)):
+                try:
+                    parse(text[:cut])
+                except SourceError:
+                    pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_printing_round_trips(self, seed):
+        rng = random.Random(seed)
+        g = random_gnode(rng)
+        p = random_pnode(rng, "p")
+        net = random_network(rng)
+        queue = random_queue(rng)
+        machine = random_machine(rng)
+        cases = [
+            (g, format_gtype, lambda doc: doc.globals_["G"], bisimilar),
+            (p, format_proc, lambda doc: doc.procs["P"], bisimilar),
+            (net, format_network, lambda doc: doc.networks["N"], eq),
+            (queue, format_queue, lambda doc: doc.queues["Q"], eq),
+            (machine, format_machine, lambda doc: doc.machines["M"], eq),
+        ]
+        for value, fmt, pick, same in cases:
+            text = fmt(value)
+            back = pick(parse(text))
+            assert same(back, value), text
+            assert fmt(back) == text
