@@ -12,9 +12,10 @@ reachable lockstep states once, breadth-first, with ``horizon``
 bounding the depth.  It names a state by the bisimilarity blocks of its
 processes, from one partition refinement of the start network's graphs,
 and by its queue, and keeps of a state only that name and its links.
-A failed obligation is found on the strongly connected components of
-the explored graph and reported as a lasso: a shortest trace to a
-state, then a cycle back to it.
+A state where nobody can move and something is owed is reported when
+it is generated.  A failed obligation is found on the strongly
+connected components of the explored graph and reported as a lasso: a
+shortest trace to a state, then a cycle back to it.
 """
 
 from __future__ import annotations
@@ -358,19 +359,22 @@ def _lasso(edges, owes):
         for v in _on_cycle(sub, unserved):
             if ob in owed[v]:
                 if best is None or v < best[0]:
-                    best = (v, ob, sub)
+                    best = (v, sub)
                 break
     if best is None:
         return None
-    start, ob, sub = best
-    # breadth-first search for the shortest way back to start
+    start, sub = best
+    # breadth-first search for the shortest way back to start inside its
+    # sub-SCC.  No round between two of its states serves the
+    # obligation: each of them leaves by a round that does not, and
+    # whether a round serves it depends only on the state it leaves
     back = {}
     frontier = [start]
     while start not in back:
         nxt = []
         for v in frontier:
-            for j, k, served in edges[v]:
-                if ob in served or sub.get(j) != sub[start] or j in back:
+            for j, k, _ in edges[v]:
+                if sub.get(j) != sub[start] or j in back:
                     continue
                 back[j] = (v, k)
                 nxt.append(j)
@@ -413,19 +417,18 @@ def check_liveness(session: Session, horizon: int = 50,
     kept as that key, its parent link and, once expanded, its edges; to
     expand it, a session is rebuilt from the key with one node standing
     for each block.  A state where nobody can move and something is
-    still owed yields its shortest trace.  Such a state is looked for
-    when it is expanded, and in the next layer before each cycle check
-    and at the end, so the first one generated is reported before
-    anything found later.  The strongly connected components of the
-    explored graph are checked after the first layer that closes a
-    cycle, then once the expanded states have doubled since the last
-    check, and after the last layer.  A failed obligation yields a
-    lasso: a shortest trace to a state that owes it, followed by a
-    cycle back to that state on which it is never served, so the trace
-    ends in a state it passed before.  A returned trace is replayed
-    from ``session``.  Otherwise the result is Verified, weakened to
-    HorizonExceeded if some state at depth ``horizon`` could still
-    move.
+    still owed yields its shortest trace.  Each state is tested for this
+    once, on the session that generated it, so the first one generated
+    is reported before anything found later.  The strongly connected
+    components of the explored graph are checked after the first layer
+    that closes a cycle, then once the expanded states have doubled
+    since the last check, and after the last layer.  A failed obligation
+    yields a lasso: a shortest trace to a state that owes it, followed
+    by a cycle back to that state on which it is never served, so the
+    trace ends in a state it passed before.  A returned trace is
+    replayed from ``session``.  Otherwise the result is Verified,
+    weakened to HorizonExceeded if some state at depth ``horizon`` could
+    still move.
     """
     nodes = {}
     for _, proc in session.net.items():
@@ -452,22 +455,24 @@ def check_liveness(session: Session, horizon: int = 50,
     # a round is named by its position in _rounds of its state
     parent = [None]  # (predecessor, round) on a shortest trace
     edges = []  # per expanded state: (successor, round, obligations served)
-    def scan(states):
-        """The trace to the first of ``states`` where nobody can move and
-        something is owed, or else whether one of them can move.  The
-        options of a state are built once, and only for states that owe
-        something or come before the first one that can move."""
-        moves = False
-        for v in states:
-            owing = owes(v)
-            if owing or not moves:
-                if _options_by_player(rebuild(v)):
-                    moves = True
-                elif owing:
-                    return CounterexampleTrace(
-                        _replay(session, _path(parent, v, 0)))
-        return moves
+    truncated = False  # a state at depth horizon can move
 
+    def stuck(s, v, deep):
+        """Whether nobody can move in the new state ``v``, whose session
+        is ``s``, while it owes something.  Options are built only for a
+        state that owes something, and for states at depth ``horizon``
+        (``deep``) until one of them can move."""
+        nonlocal truncated
+        owing = owes(v)
+        if owing or deep and not truncated:
+            if _options_by_player(s):
+                truncated = truncated or deep
+            else:
+                return bool(owing)
+        return False
+
+    if stuck(session, 0, horizon <= 0):
+        return CounterexampleTrace(())
     first = 0
     checked = 0  # states expanded at the last cycle check
     unchecked = False  # an edge closed a cycle since then
@@ -477,17 +482,18 @@ def check_liveness(session: Session, horizon: int = 50,
             break
         for i in range(first, layer_end):
             current = rebuild(i)
-            opts = _options_by_player(current)
-            if not opts and owes(i):
-                return CounterexampleTrace(_replay(session, _path(parent, i, 0)))
             out = []
             # a state with no options is stuck and owes nothing: completed
-            for k, combo in enumerate(_rounds(opts)):
-                key = ident(_apply(current, combo))
+            for k, combo in enumerate(_rounds(_options_by_player(current))):
+                s = _apply(current, combo)
+                key = ident(s)
                 j = index.setdefault(key, len(keys))
                 if j == len(keys):
                     keys.append(key)
                     parent.append((i, k))
+                    if stuck(s, j, depth == horizon - 1):
+                        return CounterexampleTrace(
+                            _replay(session, _path(parent, j, 0)))
                 elif j < layer_end:
                     # a cycle can only close on an edge that does not
                     # lead one layer deeper
@@ -500,16 +506,10 @@ def check_liveness(session: Session, horizon: int = 50,
         # is found within twice the states it needs
         last = depth == horizon - 1 or first == len(keys)
         if unchecked and (last or len(edges) >= 2 * checked):
-            found = scan(range(first, len(keys)))
-            if isinstance(found, CounterexampleTrace):
-                return found
             bad = _lasso(edges, owes)
             if bad is not None:
                 start, cycle = bad
                 return CounterexampleTrace(
                     _replay(session, _path(parent, start, 0) + cycle))
             checked, unchecked = len(edges), False
-    found = scan(range(first, len(keys)))
-    if isinstance(found, CounterexampleTrace):
-        return found
-    return HorizonExceeded(horizon) if found else Verified()
+    return HorizonExceeded(horizon) if truncated else Verified()

@@ -490,40 +490,17 @@ def parse(text: str) -> Document:
 
 def _needs_name(root):
     """Nodes that get a definition of their own, in discovery order:
-    the root, shared nodes, and targets of back edges."""
+    the root, and every node other than an end with two or more incoming
+    edges.  A back edge's target other than the root is also reached by
+    the tree edge that discovered it, so cycles are cut at named nodes."""
+    nodes = reachable_nodes(root)
     indeg = {}
-    for node in reachable_nodes(root):
+    for node in nodes:
         for child in node.branches.values():
             indeg[id(child)] = indeg.get(id(child), 0) + 1
-    marked = {id(root)}
-    order = [root]
-    state = {id(root): "open"}
-    stack = [[root, [root.branches[l] for l in sorted(root.branches)], 0]]
-    while stack:
-        node, kids, i = stack[-1]
-        if i == len(kids):
-            state[id(node)] = "done"
-            stack.pop()
-            continue
-        stack[-1][2] += 1
-        child = kids[i]
-        status = state.get(id(child))
-        if status == "open":
-            # back edge; its target starts a cycle
-            if id(child) not in marked:
-                marked.add(id(child))
-                order.append(child)
-        elif status is None:
-            if (child.kind != END and indeg.get(id(child), 0) >= 2
-                    and id(child) not in marked):
-                # ends print inline even when shared
-                marked.add(id(child))
-                order.append(child)
-            state[id(child)] = "open"
-            stack.append([child,
-                          [child.branches[l] for l in sorted(child.branches)],
-                          0])
-    return order
+    # ends print inline even when shared
+    return [root] + [node for node in nodes[1:]
+                     if node.kind != END and indeg[id(node)] >= 2]
 
 
 def _fmt_term(root, names, out):
@@ -555,38 +532,46 @@ def _fmt_term(root, names, out):
                 stack.append(f", {labs[i]}; " if i else f"{labs[i]}; ")
 
 
-def _fmt_defs(root, base, keyword) -> str:
-    named = _needs_name(root)
-    names = {id(node): f"{base}_{i}" if i else base
-             for i, node in enumerate(named)}
-    out = []
-    for node in named:
-        out.append(f"{keyword} {names[id(node)]} = ")
-        _fmt_term(node, names, out)
-        out.append("\n")
-    out.pop()
-    return "".join(out)
+def _fmt_defs(roots, keyword) -> list:
+    """The definitions for each ``(root, name)`` of ``roots``: the root
+    under its name, and every other node that needs one under that name
+    with the next suffix ``_1``, ``_2``, ... that is not a root's name.
+    The roots' names are distinct and suffixes are digits, so no name
+    is defined twice."""
+    reserved = {base for _, base in roots}
+    defs = []
+    for root, base in roots:
+        named = _needs_name(root)
+        names = {id(root): base}
+        i = 0
+        for node in named[1:]:
+            i += 1
+            while f"{base}_{i}" in reserved:
+                i += 1
+            names[id(node)] = f"{base}_{i}"
+        for node in named:
+            out = [f"{keyword} {names[id(node)]} = "]
+            _fmt_term(node, names, out)
+            defs.append("".join(out))
+    return defs
 
 
 def format_gtype(g: GNode, name: str = "G") -> str:
-    return _fmt_defs(g, name, "global")
+    return "\n".join(_fmt_defs([(g, name)], "global"))
 
 
 def format_proc(p: GNode, name: str = "P") -> str:
-    return _fmt_defs(p, name, "proc")
+    return "\n".join(_fmt_defs([(p, name)], "proc"))
 
 
 def format_network(net: Network, name: str = "N") -> str:
     """Definitions for every component followed by the network line."""
-    lines = []
-    comps = []
-    for part, proc in net.items():
-        pname = f"{name}_{part}"
-        lines.append(format_proc(proc, pname))
-        comps.append(f"{part} |> {pname}")
+    roots = [(proc, f"{name}_{part}") for part, proc in net.items()]
+    comps = [f"{part} |> {name}_{part}" for part, _ in net.items()]
     if not comps:
         # grammar wants a component, and ended ones are dropped anyway
         comps.append("p |> end")
+    lines = _fmt_defs(roots, "proc")
     lines.append(f"network {name} {{ {', '.join(comps)} }}")
     return "\n".join(lines)
 

@@ -6,7 +6,8 @@ refinement for bisimilarity, path enumeration for depth
 and weight, recursive path walks for readability and deep
 readability, breadth-first closure for the type-indexed queue
 equivalence, recursive walks with path hypotheses for agreement and
-inductive balancing, a straight-line queue machine interpreter,
+inductive balancing, a checker that re-derives every rule of a
+balancing derivation, a straight-line queue machine interpreter,
 uncached steppers for sessions and type configurations, and path
 enumeration over every lockstep schedule for liveness.  The session
 oracles take every step through ``oracle_session_successors``, never
@@ -350,6 +351,68 @@ def oracle_inductive(g, queue, weak, max_revisits, mod_g):
     if derivation is None:
         return Unknown()
     return Accept(derivation)
+
+
+def _split(prefix, whole):
+    """``whole`` without ``prefix`` at the front of each channel, or
+    None when ``prefix`` does not start it."""
+    lanes = _lanes(whole)
+    for chan, want in _lanes(prefix).items():
+        have = lanes.get(chan, ())
+        if have[:len(want)] != want:
+            return None
+        lanes[chan] = have[len(want):]
+    return Queue(lanes)
+
+
+def oracle_check_derivation(g, queue, derivation, weak, mod_g) -> bool:
+    """Whether ``derivation`` derives ``g`` with ``queue`` by the rules
+    of inductive balancing, every premise recomputed by the oracles:
+
+    - each rule has the type and queue its parent hands down;
+    - ib-End: an End with the empty queue;
+    - ib-In: an input that reads the head of its channel, into the
+      branch of that label;
+    - ib-Out: an output with one subderivation per branch, each with
+      its label appended to the queue;
+    - ib-In and ib-Out, unless ``weak``: the queue is readable there;
+    - ib-Cycle: an ib-In or ib-Out on the leaf's own path has the same
+      node and the hypothesis queue; the queue is that queue followed by
+      the recorded suffix, which agrees with the node and, unless
+      ``weak``, is deeply readable while the hypothesis queue is
+      readable.
+    """
+
+    def go(d, node, q, path):
+        if d["type"] is not node or d["queue"] != q:
+            return False
+        if d["rule"] == "ib-End":
+            return node.kind == "end" and q.is_empty
+        if d["rule"] == "ib-Cycle":
+            hq = d["hypothesis_queue"]
+            suffix = _split(hq, q)
+            return (any(n is node and nq == hq for n, nq in path)
+                    and suffix is not None and d["suffix"] == suffix
+                    and oracle_agree(node, suffix, mod_g)
+                    and (weak or oracle_dread(node, suffix)
+                         and oracle_read(node, hq)))
+        if node.kind == "end" or not (weak or oracle_read(node, q)):
+            return False
+        grown = path + ((node, q),)
+        chan = (node.sender, node.receiver)
+        if d["rule"] == "ib-Out":
+            return (node.kind == "out"
+                    and set(d["branches"]) == set(node.branches)
+                    and all(go(d["branches"][lab], child,
+                               q.push(chan[0], lab, chan[1]), grown)
+                            for lab, child in node.branches.items()))
+        head = q.head(*chan)
+        return (d["rule"] == "ib-In" and node.kind == "in"
+                and head in node.branches and d["label"] == head
+                and go(d["branch"], node.branches[head], q.pop(*chan)[1],
+                       grown))
+
+    return go(derivation, g, queue, ())
 
 
 # ---------------------------------------------------------------------------

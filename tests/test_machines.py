@@ -46,6 +46,22 @@ class TestValidation:
             QueueMachine(("s",), ("a",), ("a", "$"), "$", "s",
                          {("s", "a"): ("t", ()), ("s", "$"): ("s", ())})
 
+    @pytest.mark.parametrize("args,message", [
+        (((), ("a",), ("a", "$"), "$", "s", {}),
+         "machine needs at least one state"),
+        ((("s",), ("a", "b"), ("a", "$"), "$", "s",
+          {("s", "a"): ("s", ()), ("s", "$"): ("s", ())}),
+         "input alphabet must embed in the queue alphabet"),
+        ((("s",), ("a",), ("a", "$"), "$", "s",
+          {("s", "a"): ("s", ("z",)), ("s", "$"): ("s", ())}),
+         "delta row (s, a) uses unknown symbol"),
+    ], ids=["no-state", "input-not-queue", "unknown-symbol"])
+    def test_rejected_definitions(self, args, message):
+        with pytest.raises(ValueError) as err:
+            QueueMachine(*args)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
     def test_repeated_state_or_symbol(self):
         # the printer writes a delta row per listed state and symbol,
         # so a repeat would print every row of it twice

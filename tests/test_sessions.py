@@ -133,6 +133,16 @@ class TestLockstep:
             ({"p->q!l", "r->q?lp", "r->q!lp"}, 4),
         ]
 
+    def test_simulate_stops_at_quiescence(self):
+        # after p's send, q reads only lp while the queue holds l, so
+        # nothing is enabled and both kinds of step stop there
+        s = fresh(mp().net)
+        for rounds in (False, True):
+            trace = list(simulate(s, max_steps=5, lockstep_rounds=rounds))
+            assert [step.step for step in trace] == [1]
+            assert {str(c) for c in trace[0].delta} == {"p->q!l"}
+            assert classify(trace[0].session) is Classification.DEADLOCKED
+
     def test_order_independence(self):
         rng = random.Random(67)
         checked = 0
@@ -295,6 +305,50 @@ class TestLiveness:
         assert isinstance(result, CounterexampleTrace)
         assert isinstance(oracle_liveness(session, 20, mode),
                           CounterexampleTrace)
+
+    def test_deadlock_generated_before_a_cycle_check_wins(self):
+        # r waits forever.  After a, p and q loop from the second round
+        # on, so the third round closes a cycle on which r is never
+        # served.  After b and c, p and q end in that same third round
+        # and leave r stuck: that deadlock is generated before the cycle
+        # check after the round, so it is reported, not the lasso
+        session = fresh(Network({
+            "p": pout("q", {"a": _loop_out("q", "x"),
+                            "b": pout("q", {"c": pend()})}),
+            "q": pin("p", {"a": _loop_in("p", "x"),
+                           "b": pin("p", {"c": pend()})}),
+            "r": pin("p", {"z": pend()}),
+        }))
+        result = check_liveness(session, 10)
+        assert isinstance(result, CounterexampleTrace)
+        assert [{str(c) for c in delta} for delta, _ in result.trace] == [
+            {"p->q!b"}, {"p->q!c", "p->q?b"}, {"p->q?c"}]
+        final = result.trace[-1][1]
+        assert final.net.players() == {"r"} and final.queue.is_empty
+        assert _genuine(session, result.trace, LivenessMode.INPUT_ENABLING)
+
+    def test_lasso_returns_on_rounds_that_keep_the_obligation(self):
+        # p loops through four sends of a to q, which reads each one a
+        # round later, while r waits.  From the start, b, m and a come
+        # back in three rounds, but r reads m on the last of them; the
+        # lasso must take the four rounds of a on which r is never served
+        ring = [pout("q") for _ in range(4)]
+        for i, node in enumerate(ring[1:], 1):
+            node.branches["a"] = ring[(i + 1) % 4]
+        ring[0].branches.update(
+            a=ring[1], b=pout("r", {"m": pout("q", {"a": ring[0]})}))
+        q = _loop_in("p", "a")
+        q.branches["b"] = q
+        session = fresh(Network({"p": ring[0], "q": q,
+                                 "r": _loop_in("p", "m")}),
+                        Queue().push("p", "a", "q"))
+        mode = LivenessMode.INPUT_ENABLING
+        result = check_liveness(session, 10, mode)
+        assert isinstance(result, CounterexampleTrace)
+        assert [{str(c) for c in delta} for delta, _ in result.trace] == [
+            {"p->q!a", "p->q?a"}] * 4
+        assert _same(result.trace[-1][1], session)
+        assert _genuine(session, result.trace, mode)
 
     def test_independent_pairs_verified(self):
         # pairs(3) has 9 reachable states, all explored within 4 rounds

@@ -181,6 +181,27 @@ class TestParseErrors:
         else:
             pytest.fail("expected a duplicate label error")
 
+    @pytest.mark.parametrize("text,message,line,col", [
+        ("network N { p |> end,\n  p |> end }",
+         "participant 'p' listed twice", 2, 3),
+        ("proc P = q!l; global G = end",
+         "expected a process, found 'global'", 1, 15),
+        ("global G = p q l; end", "expected '!' or '?', found 'l'", 1, 16),
+        ("machine M {\n  states s; input a; queue_alphabet a $;"
+         " bottom $; start s;\n  delta (s, a) -> (s, a); }",
+         "expected a quoted word", 3, 23),
+        ("machine M {\n  states s, t; }", "expected a symbol, found ','",
+         2, 11),
+        ("machine M {\n  states ; }", "empty symbol list", 2, 12),
+    ], ids=["participant-twice", "definer-as-term", "missing-mark",
+            "unquoted-word", "non-symbol", "empty-symbols"])
+    def test_parse_error_positions(self, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert type(err.value) is ParseError
+        assert (err.value.message, err.value.line, err.value.col) == (
+            message, line, col)
+
     def test_machine_must_be_total(self):
         with pytest.raises(ParseError, match="misses"):
             parse("machine M { states s; input a; queue_alphabet a $;"
@@ -236,6 +257,19 @@ class TestPrinting:
         doc = parse("global G = p q!{a; H, b; H}  global H = q r!x; end")
         text = format_gtype(doc.globals_["G"], "G")
         assert text.count("q r!x") == 1
+
+    def test_network_names_do_not_clash(self):
+        # the component p needs a second definition, whose first-choice
+        # name N_p_1 is the name of the component p_1
+        doc = parse("proc A = q!{a; A, b; B}  proc B = q!{c; A, d; B}"
+                    "  proc C = q?{x; end}  network N { p |> A, p_1 |> C }")
+        text = format_network(doc.networks["N"], "N")
+        assert text == (
+            "proc N_p = q!{a; N_p, b; N_p_2}\n"
+            "proc N_p_2 = q!{c; N_p, d; N_p_2}\n"
+            "proc N_p_1 = q?x; end\n"
+            "network N { p |> N_p, p_1 |> N_p_1 }")
+        assert parse(text).networks["N"] == doc.networks["N"]
 
     def test_end_only(self):
         assert format_gtype(gend(), "G") == "global G = end"

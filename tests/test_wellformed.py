@@ -7,10 +7,11 @@ import random
 import pytest
 
 from mpst.machines import Accepted, encode_config, qm_run, qm_start
-from mpst.terms import Msg, Queue, gend, gout, reachable_nodes
+from mpst.terms import Msg, Queue, gend, gin, gout, reachable_nodes
 from mpst.wellformed import (
     INF,
     Accept,
+    ChannelMismatch,
     agree,
     balanced_inductive,
     bounded,
@@ -35,6 +36,7 @@ from gen import (
 )
 from oracles import (
     oracle_agree,
+    oracle_check_derivation,
     oracle_depth,
     oracle_dread,
     oracle_indistinguishable,
@@ -119,6 +121,11 @@ class TestQueueEquivalence:
             m1, m2 = Msg(sender, a, receiver), Msg(sender, b, receiver)
             assert (indistinguishable(m1, m2, g)
                     == oracle_indistinguishable(m1, m2, g))
+
+    def test_messages_on_different_channels(self):
+        with pytest.raises(ChannelMismatch) as err:
+            indistinguishable(Msg("p", "a", "q"), Msg("p", "a", "r"), gend())
+        assert str(err.value) == "p->q:a and p->r:a travel on different channels"
 
     def test_queue_equiv_matches_oracle(self):
         rng, gs = graphs(7, 300, parts=PARTS[:3], labels=LABELS[:3])
@@ -223,6 +230,28 @@ class TestAgreementAndBalancing:
         assert isinstance(want, Accept)
         assert got.derivation == want.derivation
 
+    def test_checker_rejects_a_loop_closed_on_a_sibling(self):
+        # G = p q!{a; p q?a; X, b; p q?b; X}  X = r s!d; r s?d; end:
+        # each branch reaches X with the empty queue and unfolds it.  A
+        # derivation whose b branch instead closes a loop at X against
+        # the visit of the a branch must be rejected
+        x = gout("r", "s", {"d": gin("r", "s", {"d": gend()})})
+        g = gout("p", "q", {"a": gin("p", "q", {"a": x}),
+                            "b": gin("p", "q", {"b": x})})
+        for weak, check in ((False, balanced_inductive),
+                            (True, weakly_balanced_inductive)):
+            verdict = check(g, Queue())
+            assert isinstance(verdict, Accept)
+            assert oracle_check_derivation(g, Queue(), verdict.derivation,
+                                           weak, False)
+            b_read = verdict.derivation["branches"]["b"]
+            assert b_read["branch"]["rule"] == "ib-Out"
+            b_read["branch"] = {"rule": "ib-Cycle", "type": x,
+                                "queue": Queue(), "hypothesis_queue": Queue(),
+                                "suffix": Queue()}
+            assert not oracle_check_derivation(
+                g, Queue(), verdict.derivation, weak, False)
+
     def test_output_only_graph_with_many_swaps(self):
         # G = p q!{a; G1, b; p q!{a; G3, b; G4, c; G1}, c; G4}
         # G1 = p q!{a; G, b; G2, c; G2}  G2 = p q!{a; G2, b; G1, c; G}
@@ -251,6 +280,8 @@ class TestAgreementAndBalancing:
                         assert type(got) is type(want)
                         if isinstance(want, Accept):
                             assert got.derivation == want.derivation
+                            assert oracle_check_derivation(
+                                g, queue, got.derivation, weak, mod_g)
                         verdicts.add((weak, type(got)))
         assert len(verdicts) == 4
 
@@ -296,18 +327,22 @@ def test_zoo_balancing_verdicts(name, queue, balanced, weak):
 
 def test_machine_reduction_is_sound():
     """A machine diverges exactly when its encoded configuration is
-    balanced, so one that accepts must never get Accept."""
+    balanced, so one that accepts must never get Accept, and every
+    Accept must have a derivation the checker re-derives."""
     rng = random.Random(1)
-    accepted = 0
+    accepted = derived = 0
     for _ in range(200):
         m = random_machine(rng)
         w = random_word(rng, m)
-        if not isinstance(qm_run(m, w, max_steps=500), Accepted):
-            continue
-        accepted += 1
+        accepts = isinstance(qm_run(m, w, max_steps=500), Accepted)
+        accepted += accepts
         g, queue = encode_config(m, qm_start(m, w))
         for max_revisits in (1, 2):
             for mod_g in (False, True):
                 verdict = balanced_inductive(g, queue, max_revisits, mod_g)
-                assert not isinstance(verdict, Accept)
-    assert accepted >= 50
+                if isinstance(verdict, Accept):
+                    assert not accepts
+                    assert oracle_check_derivation(
+                        g, queue, verdict.derivation, False, mod_g)
+                    derived += 1
+    assert accepted >= 50 and derived > 0
