@@ -11,7 +11,8 @@ enabledness rule, ``_options_by_player``.  The check explores the
 reachable lockstep states once, breadth-first, with ``horizon``
 bounding the depth.  It names a state by the bisimilarity blocks of its
 processes, from one partition refinement of the start network's graphs,
-and by its queue, and keeps of a state only that name and its links.
+and by its queue, and keeps of a state only that name and its links,
+and its session and options until it is expanded.
 A state where nobody can move and something is owed is reported when
 it is generated.  A failed obligation is found on the strongly
 connected components of the explored graph and reported as a lasso: a
@@ -414,12 +415,12 @@ def check_liveness(session: Session, horizon: int = 50,
     nodes of the start network's graphs, so one partition refinement of
     those graphs names each process by its bisimilarity block, and a
     state is identified by its blocks and its queue's key.  A state is
-    kept as that key, its parent link and, once expanded, its edges; to
-    expand it, a session is rebuilt from the key with one node standing
-    for each block.  A state where nobody can move and something is
-    still owed yields its shortest trace.  Each state is tested for this
-    once, on the session that generated it, so the first one generated
-    is reported before anything found later.  The strongly connected
+    kept as that key, its parent link and, once expanded, its edges; the
+    session that first generated it and its options are kept only until
+    its layer is expanded, so the options of each state are built once.
+    A state where nobody can move and something is still owed yields its
+    shortest trace.  Each state is tested for this when it is generated,
+    so the first one generated is reported before anything found later.  The strongly connected
     components of the explored graph are checked after the first layer
     that closes a cycle, then once the expanded states have doubled
     since the last check, and after the last layer.  A failed obligation
@@ -435,17 +436,11 @@ def check_liveness(session: Session, horizon: int = 50,
         for node in reachable_nodes(proc):
             nodes[id(node)] = node
     block = _refine(list(nodes.values()))
-    rep = {block[i]: node for i, node in nodes.items()}
-    waits = {b for b, node in rep.items() if node.kind == IN}
+    waits = {block[i] for i, node in nodes.items() if node.kind == IN}
 
     def ident(s):
         return (tuple([(name, block[id(proc)]) for name, proc in s.net.items()]),
                 s.queue.key())
-
-    def rebuild(v):
-        procs, queue = keys[v]
-        return Session(Network({name: rep[b] for name, b in procs}),
-                       Queue(dict(queue)))
 
     def owes(v):
         return _owed(mode, keys[v], waits)
@@ -457,22 +452,25 @@ def check_liveness(session: Session, horizon: int = 50,
     edges = []  # per expanded state: (successor, round, obligations served)
     truncated = False  # a state at depth horizon can move
 
-    def stuck(s, v, deep):
-        """Whether nobody can move in the new state ``v``, whose session
-        is ``s``, while it owes something.  Options are built only for a
-        state that owes something, and for states at depth ``horizon``
-        (``deep``) until one of them can move."""
+    def options(s, v, deep):
+        """The options of the new state ``v``, whose session is ``s``, or
+        None when nobody can move there while something is owed.  A
+        state at depth ``horizon`` (``deep``) is not expanded: its
+        options are built only if it owes something, or until one such
+        state can move."""
         nonlocal truncated
-        owing = owes(v)
-        if owing or deep and not truncated:
-            if _options_by_player(s):
-                truncated = truncated or deep
-            else:
-                return bool(owing)
-        return False
+        if deep and truncated and not owes(v):
+            return {}
+        opts = _options_by_player(s)
+        if not opts and owes(v):
+            return None
+        truncated = truncated or deep and bool(opts)
+        return opts
 
-    if stuck(session, 0, horizon <= 0):
+    opts = options(session, 0, horizon <= 0)
+    if opts is None:
         return CounterexampleTrace(())
+    layer = [(session, opts)]  # the sessions and options of a layer
     first = 0
     checked = 0  # states expanded at the last cycle check
     unchecked = False  # an edge closed a cycle since then
@@ -480,31 +478,37 @@ def check_liveness(session: Session, horizon: int = 50,
         layer_end = len(keys)
         if first == layer_end:
             break
+        deep = depth == horizon - 1
+        nxt = []
+        layer.reverse()  # popped as expanded, so each session is freed
         for i in range(first, layer_end):
-            current = rebuild(i)
+            current, opts = layer.pop()
             out = []
             # a state with no options is stuck and owes nothing: completed
-            for k, combo in enumerate(_rounds(_options_by_player(current))):
+            for k, combo in enumerate(_rounds(opts)):
                 s = _apply(current, combo)
                 key = ident(s)
                 j = index.setdefault(key, len(keys))
                 if j == len(keys):
                     keys.append(key)
                     parent.append((i, k))
-                    if stuck(s, j, depth == horizon - 1):
+                    found = options(s, j, deep)
+                    if found is None:
                         return CounterexampleTrace(
                             _replay(session, _path(parent, j, 0)))
+                    if not deep:
+                        nxt.append((s, found))
                 elif j < layer_end:
                     # a cycle can only close on an edge that does not
                     # lead one layer deeper
                     unchecked = True
                 out.append((j, k, _served(mode, combo)))
             edges.append(tuple(out))
-        first = layer_end
+        first, layer = layer_end, nxt
         # check again once the expanded graph has doubled, and after the
         # last layer: the checks cost linear time in total, and a lasso
         # is found within twice the states it needs
-        last = depth == horizon - 1 or first == len(keys)
+        last = deep or first == len(keys)
         if unchecked and (last or len(edges) >= 2 * checked):
             bad = _lasso(edges, owes)
             if bad is not None:
