@@ -2,13 +2,13 @@
 
 A session is a network side by side with a queue.  Outputs append to
 the queue and never block; inputs read the head of their channel and
-block until it carries an expected label.  One round function,
-``_apply``, performs a sequence of communications with one new session
-at the end; single steps, lockstep rounds (every participant able to
+block until it carries an expected label.  One rule,
+``_options_by_player``, decides what is enabled, and one round
+function, ``_apply``, performs what it offered, with one new session
+at the end.  Single steps, lockstep rounds (every participant able to
 move performs one communication), simulation and the liveness check
-over all lockstep schedules all go through it, and through one
-enabledness rule, ``_options_by_player``.  The check explores the
-reachable lockstep states once, breadth-first, with ``horizon``
+over all lockstep schedules all go through both.  The check explores
+the reachable lockstep states once, breadth-first, with ``horizon``
 bounding the depth.  It names a state by the bisimilarity blocks of its
 processes, from one partition refinement of the start network's graphs,
 and by its queue, and keeps of a state only that name and its links,
@@ -60,30 +60,21 @@ class Session:
 # single steps
 
 
-def _apply(session: Session, comms):
-    """Perform ``comms`` in order, or NOT_ENABLED when one of them is not
-    enabled at its turn.  This is the one transition rule: the process
-    map is copied once and :meth:`Queue.after` does the queue's part, so
-    a round costs O(moves) beyond the copies.  A round happens whole or
-    not at all, so the processes may be checked before the queue."""
+def _apply(session: Session, comms) -> Session:
+    """Perform ``comms``, options of ``session`` for distinct players,
+    in order.  The process map is copied once and :meth:`Queue.after`
+    does the queue's part, so a round costs O(moves) beyond the copies."""
     procs = dict(session.net.items())
     for kind, sender, receiver, label in comms:
         player = sender if kind == OUT else receiver
-        proc = procs.get(player)
-        # a process node names the partner, not its own participant
-        if (proc is None or proc.kind != kind or label not in proc.branches
-                or proc.sender not in (None, sender)
-                or proc.receiver not in (None, receiver)):
-            return NOT_ENABLED
-        procs[player] = proc.branches[label]
-    queue = session.queue.after(comms)
-    if queue is None:
-        return NOT_ENABLED
-    return Session(Network(procs), queue)
+        procs[player] = procs[player].branches[label]
+    return Session(Network(procs), session.queue.after(comms))
 
 
 def step_session(session: Session, comm: Comm):
-    """Perform one communication, or NOT_ENABLED."""
+    """Perform one communication, or NOT_ENABLED unless it is offered."""
+    if comm not in _options_by_player(session).get(comm.play, ()):
+        return NOT_ENABLED
     return _apply(session, (comm,))
 
 
@@ -121,7 +112,8 @@ def deadlock_info(session: Session) -> dict:
 
 
 class ChoicePolicy:
-    """Resolves which of several enabled communications to take."""
+    """Resolves which of several enabled communications to take: one of
+    ``options``, which come in ``sort_key`` order, else ValueError."""
 
     def choose(self, options: list, player: Optional[str] = None) -> Comm:
         raise NotImplementedError
@@ -131,7 +123,7 @@ class MinLabelPolicy(ChoicePolicy):
     """Deterministic default: outputs first, then least label."""
 
     def choose(self, options, player=None):
-        return min(options, key=lambda c: c.sort_key)
+        return options[0]
 
 
 class RandomPolicy(ChoicePolicy):
@@ -139,7 +131,7 @@ class RandomPolicy(ChoicePolicy):
         self.rng = random.Random(seed)
 
     def choose(self, options, player=None):
-        return self.rng.choice(sorted(options, key=lambda c: c.sort_key))
+        return self.rng.choice(options)
 
 
 class ScriptMismatch(Exception):
@@ -164,6 +156,13 @@ class ScriptPolicy(ChoicePolicy):
                 f"{[str(o) for o in options]}")
         self.at += 1
         return want
+
+
+def _choose(policy: ChoicePolicy, options: list, *player) -> Comm:
+    comm = policy.choose(options, *player)
+    if comm not in options:  # a policy is user code
+        raise ValueError(f"{comm} is not among {[str(o) for o in options]}")
+    return comm
 
 
 def _options_by_player(session: Session) -> dict:
@@ -197,10 +196,8 @@ def lockstep(session: Session, policy: ChoicePolicy = None):
     options = _options_by_player(session)
     if not options:
         return NOT_LIVE
-    chosen = [policy.choose(options[player], player) for player in sorted(options)]
-    current = _apply(session, chosen)
-    assert current is not NOT_ENABLED, f"{chosen} lost enabledness"
-    return frozenset(chosen), current
+    chosen = [_choose(policy, opts, player) for player, opts in options.items()]
+    return frozenset(chosen), _apply(session, chosen)
 
 
 @dataclass(frozen=True)
@@ -230,9 +227,8 @@ def simulate(session: Session, policy: ChoicePolicy = None,
                               for c in comms), key=lambda c: c.sort_key)
             if not options:
                 return
-            comm = policy.choose(options)
+            comm = _choose(policy, options)
             session = _apply(session, (comm,))
-            assert session is not NOT_ENABLED
             delta = frozenset({comm})
         yield TraceStep(index + 1, delta, session)
 
@@ -288,7 +284,7 @@ def _served(mode, delta) -> tuple:
 def _rounds(options) -> Iterable:
     """The lockstep rounds of a state's options, one communication per
     participant able to move, in a fixed order."""
-    return itertools.product(*(options[p] for p in sorted(options)))
+    return itertools.product(*options.values())
 
 
 def _components(nodes, succ) -> dict:

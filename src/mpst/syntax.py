@@ -111,8 +111,9 @@ def _lex(text: str):
             col += 1
             continue
         if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            col, i = col + j - i, j
             continue
         if ch == '"':
             j = i + 1

@@ -297,13 +297,16 @@ class Comm(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "Comm":
+        # participants are identifiers under the lexer's rule, and a
+        # label is a word of identifier characters
         for mark, kind in (("!", OUT), ("?", IN)):
-            if mark in text:
-                chan, _, label = text.partition(mark)
-                sender, arrow, receiver = chan.partition("->")
-                if arrow and sender and receiver and label:
-                    return cls(kind, sender.strip(), receiver.strip(),
-                               label.strip())
+            chan, found, label = text.partition(mark)
+            sender, arrow, receiver = chan.partition("->")
+            names = [part.strip() for part in (sender, receiver, label)]
+            if (found and arrow and all(names)
+                    and all(c.isalnum() or c in "_$" for n in names for c in n)
+                    and all(n[0].isalpha() or n[0] in "_$" for n in names[:2])):
+                return cls(kind, *names)
         raise ValueError(f"cannot parse communication {text!r}")
 
 
@@ -464,16 +467,16 @@ class Queue:
             raise LookupError(f"empty channel {sender}->{receiver}")
         return label, Queue._of(lanes)
 
-    def after(self, comms: Iterable[Comm]) -> Optional["Queue"]:
+    def after(self, comms: Iterable[Comm]) -> "Queue":
         """The queue after ``comms`` in order: an output appends its
-        label to its channel and an input removes its channel's head.
-        None when an input's label is not the head it would read."""
+        label to its channel and an input removes its channel's head,
+        whatever its label: the caller decides what is enabled."""
         lanes = self._lanes.copy()
         for kind, sender, receiver, label in comms:
             if kind == OUT:
                 _lane_push(lanes, (sender, receiver), label)
-            elif _lane_pop(lanes, (sender, receiver)) != label:
-                return None
+            else:
+                _lane_pop(lanes, (sender, receiver))
         return Queue._of(lanes)
 
     def messages(self) -> list:
@@ -551,8 +554,8 @@ class Network:
 
     def key(self):
         if self._key is None:
-            self._key = tuple(sorted((name, proc.key())
-                                     for name, proc in self._procs.items()))
+            self._key = tuple([(name, proc.key())
+                               for name, proc in self._procs.items()])
         return self._key
 
     def __contains__(self, name):

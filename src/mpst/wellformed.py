@@ -303,17 +303,16 @@ def ok(g: GNode, hyp_queue: Queue, queue: Queue, weak: bool = False,
     unless ``weak``, that is deeply readable while the old part stays
     readable.  Returns the suffix when all conditions hold.
     """
+    readable = weak or read(g, hyp_queue)
+    return _grown(g, hyp_queue, queue, weak, mod_g) if readable else None
+
+
+def _grown(g, hyp_queue, queue, weak, mod_g) -> Optional[Queue]:
+    """:func:`ok` less its ``read``, for hypotheses read when pushed."""
     suffix = split_suffix(hyp_queue, queue)
-    if suffix is None:
+    if suffix is None or not agree(g, suffix, mod_g):
         return None
-    if not agree(g, suffix, mod_g):
-        return None
-    if not weak:
-        if not dread(g, suffix):
-            return None
-        if not read(g, hyp_queue):
-            return None
-    return suffix
+    return suffix if weak or dread(g, suffix) else None
 
 
 class Accept:
@@ -352,7 +351,7 @@ def _inductive(g, queue, weak, max_revisits, mod_g):
             continue
         hyps = path.setdefault(node, [])
         for hq in hyps:
-            suffix = ok(node, hq, q, weak, mod_g)
+            suffix = _grown(node, hq, q, weak, mod_g)
             if suffix is not None:
                 parent[slot] = {"rule": "ib-Cycle", "type": node, "queue": q,
                                 "hypothesis_queue": hq, "suffix": suffix}

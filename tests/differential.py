@@ -1,0 +1,184 @@
+"""Differential run of the session semantics against another checkout.
+
+    python tests/differential.py OTHER_CHECKOUT [--sample N]
+
+runs a fixed set of calls once with this checkout's ``src`` and once
+with ``OTHER_CHECKOUT/src``, each in its own subprocess with that
+``src`` first on the path, and compares their output line by line.
+It prints the first mismatching calls and exits 1 if any differ.
+
+The sessions are ``random.Random(seed)``, then ``gen.random_network``,
+then ``gen.random_queue``, always drawn by this checkout's ``gen.py``.
+The calls:
+
+- ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
+  and 4 and seeds 2000-2099 at horizon 6 (1,800 calls): the result
+  class and, for a counterexample, every round's communications and
+  every session's ``Network.key()`` and queue key;
+- ``simulate`` of each of those 500 sessions, one communication at a
+  time and in lockstep rounds, with ``MinLabelPolicy`` and with
+  ``RandomPolicy(seed)``: every step's communications and session;
+- ``step_session`` of each of those sessions on every candidate
+  communication, both kinds, every ordered pair of ``gen.PARTS`` and
+  every label of ``gen.LABELS``: ``NOT_ENABLED`` or the session after.
+
+``--sample N`` runs only N calls, split about evenly over the three
+kinds and spread evenly within each.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SIMULATE_STEPS = 30
+SHOWN = 5
+
+
+def _sessions():
+    """(seed, liveness horizons) of every session of the call set."""
+    return ([(seed, (2, 4)) for seed in range(3000, 3400)]
+            + [(seed, (6,)) for seed in range(2000, 2100)])
+
+
+def call_set() -> list:
+    """Every call, as a tuple that names it; cheap to build, since no
+    call runs."""
+    from gen import LABELS, PARTS
+
+    calls = []
+    for seed, horizons in _sessions():
+        for horizon in horizons:
+            for mode in ("INPUT_ENABLING", "QUEUE_CONSUMING"):
+                calls.append(("check_liveness", seed, horizon, mode))
+        for rounds in (False, True):
+            for policy in ("MinLabelPolicy", "RandomPolicy"):
+                calls.append(("simulate", seed, rounds, policy))
+        for kind in ("out", "in"):
+            for sender, receiver in itertools.permutations(PARTS, 2):
+                for label in LABELS:
+                    calls.append(("step_session", seed, kind, sender,
+                                  receiver, label))
+    return calls
+
+
+def sample(calls: list, n) -> list:
+    """``n`` of ``calls``, split about evenly over the kinds of call and
+    spread evenly within each kind; all of them when ``n`` is None."""
+    if n is None:
+        return calls
+    kinds = {}
+    for call in calls:
+        kinds.setdefault(call[0], []).append(call)
+    picked = []
+    for i, group in enumerate(kinds.values()):
+        k = (n + i) // len(kinds)
+        picked += [group[j * len(group) // k] for j in range(k)]
+    return picked
+
+
+def emit(src: str, n) -> None:
+    """Print one line per call, with the ``mpst`` under ``src``."""
+    sys.path[:0] = [src, str(HERE)]
+    import mpst
+    from mpst import sessions as S
+    from mpst.terms import Comm
+    from gen import random_network, random_queue
+
+    if not Path(mpst.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"imported {mpst.__file__}, not from {src}")
+
+    def show(s):
+        return f"{s.net.key()!r} {s.queue.key()!r}"
+
+    def delta(comms):
+        return " ".join(sorted(map(str, comms)))
+
+    cache = {}
+
+    def session(seed):
+        if seed not in cache:
+            rng = random.Random(seed)
+            net = random_network(rng)
+            cache[seed] = S.Session(net, random_queue(rng))
+        return cache[seed]
+
+    def run(call):
+        what, seed, *args = call
+        s = session(seed)
+        if what == "check_liveness":
+            horizon, mode = args
+            result = S.check_liveness(s, horizon, S.LivenessMode[mode])
+            lines = [type(result).__name__]
+            for comms, after in getattr(result, "trace", ()):
+                lines.append(f"{delta(comms)} | {show(after)}")
+            return lines
+        if what == "simulate":
+            rounds, policy = args
+            chooser = (S.RandomPolicy(seed) if policy == "RandomPolicy"
+                       else S.MinLabelPolicy())
+            return [f"{step.step} {delta(step.delta)} | {show(step.session)}"
+                    for step in S.simulate(s, chooser, SIMULATE_STEPS, rounds)]
+        after = S.step_session(s, Comm(*args))
+        return [repr(after) if after is S.NOT_ENABLED else show(after)]
+
+    for call in sample(call_set(), n):
+        try:
+            lines = run(call)
+        except Exception as err:  # a raise is an answer to compare
+            lines = [f"raises {type(err).__name__}: {err}"]
+        print(repr(call), " / ".join(lines))
+
+
+def _outputs(checkouts, n) -> list:
+    procs = [subprocess.Popen(
+        [sys.executable, __file__, "--emit", str(Path(c) / "src")]
+        + ([] if n is None else ["--sample", str(n)]),
+        stdout=subprocess.PIPE, text=True) for c in checkouts]
+    outs = [p.communicate()[0] for p in procs]
+    for c, p in zip(checkouts, procs):
+        if p.returncode:
+            raise SystemExit(f"the run with {c} failed ({p.returncode})")
+    return [out.splitlines() for out in outs]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("other", nargs="?", help="the checkout to compare with")
+    ap.add_argument("--sample", type=int, default=None,
+                    help="run this many calls, spread over each kind")
+    ap.add_argument("--emit", metavar="SRC",
+                    help="print the calls' output with the mpst under SRC")
+    args = ap.parse_args(argv)
+    if args.emit:
+        emit(args.emit, args.sample)
+        return 0
+    if args.other is None:
+        ap.error("name the checkout to compare with")
+    mine, theirs = _outputs([HERE.parent, args.other], args.sample)
+    diff = [(a, b) for a, b in zip(mine, theirs) if a != b]
+    if len(mine) != len(theirs):
+        diff.append((f"{len(mine)} lines", f"{len(theirs)} lines"))
+    kinds = {}
+    for line in mine:
+        what = line.split(",", 1)[0].strip("('")
+        kinds[what] = kinds.get(what, 0) + 1
+    found = sum(" CounterexampleTrace" in line for line in mine)
+    print(f"{len(mine)} calls ({', '.join(f'{k} {v}' for k, v in kinds.items())}; "
+          f"{found} counterexamples), {len(diff)} mismatches")
+    for a, b in diff[:SHOWN]:
+        at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                  min(len(a), len(b)))
+        window = slice(max(0, at - 40), at + 120)
+        print(f"{a.split(')', 1)[0]}) differs at character {at}:\n"
+              f"  this checkout: {a[window]}\n  {args.other}: {b[window]}")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

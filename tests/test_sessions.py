@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from mpst.sessions import (
+    ChoicePolicy,
     Classification,
     CounterexampleTrace,
     HorizonExceeded,
@@ -18,6 +20,7 @@ from mpst.sessions import (
     ScriptMismatch,
     ScriptPolicy,
     Session,
+    TraceStep,
     Verified,
     _options_by_player,
     check_liveness,
@@ -29,8 +32,16 @@ from mpst.sessions import (
     step_session,
     LivenessMode,
 )
-from mpst.terms import Comm, Network, Queue, pend, pin, pout
-from gen import chain_network, pairs, random_network, random_queue
+from mpst.terms import Comm, Network, Queue, gend, gout, pend, pin, pout
+from gen import (
+    LABELS,
+    PARTS,
+    chain_network,
+    pairs,
+    random_gnode,
+    random_network,
+    random_queue,
+)
 from oracles import (
     _cycle_ok,
     oracle_bisimilar,
@@ -67,9 +78,18 @@ class TestStep:
         assert step_session(s, Comm.parse("q->p!l")) is NOT_ENABLED
 
     def test_matches_direct_rules(self):
+        # process components, then components that are global-type
+        # nodes, whose own slot may be filled: only the partner counts
         rng = random.Random(61)
-        for _ in range(300):
-            net = random_network(rng)
+        nets = [random_network(rng) for _ in range(300)]
+        nets += [Network({p: random_gnode(rng) for p in
+                          rng.sample(PARTS, rng.randint(1, len(PARTS)))})
+                 for _ in range(150)]
+        candidates = [Comm(kind, sender, receiver, label)
+                      for kind in ("out", "in")
+                      for sender, receiver in itertools.permutations(PARTS, 2)
+                      for label in LABELS]
+        for net in nets:
             queue = random_queue(rng)
             s = fresh(net, queue)
             succ = {}
@@ -81,8 +101,28 @@ class TestStep:
             for player, cs in options.items():
                 assert {c.play for c in cs} == {player}
                 assert cs == sorted(cs, key=lambda c: c.sort_key)
-            for comm, expect in succ.items():
-                assert step_session(s, comm) == expect
+            for comm in candidates + list(succ):
+                expect = oracle_step(net, queue, comm)
+                got = step_session(s, comm)
+                if expect is None:
+                    assert got is NOT_ENABLED, comm
+                else:
+                    assert got == Session(*expect), comm
+
+    def test_component_with_its_own_slot_filled(self):
+        # r's process is the global-type node p q!l: r sends l to its
+        # partner q, and every part of the layer says so
+        s = fresh(Network({"r": gout("p", "q", {"l": gend()})}))
+        comm = Comm.parse("r->q!l")
+        after = Session(Network(), Queue().push("r", "l", "q"))
+        assert enabled(s) == {comm}
+        assert oracle_step(s.net, s.queue, comm) == (after.net, after.queue)
+        assert step_session(s, comm) == after
+        assert lockstep(s) == (frozenset({comm}), after)
+        assert list(simulate(s)) == [TraceStep(1, frozenset({comm}), after)]
+        assert check_liveness(s, 3) == Verified()
+        assert check_liveness(s, 3, LivenessMode.QUEUE_CONSUMING) == \
+            CounterexampleTrace(((frozenset({comm}), after),))
 
 
 class TestEnabledAndClassify:
@@ -171,6 +211,16 @@ class TestLockstep:
             delta, _ = result
             assert delta <= enabled(s)
             assert len({c.play for c in delta}) == len(delta)
+
+    def test_policy_must_choose_an_offered_option(self):
+        # the stale policy keeps its first choice: in a lockstep round of
+        # growing it gives r what p was offered, and in hospital it sends
+        # again where only the read is offered
+        for net, rounds in ((growing().net, True), (hospital().net, False)):
+            with pytest.raises(ValueError, match="not among"):
+                list(simulate(fresh(net), _StalePolicy(), 5, rounds))
+        with pytest.raises(ValueError, match="not among"):
+            lockstep(fresh(growing().net), _StalePolicy())
 
     def test_random_policy_is_reproducible(self):
         s = fresh(hospital().net)
@@ -419,6 +469,14 @@ def _genuine(session, trace, mode):
     return False
 
 
+class _StalePolicy(ChoicePolicy):
+    first = None
+
+    def choose(self, options, player=None):
+        self.first = self.first or options[0]
+        return self.first
+
+
 def _loop_out(partner, label):
     node = pout(partner)
     node.branches[label] = node
@@ -429,3 +487,12 @@ def _loop_in(partner, label):
     node = pin(partner)
     node.branches[label] = node
     return node
+
+
+def test_differential_slice_against_this_checkout():
+    # tests/differential.py compares the layer with another checkout;
+    # a slice against this one must find nothing to report
+    import differential
+
+    assert differential.main([str(Path(__file__).resolve().parent.parent),
+                              "--sample", "20"]) == 0

@@ -193,8 +193,10 @@ class TestParseErrors:
         ("machine M {\n  states s, t; }", "expected a symbol, found ','",
          2, 11),
         ("machine M {\n  states ; }", "empty symbol list", 2, 12),
+        ("proc P = // c", "unexpected end of file", 1, 14),
     ], ids=["participant-twice", "definer-as-term", "missing-mark",
-            "unquoted-word", "non-symbol", "empty-symbols"])
+            "unquoted-word", "non-symbol", "empty-symbols",
+            "trailing-comment"])
     def test_parse_error_positions(self, text, message, line, col):
         with pytest.raises(ParseError) as err:
             parse(text)

@@ -232,10 +232,15 @@ class TestComm:
         assert Comm.parse("p->q!l") == out
         inp = Comm.parse("p->q?l")
         assert inp.kind == "in" and inp.play == "q"
+        assert Comm.parse(" _a -> $b ? 1x ") == Comm("in", "_a", "$b", "1x")
 
     def test_parse_garbage(self):
-        with pytest.raises(ValueError):
-            Comm.parse("pq.l")
+        # participants are identifiers and a label is a word, so a second
+        # mark or arrow, or an empty or spaced name, is an error
+        for text in ["pq.l", "p->q?l!x", "p->q->r!l", " ->q!l", "p-> !l",
+                     "p->q!", "p->q!l x", "1p->q!l", "p->q!{l}"]:
+            with pytest.raises(ValueError):
+                Comm.parse(text)
 
     @given(st.sampled_from(["out", "in"]),
            st.sampled_from(["p", "q", "alice"]),

@@ -19,6 +19,7 @@ from mpst.wellformed import (
     depth,
     dread,
     indistinguishable,
+    ok,
     queue_equiv_g,
     read,
     weakly_balanced_inductive,
@@ -251,6 +252,16 @@ class TestAgreementAndBalancing:
                                 "suffix": Queue()}
             assert not oracle_check_derivation(
                 g, Queue(), verdict.derivation, weak, False)
+
+    def test_ok_needs_a_readable_hypothesis_queue(self):
+        # the queue has not grown, so the empty suffix agrees and is
+        # deeply readable; only the read of the old part can fail, and
+        # end leaves p->q:l unread where an input of l reads it
+        hq = Queue().push("p", "l", "q")
+        assert not oracle_read(gend(), hq)
+        assert ok(gend(), hq, hq) is None
+        assert ok(gend(), hq, hq, weak=True) == Queue()
+        assert ok(gin("p", "q", {"l": gend()}), hq, hq) == Queue()
 
     def test_output_only_graph_with_many_swaps(self):
         # G = p q!{a; G1, b; p q!{a; G3, b; G4, c; G1}, c; G4}
