@@ -416,16 +416,16 @@ def check_liveness(session: Session, horizon: int = 50,
     its layer is expanded, so the options of each state are built once.
     A state where nobody can move and something is still owed yields its
     shortest trace.  Each state is tested for this when it is generated,
-    so the first one generated is reported before anything found later.  The strongly connected
-    components of the explored graph are checked after the first layer
-    that closes a cycle, then once the expanded states have doubled
-    since the last check, and after the last layer.  A failed obligation
-    yields a lasso: a shortest trace to a state that owes it, followed
-    by a cycle back to that state on which it is never served, so the
-    trace ends in a state it passed before.  A returned trace is
-    replayed from ``session``.  Otherwise the result is Verified,
-    weakened to HorizonExceeded if some state at depth ``horizon`` could
-    still move.
+    so the first one generated is reported before anything found later.
+    The strongly connected components of the explored graph are checked
+    after the first layer that closes a cycle, then once the expanded
+    states have doubled since the last check, and after the last layer.
+    A failed obligation yields a lasso: a shortest trace to a state that
+    owes it, followed by a cycle back to that state on which it is never
+    served, so the trace ends in a state it passed before.  A returned
+    trace is replayed from ``session``.  Otherwise the result is
+    Verified, weakened to HorizonExceeded if some state at depth
+    ``horizon`` could still move.
     """
     nodes = {}
     for _, proc in session.net.items():

@@ -11,6 +11,11 @@ A file is a sequence of definitions:
                 bottom $; start q0; delta (q0, a) -> (q0, "a");
                 delta (q0, $) -> (q0, "$"); }
 
+The lexer is one regular expression, and a token's line and column
+come from the offsets of its match.  Every name is an identifier under
+the one rule of ``terms._is_name``; keywords are names only in machine
+sections.
+
 Terms are parsed straight into graph nodes.  Definitions may
 reference each other by name in any order: a name stays in its place
 as a token until the whole file is read, and then becomes an edge to
@@ -20,12 +25,14 @@ like ``proc A = B`` with ``proc B = A``, is rejected.
 
 Printing produces the same surface form back: nodes that are shared,
 sit on a cycle, or are the root get a name, everything else is printed
-inline.  Parsing the output yields bisimilar graphs.  Neither parsing
+inline.  Parsing the output yields bisimilar graphs: a printer raises
+ValueError for a name ``parse`` would not read back.  Neither parsing
 nor printing recurses, so no term is too deep for either.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,6 +45,7 @@ from mpst.terms import (
     Msg,
     Network,
     Queue,
+    _is_name,
     gend,
     reachable_nodes,
 )
@@ -90,62 +98,33 @@ class Token(NamedTuple):
     col: int
 
 
-_PUNCT2 = ("->", "|>")
-_PUNCT1 = "={}(),;!?[]:"
+_TOKEN = re.compile(r"""[ \t\r]*(?://[^\n]*)?(?:
+    (?P<newline>\n) | (?P<ident>[\w$]+) | (?P<punct>->|\|>|[={}(),;!?[\]:])
+    | (?P<string>"[^"\n]*") | (?P<stray>.) | (?P<eof>\Z))""", re.X)
 
 
 def _lex(text: str):
+    """The tokens of ``text``, then an eof token.  Each match of
+    ``_TOKEN`` is blanks and a comment, then a token of the group that
+    matched; ``stray`` takes any other character, so matches are
+    contiguous.  A word that is not a name, like ``1x``, is stray."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, start = 1, 0  # the line and the offset where it starts
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, start = line + 1, m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            col, i = col + j - i, j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in '"\n':
-                j += 1
-            if j >= n or text[j] != '"':
-                raise ParseError("unterminated string", line, col)
-            tokens.append(Token("string", text[i + 1:j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalpha() or ch in "_$":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_$"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if text[i:i + 2] in _PUNCT2:
-            tokens.append(Token("punct", text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"stray character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+        value = m[kind]
+        col = m.start(kind) - start + 1
+        if kind == "string":
+            value = value[1:-1]
+        elif kind == "stray" or kind == "ident" and not _is_name(value):
+            raise ParseError("unterminated string" if value == '"'
+                             else f"stray character {value[0]!r}", line, col)
+        tokens.append(Token(kind, value, line, col))
+        if kind == "eof":
+            return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -380,32 +359,25 @@ class _Parser:
         head = self.peek()
         name = self.head("machine", self.doc.machines)
         self.expect("{")
-        states = input_ = gamma = None
-        bottom = start = None
+        parts = {"input": ()}
         delta = {}
         while self.peek().value != "}":
             word = self.name("section")
-            if word.value == "states":
-                states = self.symbols_until_semi()
-            elif word.value == "input":
-                input_ = self.symbols_until_semi(allow_empty=True)
-            elif word.value == "queue_alphabet":
-                gamma = self.symbols_until_semi()
-            elif word.value == "bottom":
-                bottom = self.next().value
-                self.expect(";")
-            elif word.value == "start":
-                start = self.next().value
+            if word.value in ("states", "input", "queue_alphabet"):
+                parts[word.value] = self.symbols_until_semi(
+                    allow_empty=word.value == "input")
+            elif word.value in ("bottom", "start"):
+                parts[word.value] = self.symbol()
                 self.expect(";")
             elif word.value == "delta":
                 self.expect("(")
-                state = self.next().value
+                state = self.symbol()
                 self.expect(",")
-                sym = self.next().value
+                sym = self.symbol()
                 self.expect(")")
                 self.expect("->")
                 self.expect("(")
-                target = self.next().value
+                target = self.symbol()
                 self.expect(",")
                 out = self.next()
                 if out.type != "string":
@@ -422,25 +394,29 @@ class _Parser:
                 raise ParseError(f"unknown machine section {word.value!r}",
                                  word.line, word.col)
         self.expect("}")
-        for part, value in (("states", states), ("queue_alphabet", gamma),
-                            ("bottom", bottom), ("start", start)):
-            if value is None:
+        for part in ("states", "queue_alphabet", "bottom", "start"):
+            if part not in parts:
                 raise ParseError(f"machine without {part}",
                                  head.line, head.col)
         try:
             self.doc.machines[name] = QueueMachine(
-                states, input_ or (), gamma, bottom, start, delta)
+                parts["states"], parts["input"], parts["queue_alphabet"],
+                parts["bottom"], parts["start"], delta)
         except ValueError as err:
             raise ParseError(str(err), head.line, head.col) from None
+
+    def symbol(self) -> str:
+        """Reads a machine's state or symbol: any identifier."""
+        tok = self.next()
+        if tok.type != "ident":
+            raise ParseError(f"expected a symbol, found {tok.value!r}",
+                             tok.line, tok.col)
+        return tok.value
 
     def symbols_until_semi(self, allow_empty=False):
         syms = []
         while self.peek().value != ";":
-            tok = self.next()
-            if tok.type != "ident":
-                raise ParseError(f"expected a symbol, found {tok.value!r}",
-                                 tok.line, tok.col)
-            syms.append(tok.value)
+            syms.append(self.symbol())
         self.expect(";")
         if not syms and not allow_empty:
             raise ParseError("empty symbol list", self.peek().line,
@@ -489,6 +465,13 @@ def parse(text: str) -> Document:
 # printing
 
 
+def _printed(name: str, what: str, keywords=KEYWORDS) -> str:
+    """``name``, if ``parse`` reads it back as a ``what``."""
+    if not _is_name(name) or name in keywords:
+        raise ValueError(f"{what} {name!r} cannot be parsed back")
+    return name
+
+
 def _needs_name(root):
     """Nodes that get a definition of their own, in discovery order:
     the root, and every node other than an end with two or more incoming
@@ -510,6 +493,7 @@ def _fmt_term(root, names, out):
     ``stack`` holds what is still to be written, the next piece last."""
     stack = [root]
     at_def = True
+    used = set()  # the participants and labels written
     while stack:
         node = stack.pop()
         if type(node) is str:
@@ -520,6 +504,7 @@ def _fmt_term(root, names, out):
             out.append(names[id(node)])
         else:
             at_def = False
+            used.update(node.branches, (node.sender, node.receiver))
             # the participants the node names: both in a global type,
             # the partner alone in a process
             who = " ".join(filter(None, (node.sender, node.receiver)))
@@ -531,6 +516,8 @@ def _fmt_term(root, names, out):
             for i in range(len(labs) - 1, -1, -1):
                 stack.append(node.branches[labs[i]])
                 stack.append(f", {labs[i]}; " if i else f"{labs[i]}; ")
+    for name in used - {None}:
+        _printed(name, "name")
 
 
 def _fmt_defs(roots, keyword) -> list:
@@ -543,7 +530,7 @@ def _fmt_defs(roots, keyword) -> list:
     defs = []
     for root, base in roots:
         named = _needs_name(root)
-        names = {id(root): base}
+        names = {id(root): _printed(base, "name")}
         i = 0
         for node in named[1:]:
             i += 1
@@ -567,8 +554,10 @@ def format_proc(p: GNode, name: str = "P") -> str:
 
 def format_network(net: Network, name: str = "N") -> str:
     """Definitions for every component followed by the network line."""
+    _printed(name, "name")
     roots = [(proc, f"{name}_{part}") for part, proc in net.items()]
-    comps = [f"{part} |> {name}_{part}" for part, _ in net.items()]
+    comps = [f"{_printed(part, 'participant')} |> {name}_{part}"
+             for part, _ in net.items()]
     if not comps:
         # grammar wants a component, and ended ones are dropped anyway
         comps.append("p |> end")
@@ -578,12 +567,16 @@ def format_network(net: Network, name: str = "N") -> str:
 
 
 def format_queue(queue: Queue, name: str = "Q") -> str:
-    inner = ", ".join(str(m) for m in queue.messages())
-    return f"queue {name} = [{inner}]"
+    inner = ", ".join(
+        f"{_printed(s, 'participant')}->{_printed(r, 'participant')}:"
+        f"{_printed(lab, 'label')}" for s, lab, r in queue.messages())
+    return f"queue {_printed(name, 'name')} = [{inner}]"
 
 
 def format_machine(machine: QueueMachine, name: str = "M") -> str:
-    lines = [f"machine {name} {{"]
+    for sym in (*machine.states, *machine.queue_alphabet):  # all it names
+        _printed(sym, "machine symbol", ())
+    lines = [f"machine {_printed(name, 'name')} {{"]
     lines.append("  states " + " ".join(machine.states) + ";")
     lines.append("  input " + " ".join(machine.input_alphabet) + ";")
     lines.append("  queue_alphabet " + " ".join(machine.queue_alphabet) + ";")

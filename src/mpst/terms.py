@@ -17,6 +17,8 @@ their keys once, on first use, and queues their keys and hashes.
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 END = "end"
@@ -271,6 +273,15 @@ def players(g: GNode) -> set:
 # communications and messages
 
 
+@lru_cache(maxsize=4096)  # the lexer asks this of every identifier
+def _is_name(text: str) -> bool:
+    """Whether ``text`` is a name the syntax reads and writes: a letter
+    (``isalpha()``), ``_`` or ``$``, then ``[\\w$]`` characters, which
+    are exactly those that are ``isalnum()``, ``_`` or ``$``."""
+    return (re.fullmatch(r"[\w$]+", text) is not None
+            and (text[0].isalpha() or text[0] in "_$"))
+
+
 class Comm(NamedTuple):
     """A single communication: output ``p->q!l`` or input ``p->q?l``."""
 
@@ -297,17 +308,12 @@ class Comm(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "Comm":
-        # participants are identifiers under the lexer's rule, and a
-        # label is a word of identifier characters
-        for mark, kind in (("!", OUT), ("?", IN)):
-            chan, found, label = text.partition(mark)
-            sender, arrow, receiver = chan.partition("->")
-            names = [part.strip() for part in (sender, receiver, label)]
-            if (found and arrow and all(names)
-                    and all(c.isalnum() or c in "_$" for n in names for c in n)
-                    and all(n[0].isalpha() or n[0] in "_$" for n in names[:2])):
-                return cls(kind, *names)
-        raise ValueError(f"cannot parse communication {text!r}")
+        # the participants are names, the label any word
+        m = re.fullmatch(
+            r"\s*([\w$]+)\s*->\s*([\w$]+)\s*([!?])\s*([\w$]+)\s*", text)
+        if m is None or not (_is_name(m[1]) and _is_name(m[2])):
+            raise ValueError(f"cannot parse communication {text!r}")
+        return cls(OUT if m[3] == "!" else IN, m[1], m[2], m[4])
 
 
 class Msg(NamedTuple):

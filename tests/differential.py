@@ -1,4 +1,5 @@
-"""Differential run of the session semantics against another checkout.
+"""Differential run of the session semantics and the syntax layer
+against another checkout.
 
     python tests/differential.py OTHER_CHECKOUT [--sample N]
 
@@ -20,10 +21,17 @@ The calls:
   ``RandomPolicy(seed)``: every step's communications and session;
 - ``step_session`` of each of those sessions on every candidate
   communication, both kinds, every ordered pair of ``gen.PARTS`` and
-  every label of ``gen.LABELS``: ``NOT_ENABLED`` or the session after.
+  every label of ``gen.LABELS``: ``NOT_ENABLED`` or the session after;
+- ``parse`` of every ``protocols/*.mps``, of ``format_gtype`` of
+  ``gen.random_gnode`` for seeds 4000-4999, of ``format_network`` of
+  ``gen.random_network`` for seeds 5000-5999, and of random texts for
+  seeds 6000-9999, each the head of a definition and then up to
+  ``TEXT_LENGTH`` of ``TEXT_PIECES``: every definition of the
+  document, printed back, or the error with its line and column.
 
-``--sample N`` runs only N calls, split about evenly over the three
-kinds and spread evenly within each.
+A raise is an answer: its class and message are compared.  ``--sample
+N`` runs only N calls, split about evenly over the four kinds and
+spread evenly within each.
 """
 
 from __future__ import annotations
@@ -36,8 +44,18 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+PROTOCOLS = HERE.parent / "protocols"
 SIMULATE_STEPS = 30
 SHOWN = 5
+# characters of every kind of token, blanks, a comment, a letter (一)
+# and numerals (², Ⅻ) outside ASCII, strays, and words that start
+# definitions and machine sections
+TEXT_PIECES = list("pqé一²Ⅻ1_$ \t\r\n\"/-|>!?;:,={}()[]#") + [
+    "->", "|>", "end", "proc ", "global ", "network ", "queue ",
+    "machine ", "states ", "start ", "delta "]
+TEXT_LENGTH = 12
+HEADS = ["proc P = ", "global G = ", "network N { ", "queue Q = [",
+         "machine M { "]
 
 
 def _sessions():
@@ -64,6 +82,11 @@ def call_set() -> list:
                 for label in LABELS:
                     calls.append(("step_session", seed, kind, sender,
                                   receiver, label))
+    calls += [("parse", "protocol", path.stem)
+              for path in sorted(PROTOCOLS.glob("*.mps"))]
+    calls += [("parse", "gtype", seed) for seed in range(4000, 5000)]
+    calls += [("parse", "network", seed) for seed in range(5000, 6000)]
+    calls += [("parse", "text", seed) for seed in range(6000, 10000)]
     return calls
 
 
@@ -87,8 +110,10 @@ def emit(src: str, n) -> None:
     sys.path[:0] = [src, str(HERE)]
     import mpst
     from mpst import sessions as S
+    from mpst.syntax import (format_gtype, format_machine, format_network,
+                             format_proc, format_queue, parse)
     from mpst.terms import Comm
-    from gen import random_network, random_queue
+    from gen import random_gnode, random_network, random_queue
 
     if not Path(mpst.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {mpst.__file__}, not from {src}")
@@ -108,8 +133,31 @@ def emit(src: str, n) -> None:
             cache[seed] = S.Session(net, random_queue(rng))
         return cache[seed]
 
+    def text(source, key):
+        if source == "protocol":
+            return (PROTOCOLS / f"{key}.mps").read_text()
+        rng = random.Random(key)
+        if source == "gtype":
+            return format_gtype(random_gnode(rng))
+        if source == "network":
+            return format_network(random_network(rng))
+        return rng.choice(HEADS) + "".join(
+            rng.choice(TEXT_PIECES) for _ in range(rng.randint(0, TEXT_LENGTH)))
+
+    def printed(doc):
+        lines = []
+        for defs, fmt in ((doc.procs, format_proc), (doc.globals_, format_gtype),
+                          (doc.networks, format_network),
+                          (doc.queues, format_queue),
+                          (doc.machines, format_machine)):
+            for name, value in defs.items():
+                lines += fmt(value, name).splitlines()
+        return lines
+
     def run(call):
         what, seed, *args = call
+        if what == "parse":
+            return printed(parse(text(seed, *args)))
         s = session(seed)
         if what == "check_liveness":
             horizon, mode = args

@@ -11,8 +11,9 @@ balancing derivation, a straight-line queue machine interpreter,
 uncached steppers for sessions and type configurations, and path
 enumeration over every lockstep schedule for liveness.  The session
 oracles take every step through ``oracle_session_successors``, never
-through the package's round function.  Expected values frozen into
-the tests were computed with these functions.
+through the package's round function.  The lexer is the character
+loop the package used before its token pattern.  Expected values frozen
+into the tests were computed with these functions.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from mpst.sessions import (
     Session,
     Verified,
 )
+from mpst.syntax import ParseError, Token
 from mpst.terms import Comm, GNode, Msg, Network, Queue
 from mpst.wellformed import (
     Accept,
@@ -630,3 +632,62 @@ def oracle_config_step(g: GNode, queue: Queue, comm: Comm, fuel=200):
     if any(r != rests[0] for r in rests):
         return None
     return GNode("in", gp, gq, stepped), push_front(rests[0], gp, head, gq)
+
+
+_PUNCT2 = ("->", "|>")
+_PUNCT1 = "={}(),;!?[]:"
+
+
+def oracle_lex(text: str):
+    """The tokens of ``text``, one character at a time."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            col, i = col + j - i, j
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] not in '"\n':
+                j += 1
+            if j >= n or text[j] != '"':
+                raise ParseError("unterminated string", line, col)
+            tokens.append(Token("string", text[i + 1:j], line, col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        if ch.isalpha() or ch in "_$":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_$"):
+                j += 1
+            tokens.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if text[i:i + 2] in _PUNCT2:
+            tokens.append(Token("punct", text[i:i + 2], line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _PUNCT1:
+            tokens.append(Token("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"stray character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from operator import eq
 
 import pytest
@@ -21,9 +22,13 @@ from mpst.syntax import (
     format_proc,
     format_queue,
     parse,
+    _lex,
 )
-from mpst.terms import Msg, Network, Queue, bisimilar, gend, reachable_nodes
+from mpst.machines import QueueMachine
+from mpst.terms import Msg, Network, Queue, bisimilar, gend, gout, pend, pout, \
+    reachable_nodes
 from conftest import PROTOCOLS, load_protocol
+from oracles import oracle_lex
 from gen import chain, chain_network, random_gnode, random_machine, \
     random_network, random_pnode, random_queue
 from zoo import burst_choice, copy_loop, depth_example, eraser, growing, \
@@ -194,9 +199,18 @@ class TestParseErrors:
          2, 11),
         ("machine M {\n  states ; }", "empty symbol list", 2, 12),
         ("proc P = // c", "unexpected end of file", 1, 14),
+        ('machine M {\n  states s; start "s"; }',
+         "expected a symbol, found 's'", 2, 19),
+        ('machine M {\n  bottom "$"; }', "expected a symbol, found '$'",
+         2, 10),
+        ('machine M {\n  delta ("s", a) -> ("s", "a"); }',
+         "expected a symbol, found 's'", 2, 10),
+        ("machine M {\n  states s; start ;; }",
+         "expected a symbol, found ';'", 2, 19),
     ], ids=["participant-twice", "definer-as-term", "missing-mark",
             "unquoted-word", "non-symbol", "empty-symbols",
-            "trailing-comment"])
+            "trailing-comment", "quoted-start", "quoted-bottom",
+            "quoted-delta-state", "punct-start"])
     def test_parse_error_positions(self, text, message, line, col):
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -239,6 +253,40 @@ class TestParseErrors:
                 parse(sample)
 
 
+def _lexed(lex, text):
+    try:
+        return lex(text)
+    except ParseError as err:
+        return type(err), err.message, err.line, err.col
+
+
+# letters, a letter (一) and numerals (², Ⅻ) outside ASCII, blanks,
+# and a character of every kind of token, comment and stray
+_LEX_ALPHABET = ["p", "é", "一", "²", "Ⅻ", "1", "_", "$", " ", "\t", "\r",
+                 "\n", '"', "/", "-", "|", ">", "!", ";", "{", "#"]
+
+
+class TestLexer:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.sampled_from(_LEX_ALPHABET), max_size=30))
+    def test_matches_the_character_loop(self, text):
+        assert _lexed(_lex, text) == _lexed(oracle_lex, text)
+
+    @pytest.mark.parametrize("text,last", [
+        ("p //", ("eof", "", 1, 5)),
+        ('p "', (ParseError, "unterminated string", 1, 3)),
+        ("-", (ParseError, "stray character '-'", 1, 1)),
+        ("²x", (ParseError, "stray character '²'", 1, 1)),
+        ("x²", ("eof", "", 1, 3)),
+        ("\t\tp", ("eof", "", 1, 4)),
+    ], ids=["comment-at-eof", "quote-at-eof", "lone-minus", "numeral-first",
+            "numeral-after", "tabs"])
+    def test_edge_cases(self, text, last):
+        lexed = _lexed(_lex, text)
+        assert lexed == _lexed(oracle_lex, text)
+        assert tuple(lexed[-1] if type(lexed) is list else lexed) == last
+
+
 class TestPrinting:
     def test_hospital_canonical_form(self):
         h = hospital()
@@ -275,6 +323,42 @@ class TestPrinting:
 
     def test_end_only(self):
         assert format_gtype(gend(), "G") == "global G = end"
+
+    @pytest.mark.parametrize("bad", ["1x", "end", "proc", "q-r"])
+    def test_names_parse_would_not_read_back(self, bad):
+        net = Network({"p": pout("q", {"l": pend()})})
+        queue = Queue.from_msgs([Msg("p", "l", "q")])
+        printed = [
+            lambda: format_gtype(gout("p", "q", {bad: gend()})),
+            lambda: format_gtype(gout("p", bad, {"l": gend()})),
+            lambda: format_gtype(gend(), bad),
+            lambda: format_proc(pout("q", {bad: pend()})),
+            lambda: format_proc(pout(bad, {"l": pend()})),
+            lambda: format_proc(pend(), bad),
+            lambda: format_network(Network({bad: pout("q", {"l": pend()})})),
+            lambda: format_network(Network({"p": pout("q", {bad: pend()})})),
+            lambda: format_network(net, bad),
+            lambda: format_queue(Queue.from_msgs([Msg("p", bad, "q")])),
+            lambda: format_queue(Queue.from_msgs([Msg(bad, "l", "q")])),
+            lambda: format_queue(queue, bad),
+            lambda: format_machine(copy_loop(), bad),
+        ]
+        for fmt in printed:
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                fmt()
+
+    def test_machine_names(self):
+        def machine(state):
+            return QueueMachine((state,), ("a",), ("a", "$"), "$", state,
+                                {(state, "a"): (state, ("a",)),
+                                 (state, "$"): (state, ())})
+
+        with pytest.raises(ValueError, match="'1s'"):
+            format_machine(machine("1s"))
+        # machine sections have no keywords
+        for state in ("end", "proc"):
+            m = machine(state)
+            assert parse(format_machine(m)).machines["M"] == m
 
 
 class TestRoundTrips:
