@@ -98,6 +98,12 @@ class Token(NamedTuple):
     col: int
 
 
+def _shown(tok: Token) -> str:
+    """A token as an error message shows it, a string in its quotes."""
+    shown = repr(tok.value)
+    return f'"{shown[1:-1]}"' if tok.type == "string" else shown
+
+
 _TOKEN = re.compile(r"""[ \t\r]*(?://[^\n]*)?(?:
     (?P<newline>\n) | (?P<ident>[\w$]+) | (?P<punct>->|\|>|[={}(),;!?[\]:])
     | (?P<string>"[^"\n]*") | (?P<stray>.) | (?P<eof>\Z))""", re.X)
@@ -176,14 +182,14 @@ class _Parser:
     def expect(self, value: str) -> Token:
         tok = self.next()
         if tok.value != value or tok.type not in ("punct", "ident"):
-            raise ParseError(f"expected {value!r}, found {tok.value!r}",
+            raise ParseError(f"expected {value!r}, found {_shown(tok)}",
                              tok.line, tok.col)
         return tok
 
     def name(self, what="name") -> Token:
         tok = self.next()
         if tok.type != "ident" or tok.value in KEYWORDS:
-            raise ParseError(f"expected a {what}, found {tok.value!r}",
+            raise ParseError(f"expected a {what}, found {_shown(tok)}",
                              tok.line, tok.col)
         return tok
 
@@ -214,7 +220,7 @@ class _Parser:
             elif tok.value == "machine":
                 self.machinedef()
             else:
-                raise ParseError(f"expected a definition, found {tok.value!r}",
+                raise ParseError(f"expected a definition, found {_shown(tok)}",
                                  tok.line, tok.col)
         _resolve(doc.procs, self.refs["process"])
         _resolve(doc.globals_, self.refs["global type"])
@@ -298,7 +304,7 @@ class _Parser:
         while True:
             tok = self.next()
             if tok.type != "ident" or tok.value in _DEFINERS:
-                raise ParseError(f"expected a {what}, found {tok.value!r}",
+                raise ParseError(f"expected a {what}, found {_shown(tok)}",
                                  tok.line, tok.col)
             after = self.tokens[self.pos]
             if tok.value == "end" or not (
@@ -328,7 +334,7 @@ class _Parser:
                 mark = self.next()
                 if mark.value not in ("!", "?"):
                     raise ParseError(
-                        f"expected '!' or '?', found {mark.value!r}",
+                        f"expected '!' or '?', found {_shown(mark)}",
                         mark.line, mark.col)
                 kind = OUT if mark.value == "!" else IN
                 if len(names) == 1:
@@ -409,7 +415,7 @@ class _Parser:
         """Reads a machine's state or symbol: any identifier."""
         tok = self.next()
         if tok.type != "ident":
-            raise ParseError(f"expected a symbol, found {tok.value!r}",
+            raise ParseError(f"expected a symbol, found {_shown(tok)}",
                              tok.line, tok.col)
         return tok.value
 

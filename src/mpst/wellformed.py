@@ -10,6 +10,8 @@ the queue growth it produces.
 
 Balancing is undecidable (queue machines embed into it), so the main
 entry points answer Accept, with a reusable derivation, or Unknown.
+One check shares its agree calls' work, and reuses a subderivation
+wherever the part of the path that it read is the same.
 """
 
 from __future__ import annotations
@@ -235,8 +237,16 @@ def agree(g: GNode, queue: Queue, mod_g: bool = False) -> bool:
     the continuation cannot distinguish the two.  A path stops where its
     (node, queue) state recurs, with ``mod_g`` up to that same
     equivalence.  Without ``mod_g``, a finished state holds on every
-    path, so agreement means that no reachable state breaks it.
+    path, so agreement means that no reachable state breaks it; the
+    calls of one balancing check share only states finished by calls
+    that held, as one that failed may have finished a state reaching an
+    ancestor that was still open and failed.  ``mod_g`` finishes none.
     """
+    return _agree(g, queue, mod_g, set())
+
+
+def _agree(g, queue, mod_g, table) -> bool:
+    """:func:`agree` that skips, and when it holds extends, ``table``."""
     # path: node -> its queues on the current path, oldest first, as
     # the keys of a dict; (node, None): exit.  A queue occurs at most
     # once per node on the path, so the exit pops the last one entered
@@ -249,7 +259,7 @@ def agree(g: GNode, queue: Queue, mod_g: bool = False) -> bool:
             if not mod_g:
                 done.add((node, q))
             continue
-        if node.kind == END or (node, q) in done:
+        if node.kind == END or (node, q) in done or (node, q) in table:
             continue
         hyps = path.setdefault(node, {})
         if q in hyps or mod_g and any(queue_equiv_g(hq, q, node)
@@ -272,6 +282,7 @@ def agree(g: GNode, queue: Queue, mod_g: bool = False) -> bool:
                     return False
                 swaps.add(swap)
             stack.append((child, q.pop(*chan)[1].push(chan[0], lab, chan[1])))
+    table |= done
     return True
 
 
@@ -304,19 +315,21 @@ def ok(g: GNode, hyp_queue: Queue, queue: Queue, weak: bool = False,
     readable.  Returns the suffix when all conditions hold.
     """
     readable = weak or read(g, hyp_queue)
-    return _grown(g, hyp_queue, queue, weak, mod_g) if readable else None
+    return (_grown(g, hyp_queue, queue, weak, mod_g, set()) if readable
+            else None)
 
 
-def _grown(g, hyp_queue, queue, weak, mod_g) -> Optional[Queue]:
+def _grown(g, hyp_queue, queue, weak, mod_g, table) -> Optional[Queue]:
     """:func:`ok` less its ``read``, for hypotheses read when pushed."""
     suffix = split_suffix(hyp_queue, queue)
-    if suffix is None or not agree(g, suffix, mod_g):
+    if suffix is None or not _agree(g, suffix, mod_g, table):
         return None
     return suffix if weak or dread(g, suffix) else None
 
 
 class Accept:
-    """A successful balancing check with its derivation tree."""
+    """A successful balancing check with its derivation tree, which may
+    share subderivations between branches and must not be mutated."""
 
     def __init__(self, derivation: dict):
         self.derivation = derivation
@@ -336,22 +349,42 @@ def _inductive(g, queue, weak, max_revisits, mod_g):
     # the derivation of a stacked (node, queue) state goes into
     # parent[slot]; path and exit markers work as in agree.  The queues
     # on the path are the hypotheses a loop may close against, and any
-    # failed premise fails the whole check
-    root, path, read_memo = {}, {}, {}
+    # failed premise fails the whole check.  The walk reads the path only
+    # as path[node] on entering a node, so a subderivation is reused where
+    # the path gives its views, path[node] at its first entry of each
+    # node.  Only frames at nodes entered before are kept, so only there
+    # and while one is open are (node, view) entries logged; an exit
+    # marker has the frame's derivation and start in the log, or None
+    root, path, read_memo, table = {}, {}, {}, set()
+    memo, log, open_frames = {}, [], 0
     stack = [(g, queue, root, "derivation")]
     while stack:
         node, q, parent, slot = stack.pop()
         if q is None:
-            path[node].pop()
+            q = path[node].pop()
+            if slot is not None:
+                views = dict(reversed(log[slot:]))
+                log[slot:] = views.items()
+                memo[node, q] = views, parent
+                open_frames -= 1
             continue
         if node.kind == END:
             if not q.is_empty:
                 return Unknown()
             parent[slot] = {"rule": "ib-End", "type": node, "queue": q}
             continue
+        start = len(log) if node in path else None
         hyps = path.setdefault(node, [])
+        if start is not None:
+            views, d = memo.get((node, q), (None, None))
+            if views and all(path[m] == v for m, v in reversed(views.items())):
+                parent[slot] = d
+                log.extend(views.items())
+                continue
+        if open_frames or start is not None:
+            log.append((node, hyps.copy()))
         for hq in hyps:
-            suffix = _grown(node, hq, q, weak, mod_g)
+            suffix = _grown(node, hq, q, weak, mod_g, table)
             if suffix is not None:
                 parent[slot] = {"rule": "ib-Cycle", "type": node, "queue": q,
                                 "hypothesis_queue": hq, "suffix": suffix}
@@ -364,17 +397,18 @@ def _inductive(g, queue, weak, max_revisits, mod_g):
                     or node.kind == IN and head not in node.branches):
                 return Unknown()
             hyps.append(q)
-            stack.append((node, None, None, None))
+            d = parent[slot] = {"rule": "ib-Out" if node.kind == OUT
+                                else "ib-In", "type": node, "queue": q}
+            stack.append((node, None, d, start))
+            open_frames += start is not None
             if node.kind == OUT:
-                d = parent[slot] = {"rule": "ib-Out", "type": node,
-                                    "queue": q, "branches": {}}
                 # pushed reversed so that the branches fill in label order
+                d["branches"] = {}
                 stack.extend((child, q.push(chan[0], lab, chan[1]),
                               d["branches"], lab)
                              for lab, child in reversed(node.branches.items()))
             else:
-                d = parent[slot] = {"rule": "ib-In", "type": node,
-                                    "queue": q, "label": head}
+                d["label"] = head
                 stack.append((node.branches[head], q.pop(*chan)[1], d,
                               "branch"))
     return Accept(root["derivation"])

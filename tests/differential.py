@@ -1,5 +1,5 @@
-"""Differential run of the session semantics and the syntax layer
-against another checkout.
+"""Differential run of the session semantics, the syntax layer and
+balancing against another checkout.
 
     python tests/differential.py OTHER_CHECKOUT [--sample N]
 
@@ -27,10 +27,19 @@ The calls:
   ``gen.random_network`` for seeds 5000-5999, and of random texts for
   seeds 6000-9999, each the head of a definition and then up to
   ``TEXT_LENGTH`` of ``TEXT_PIECES``: every definition of the
-  document, printed back, or the error with its line and column.
+  document, printed back, or the error with its line and column;
+- ``balanced_inductive`` and ``weakly_balanced_inductive`` at
+  ``max_revisits`` 1 and 2 and ``agree``, each with and without
+  ``mod_g``, of ``gen.random_gnode`` with ``gen.random_queue`` for
+  seeds 10000-10599, of ``encode_config`` of ``gen.random_machine``
+  started on ``gen.random_word`` for seeds 11000-11199, and of
+  ``gen.diamonds(n)`` with the empty queue for n = 1..10 (8,100
+  calls): the verdict and, for an Accept, its derivation written out
+  as a tree, a line per rule with its node's index in
+  ``reachable_nodes`` and its queues' keys.
 
 A raise is an answer: its class and message are compared.  ``--sample
-N`` runs only N calls, split about evenly over the four kinds and
+N`` runs only N calls, split about evenly over the five kinds and
 spread evenly within each.
 """
 
@@ -56,6 +65,8 @@ TEXT_PIECES = list("pqé一²Ⅻ1_$ \t\r\n\"/-|>!?;:,={}()[]#") + [
 TEXT_LENGTH = 12
 HEADS = ["proc P = ", "global G = ", "network N { ", "queue Q = [",
          "machine M { "]
+CHECKS = [(check, max_revisits) for check in ("balanced", "weakly")
+          for max_revisits in (1, 2)] + [("agree", None)]
 
 
 def _sessions():
@@ -87,6 +98,12 @@ def call_set() -> list:
     calls += [("parse", "gtype", seed) for seed in range(4000, 5000)]
     calls += [("parse", "network", seed) for seed in range(5000, 6000)]
     calls += [("parse", "text", seed) for seed in range(6000, 10000)]
+    configs = ([("gtype", seed) for seed in range(10000, 10600)]
+               + [("machine", seed) for seed in range(11000, 11200)]
+               + [("diamonds", n) for n in range(1, 11)])
+    calls += [("balancing", source, key, check, max_revisits, mod_g)
+              for source, key in configs for check, max_revisits in CHECKS
+              for mod_g in (False, True)]
     return calls
 
 
@@ -112,8 +129,11 @@ def emit(src: str, n) -> None:
     from mpst import sessions as S
     from mpst.syntax import (format_gtype, format_machine, format_network,
                              format_proc, format_queue, parse)
-    from mpst.terms import Comm
-    from gen import random_gnode, random_network, random_queue
+    from mpst import wellformed as W
+    from mpst.machines import encode_config, qm_start
+    from mpst.terms import Comm, Queue, reachable_nodes
+    from gen import (diamonds, random_gnode, random_machine, random_network,
+                     random_queue, random_word)
 
     if not Path(mpst.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {mpst.__file__}, not from {src}")
@@ -154,10 +174,50 @@ def emit(src: str, n) -> None:
                 lines += fmt(value, name).splitlines()
         return lines
 
+    def config(source, key):
+        if source == "diamonds":
+            return diamonds(key), Queue()
+        rng = random.Random(key)
+        if source == "gtype":
+            return random_gnode(rng), random_queue(rng)
+        machine = random_machine(rng)
+        return encode_config(machine, qm_start(machine,
+                                               random_word(rng, machine)))
+
+    def derivation(g, d):
+        index = {id(n): i for i, n in enumerate(reachable_nodes(g))}
+        lines, todo = [], [d]
+        while todo:
+            d = todo.pop()
+            line = [d["rule"], index[id(d["type"])], d["queue"].key()]
+            if d["rule"] == "ib-Cycle":
+                line += [d["hypothesis_queue"].key(), d["suffix"].key()]
+            if d["rule"] == "ib-In":
+                line.append(d["label"])
+                todo.append(d["branch"])
+            if d["rule"] == "ib-Out":
+                line.append(list(d["branches"]))
+                todo += reversed(d["branches"].values())
+            lines.append(" ".join(map(str, line)))
+        return lines
+
+    def balancing(source, key, check, max_revisits, mod_g):
+        g, queue = config(source, key)
+        if check == "agree":
+            return [str(W.agree(g, queue, mod_g))]
+        verdict = (W.balanced_inductive if check == "balanced"
+                   else W.weakly_balanced_inductive)(g, queue, max_revisits,
+                                                     mod_g)
+        return [type(verdict).__name__] + (
+            derivation(g, verdict.derivation)
+            if isinstance(verdict, W.Accept) else [])
+
     def run(call):
         what, seed, *args = call
         if what == "parse":
             return printed(parse(text(seed, *args)))
+        if what == "balancing":
+            return balancing(seed, *args)
         s = session(seed)
         if what == "check_liveness":
             horizon, mode = args

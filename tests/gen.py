@@ -1,6 +1,6 @@
 """Seeded random generators for graphs, networks, queues and machines,
-and the ``ring``, ``chain``, ``chain_network`` and ``pairs`` scaling
-families."""
+and the ``ring``, ``chain``, ``diamonds``, ``chain_network`` and
+``pairs`` scaling families."""
 
 from __future__ import annotations
 
@@ -113,6 +113,17 @@ def chain(n: int) -> GNode:
     for _ in range(n):
         node = gout("p", "q", {"l": gin("p", "q", {"l": node})})
     return node
+
+
+def diamonds(n: int) -> GNode:
+    """n diamonds: each an output ``p q!{x, y}`` whose branches read
+    their own label and meet at the next diamond; the last loops back
+    to the first.  The number of paths doubles with each diamond."""
+    outs = [gout("p", "q") for _ in range(n)]
+    for i, out in enumerate(outs):
+        for label in ("x", "y"):
+            out.branches[label] = gin("p", "q", {label: outs[(i + 1) % n]})
+    return outs[0]
 
 
 def chain_network(n: int, restart: bool = False) -> Network:

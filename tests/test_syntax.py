@@ -200,17 +200,21 @@ class TestParseErrors:
         ("machine M {\n  states ; }", "empty symbol list", 2, 12),
         ("proc P = // c", "unexpected end of file", 1, 14),
         ('machine M {\n  states s; start "s"; }',
-         "expected a symbol, found 's'", 2, 19),
-        ('machine M {\n  bottom "$"; }', "expected a symbol, found '$'",
+         'expected a symbol, found "s"', 2, 19),
+        ('machine M {\n  bottom "$"; }', 'expected a symbol, found "$"',
          2, 10),
         ('machine M {\n  delta ("s", a) -> ("s", "a"); }',
-         "expected a symbol, found 's'", 2, 10),
+         'expected a symbol, found "s"', 2, 10),
         ("machine M {\n  states s; start ;; }",
          "expected a symbol, found ';'", 2, 19),
+        ('machine M { states s; start "s"; }',
+         'expected a symbol, found "s"', 1, 29),
+        ('proc P "=" end', "expected '=', found \"=\"", 1, 8),
     ], ids=["participant-twice", "definer-as-term", "missing-mark",
             "unquoted-word", "non-symbol", "empty-symbols",
             "trailing-comment", "quoted-start", "quoted-bottom",
-            "quoted-delta-state", "punct-start"])
+            "quoted-delta-state", "punct-start", "quoted-symbol",
+            "quoted-punct"])
     def test_parse_error_positions(self, text, message, line, col):
         with pytest.raises(ParseError) as err:
             parse(text)

@@ -12,6 +12,7 @@ from mpst.wellformed import (
     INF,
     Accept,
     ChannelMismatch,
+    Unknown,
     agree,
     balanced_inductive,
     bounded,
@@ -29,6 +30,7 @@ from gen import (
     LABELS,
     PARTS,
     chain,
+    diamonds,
     random_gnode,
     random_machine,
     random_queue,
@@ -281,20 +283,78 @@ class TestAgreementAndBalancing:
     def test_balancing_matches_oracle(self):
         verdicts = set()
         for g, queue in walk_inputs():
-            for weak, check in ((False, balanced_inductive),
-                                (True, weakly_balanced_inductive)):
-                for max_revisits in (1, 2):
-                    for mod_g in (False, True):
-                        got = check(g, queue, max_revisits, mod_g)
-                        want = oracle_inductive(g, queue, weak,
-                                                max_revisits, mod_g)
-                        assert type(got) is type(want)
-                        if isinstance(want, Accept):
-                            assert got.derivation == want.derivation
-                            assert oracle_check_derivation(
-                                g, queue, got.derivation, weak, mod_g)
-                        verdicts.add((weak, type(got)))
+            verdicts |= check_balancing(g, queue)
         assert len(verdicts) == 4
+
+    def test_diamonds_match_oracle(self):
+        for n in range(1, 7):
+            assert check_balancing(diamonds(n), Queue()) == {
+                (False, Accept), (True, Accept)}
+
+    def test_diamonds_share_their_subderivations(self):
+        # each diamond is entered with the empty queue on 2^n paths,
+        # which all read the same part of the path, so its three nodes
+        # need few derivations, not one per path
+        for check in (balanced_inductive, weakly_balanced_inductive):
+            seen, todo = set(), [check(diamonds(16), Queue()).derivation]
+            while todo:
+                d = todo.pop()
+                if id(d) not in seen:
+                    seen.add(id(d))
+                    todo += d.get("branches", {}).values()
+                    todo += [d["branch"]] if "branch" in d else []
+            assert len(seen) <= 8 * 16
+
+    def test_a_failed_agreement_shares_nothing(self):
+        # A = r s?{f; F, x; X}  X = p q!h; r s!x; A  F = p q!z; end: the
+        # loop from A to A grows p->q:h, and agree(A, p->q:h) finishes
+        # X with it before F fails.  X is not agreeable with p->q:h
+        # either, so the next loop, from X to X, must not close
+        a, x = gin("r", "s"), gout("p", "q")
+        a.branches.update(f=gout("p", "q", {"z": gend()}), x=x)
+        x.branches["h"] = gout("r", "s", {"x": a})
+        grown = Queue.from_msgs([Msg("p", "h", "q")])
+        assert not agree(x, grown) and not oracle_agree(x, grown)
+        queue = Queue.from_msgs([Msg("r", "x", "s")])
+        assert check_balancing(a, queue) == {(False, Unknown),
+                                             (True, Unknown)}
+
+    def test_subderivations_are_reused_only_on_the_same_path(self):
+        # G = p q!{a; p q?a; N, b; B, c; p q?c; N}  B = p q?b; N
+        # N = p q!b; B: N is reached with the empty queue from each
+        # branch.  From the b branch, B is on the path and the loop
+        # closes there; from the others it closes at N
+        n, b = gout("p", "q"), gin("p", "q")
+        n.branches["b"] = b
+        b.branches["b"] = n
+        g = gout("p", "q", {"a": gin("p", "q", {"a": n}), "b": b,
+                            "c": gin("p", "q", {"c": n})})
+        assert check_balancing(g, Queue()) == {(False, Accept),
+                                               (True, Accept)}
+        branches = balanced_inductive(g, Queue()).derivation["branches"]
+        b_loop = branches["b"]["branch"]["branches"]["b"]
+        c_loop = branches["c"]["branch"]["branches"]["b"]
+        assert (b_loop["rule"], c_loop["rule"]) == ("ib-Cycle", "ib-In")
+
+
+def check_balancing(g, queue) -> set:
+    """Both balancing checks, at both revisit budgets and both queue
+    equivalences, against the oracle search; the (weak, verdict type)
+    pairs seen."""
+    verdicts = set()
+    for weak, check in ((False, balanced_inductive),
+                        (True, weakly_balanced_inductive)):
+        for max_revisits in (1, 2):
+            for mod_g in (False, True):
+                got = check(g, queue, max_revisits, mod_g)
+                want = oracle_inductive(g, queue, weak, max_revisits, mod_g)
+                assert type(got) is type(want)
+                if isinstance(want, Accept):
+                    assert got.derivation == want.derivation
+                    assert oracle_check_derivation(
+                        g, queue, got.derivation, weak, mod_g)
+                verdicts.add((weak, type(got)))
+    return verdicts
 
 
 def test_deep_inputs_do_not_recurse():
