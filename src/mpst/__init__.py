@@ -17,7 +17,6 @@ from mpst.terms import (
     GNode,
     Msg,
     Network,
-    PNode,
     Queue,
     bisimilar,
     comms,
@@ -25,7 +24,6 @@ from mpst.terms import (
     gin,
     gout,
     minimize,
-    pend,
     pin,
     players,
     pout,
@@ -41,7 +39,6 @@ __all__ = [
     "GNode",
     "Msg",
     "Network",
-    "PNode",
     "Queue",
     "bisimilar",
     "comms",
@@ -49,7 +46,6 @@ __all__ = [
     "gin",
     "gout",
     "minimize",
-    "pend",
     "pin",
     "players",
     "pout",

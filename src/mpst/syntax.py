@@ -14,7 +14,9 @@ A file is a sequence of definitions:
 The lexer is one regular expression, and a token's line and column
 come from the offsets of its match.  Every name is an identifier under
 the one rule of ``terms._is_name``; keywords are names only in machine
-sections.
+sections.  Every lookahead for a mark, a word or a name goes through
+``_Parser.at`` or ``_Parser.at_name``, which a quoted string never
+passes: ``"!"`` is a string, never the mark ``!``.
 
 Terms are parsed straight into graph nodes.  Definitions may
 reference each other by name in any order: a name stays in its place
@@ -26,8 +28,10 @@ like ``proc A = B`` with ``proc B = A``, is rejected.
 Printing produces the same surface form back: nodes that are shared,
 sit on a cycle, or are the root get a name, everything else is printed
 inline.  Parsing the output yields bisimilar graphs: a printer raises
-ValueError for a name ``parse`` would not read back.  Neither parsing
-nor printing recurses, so no term is too deep for either.
+ValueError for a name ``parse`` would not read back, and for a node
+that names the wrong participants for its definition: a global type
+names both, a process its partner alone.  Neither parsing nor printing
+recurses, so no term is too deep for either.
 """
 
 from __future__ import annotations
@@ -154,10 +158,6 @@ class Document:
     machines: dict = field(default_factory=dict)
 
 
-# the keywords that start a definition: "end" is a term
-_DEFINERS = KEYWORDS - {"end"}
-
-
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _lex(text)
@@ -179,24 +179,44 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, value: str) -> Token:
-        tok = self.next()
-        if tok.value != value or tok.type not in ("punct", "ident"):
+    def at(self, value: str) -> bool:
+        """Whether the next token is the mark or word ``value``, which a
+        quoted string never is."""
+        tok = self.tokens[self.pos]
+        return tok.value == value and tok.type != "string"
+
+    def at_name(self, keywords=KEYWORDS) -> bool:
+        """Whether the next token is a name: a word not in ``keywords``."""
+        tok = self.tokens[self.pos]
+        return tok.type == "ident" and tok.value not in keywords
+
+    def take(self, value: str) -> bool:
+        """Consumes the next token if :meth:`at` ``value``."""
+        if self.at(value):
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> None:
+        tok = self.tokens[self.pos]
+        if not self.at(value):
+            self.next()  # at the end of the file, says so
             raise ParseError(f"expected {value!r}, found {_shown(tok)}",
                              tok.line, tok.col)
-        return tok
+        self.pos += 1
 
-    def name(self, what="name") -> Token:
-        tok = self.next()
-        if tok.type != "ident" or tok.value in KEYWORDS:
+    def name(self, what="name", keywords=KEYWORDS) -> Token:
+        tok = self.tokens[self.pos]
+        if not self.at_name(keywords):
+            self.next()  # at the end of the file, says so
             raise ParseError(f"expected a {what}, found {_shown(tok)}",
                              tok.line, tok.col)
+        self.pos += 1
         return tok
 
     def head(self, keyword: str, defs: dict) -> str:
-        """Reads ``keyword name`` of a definition that goes into
-        ``defs``, and returns the name."""
-        self.expect(keyword)
+        """Reads the name of a ``keyword`` definition that goes into
+        ``defs``, once the keyword is read, and returns it."""
         name = self.name()
         if name.value in defs:
             raise ParseError(f"duplicate {keyword} definition {name.value!r}",
@@ -209,16 +229,16 @@ class _Parser:
         doc = self.doc
         while self.peek().type != "eof":
             tok = self.peek()
-            if tok.value == "proc":
+            if self.take("proc"):
                 self.termdef("proc", "process", doc.procs)
-            elif tok.value == "global":
+            elif self.take("global"):
                 self.termdef("global", "global type", doc.globals_)
-            elif tok.value == "network":
+            elif self.take("network"):
                 self.netdef()
-            elif tok.value == "queue":
+            elif self.take("queue"):
                 self.queuedef()
-            elif tok.value == "machine":
-                self.machinedef()
+            elif self.take("machine"):
+                self.machinedef(tok)
             else:
                 raise ParseError(f"expected a definition, found {_shown(tok)}",
                                  tok.line, tok.col)
@@ -245,8 +265,7 @@ class _Parser:
         self.doc.networks[self.head("network", self.doc.networks)] = comps
         self.expect("{")
         self.component(comps)
-        while self.peek().value == ",":
-            self.next()
+        while self.take(","):
             self.component(comps)
         self.expect("}")
 
@@ -264,12 +283,11 @@ class _Parser:
         self.expect("=")
         self.expect("[")
         msgs = []
-        if self.peek().value != "]":
+        if not self.take("]"):
             msgs.append(self.message())
-            while self.peek().value == ",":
-                self.next()
+            while self.take(","):
                 msgs.append(self.message())
-        self.expect("]")
+            self.expect("]")
         self.doc.queues[name] = Queue.from_msgs(msgs)
 
     def message(self):
@@ -302,22 +320,15 @@ class _Parser:
         refs = self.refs[what]
         braces = []
         while True:
-            tok = self.next()
-            if tok.type != "ident" or tok.value in _DEFINERS:
-                raise ParseError(f"expected a {what}, found {_shown(tok)}",
-                                 tok.line, tok.col)
-            after = self.tokens[self.pos]
-            if tok.value == "end" or not (
-                    after.type == "ident" and after.value not in KEYWORDS
-                    if is_global else after.value in ("!", "?")):
+            tok = None if self.take("end") else self.name(what)
+            if tok is None or not (self.at_name() if is_global
+                                   else self.at("!") or self.at("?")):
                 # a leaf: close the choices it completes, then go on
                 # with the next branch of the innermost open one
-                if tok.value == "end":
-                    slots[key] = gend()
-                else:
-                    slots[key] = tok
+                slots[key] = tok or gend()
+                if tok:
                     refs.append((slots, key))
-                while braces and self.tokens[self.pos].value != ",":
+                while braces and not self.take(","):
                     self.expect("}")
                     _, brace, twice = braces.pop()
                     if twice is not None:
@@ -326,17 +337,16 @@ class _Parser:
                             brace.line, brace.col)
                 if not braces:
                     return
-                self.next()
                 slots = braces[-1][0]
             else:
                 names = ([tok.value, self.next().value] if is_global
                          else [tok.value])
-                mark = self.next()
-                if mark.value not in ("!", "?"):
+                kind = OUT if self.take("!") else IN if self.take("?") else None
+                if kind is None:
+                    mark = self.next()  # at the end of the file, says so
                     raise ParseError(
                         f"expected '!' or '?', found {_shown(mark)}",
                         mark.line, mark.col)
-                kind = OUT if mark.value == "!" else IN
                 if len(names) == 1:
                     # a process leaves out its own participant, the one
                     # that moves
@@ -347,9 +357,9 @@ class _Parser:
                         tok.line, tok.col)
                 node = slots[key] = GNode(kind, *names)
                 slots = node.branches
-                if self.tokens[self.pos].value == "{":
+                if self.at("{"):
                     brace = self.next()
-                    if self.tokens[self.pos].value == "}":
+                    if self.at("}"):
                         raise EmptyChoice("a choice needs at least one branch",
                                           brace.line, brace.col)
                     braces.append([slots, brace, None])
@@ -361,13 +371,13 @@ class _Parser:
 
     # ---- machines
 
-    def machinedef(self):
-        head = self.peek()
+    def machinedef(self, head):
+        """Reads a machine after its keyword, the token ``head``."""
         name = self.head("machine", self.doc.machines)
         self.expect("{")
         parts = {"input": ()}
         delta = {}
-        while self.peek().value != "}":
+        while not self.take("}"):
             word = self.name("section")
             if word.value in ("states", "input", "queue_alphabet"):
                 parts[word.value] = self.symbols_until_semi(
@@ -399,7 +409,6 @@ class _Parser:
             else:
                 raise ParseError(f"unknown machine section {word.value!r}",
                                  word.line, word.col)
-        self.expect("}")
         for part in ("states", "queue_alphabet", "bottom", "start"):
             if part not in parts:
                 raise ParseError(f"machine without {part}",
@@ -412,18 +421,13 @@ class _Parser:
             raise ParseError(str(err), head.line, head.col) from None
 
     def symbol(self) -> str:
-        """Reads a machine's state or symbol: any identifier."""
-        tok = self.next()
-        if tok.type != "ident":
-            raise ParseError(f"expected a symbol, found {_shown(tok)}",
-                             tok.line, tok.col)
-        return tok.value
+        """Reads a machine's state or symbol: any word."""
+        return self.name("symbol", ()).value
 
     def symbols_until_semi(self, allow_empty=False):
         syms = []
-        while self.peek().value != ";":
+        while not self.take(";"):
             syms.append(self.symbol())
-        self.expect(";")
         if not syms and not allow_empty:
             raise ParseError("empty symbol list", self.peek().line,
                              self.peek().col)
@@ -493,10 +497,13 @@ def _needs_name(root):
                      if node.kind != END and indeg[id(node)] >= 2]
 
 
-def _fmt_term(root, names, out):
-    """Appends the body of ``root``'s definition to ``out``.  Below the
-    root a node prints as its name if it has one and inline otherwise;
-    ``stack`` holds what is still to be written, the next piece last."""
+def _fmt_term(root, names, out, keyword):
+    """Appends the body of ``root``'s ``keyword`` definition to ``out``.
+    Below the root a node prints as its name if it has one and inline
+    otherwise; ``stack`` holds what is still to be written, the next
+    piece last."""
+    # a global type names both participants, a process the partner alone
+    unnamed = 0 if keyword == "global" else 1
     stack = [root]
     at_def = True
     used = set()  # the participants and labels written
@@ -511,8 +518,9 @@ def _fmt_term(root, names, out):
         else:
             at_def = False
             used.update(node.branches, (node.sender, node.receiver))
-            # the participants the node names: both in a global type,
-            # the partner alone in a process
+            if (node.sender is None) + (node.receiver is None) != unnamed:
+                raise ValueError(f"node {node!r} cannot be parsed back "
+                                 f"in a {keyword} definition")
             who = " ".join(filter(None, (node.sender, node.receiver)))
             out.append(f"{who}{'!' if node.kind == OUT else '?'}")
             labs = sorted(node.branches)
@@ -545,7 +553,7 @@ def _fmt_defs(roots, keyword) -> list:
             names[id(node)] = f"{base}_{i}"
         for node in named:
             out = [f"{keyword} {names[id(node)]} = "]
-            _fmt_term(node, names, out)
+            _fmt_term(node, names, out, keyword)
             defs.append("".join(out))
     return defs
 

@@ -96,9 +96,6 @@ class GNode:
         return f"<{names}{mark}{{{labs}}}>"
 
 
-PNode = GNode
-
-
 def gend() -> GNode:
     return GNode(END)
 
@@ -109,9 +106,6 @@ def gout(sender: str, receiver: str, branches: Optional[dict] = None) -> GNode:
 
 def gin(sender: str, receiver: str, branches: Optional[dict] = None) -> GNode:
     return GNode(IN, sender, receiver, branches)
-
-
-pend = gend
 
 
 def pout(partner: str, branches: Optional[dict] = None) -> GNode:

@@ -247,26 +247,27 @@ def agree(g: GNode, queue: Queue, mod_g: bool = False) -> bool:
 
 def _agree(g, queue, mod_g, table) -> bool:
     """:func:`agree` that skips, and when it holds extends, ``table``."""
-    # path: node -> its queues on the current path, oldest first, as
-    # the keys of a dict; (node, None): exit.  A queue occurs at most
-    # once per node on the path, so the exit pops the last one entered
-    path, done, swaps = {}, set(), set()
+    # path: node -> its queues met, oldest first, as the keys of a
+    # dict.  Without ``mod_g`` that is every state visited; under it
+    # only those on the current path, and (node, None) is an exit,
+    # which pops the last one entered (a queue occurs at most once per
+    # node on the path)
+    path, swaps = {}, set()
     stack = [(g, queue)]
     while stack:
         node, q = stack.pop()
         if q is None:
-            q = path[node].popitem()[0]
-            if not mod_g:
-                done.add((node, q))
+            path[node].popitem()
             continue
-        if node.kind == END or (node, q) in done or (node, q) in table:
+        if node.kind == END or (node, q) in table:
             continue
         hyps = path.setdefault(node, {})
         if q in hyps or mod_g and any(queue_equiv_g(hq, q, node)
                                       for hq in hyps):
             continue
         hyps[q] = None
-        stack.append((node, None))
+        if mod_g:
+            stack.append((node, None))
         chan = (node.sender, node.receiver)
         head = q.head(*chan) if node.kind == OUT else None
         for lab, child in node.branches.items():
@@ -282,7 +283,7 @@ def _agree(g, queue, mod_g, table) -> bool:
                     return False
                 swaps.add(swap)
             stack.append((child, q.pop(*chan)[1].push(chan[0], lab, chan[1])))
-    table |= done
+    table.update((node, q) for node, qs in path.items() for q in qs)
     return True
 
 

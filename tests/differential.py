@@ -10,7 +10,7 @@ It prints the first mismatching calls and exits 1 if any differ.
 
 The sessions are ``random.Random(seed)``, then ``gen.random_network``,
 then ``gen.random_queue``, always drawn by this checkout's ``gen.py``.
-The calls:
+The 77,908 calls:
 
 - ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
   and 4 and seeds 2000-2099 at horizon 6 (1,800 calls): the result
@@ -18,16 +18,19 @@ The calls:
   every session's ``Network.key()`` and queue key;
 - ``simulate`` of each of those 500 sessions, one communication at a
   time and in lockstep rounds, with ``MinLabelPolicy`` and with
-  ``RandomPolicy(seed)``: every step's communications and session;
+  ``RandomPolicy(seed)`` (2,000 calls): every step's communications
+  and session;
 - ``step_session`` of each of those sessions on every candidate
   communication, both kinds, every ordered pair of ``gen.PARTS`` and
-  every label of ``gen.LABELS``: ``NOT_ENABLED`` or the session after;
+  every label of ``gen.LABELS`` (60,000 calls): ``NOT_ENABLED`` or
+  the session after;
 - ``parse`` of every ``protocols/*.mps``, of ``format_gtype`` of
   ``gen.random_gnode`` for seeds 4000-4999, of ``format_network`` of
   ``gen.random_network`` for seeds 5000-5999, and of random texts for
   seeds 6000-9999, each the head of a definition and then up to
-  ``TEXT_LENGTH`` of ``TEXT_PIECES``: every definition of the
-  document, printed back, or the error with its line and column;
+  ``TEXT_LENGTH`` of ``TEXT_PIECES``, quoted marks among them (6,008
+  calls): every definition of the document, printed back, or the
+  error with its line and column;
 - ``balanced_inductive`` and ``weakly_balanced_inductive`` at
   ``max_revisits`` 1 and 2 and ``agree``, each with and without
   ``mod_g``, of ``gen.random_gnode`` with ``gen.random_queue`` for
@@ -57,11 +60,13 @@ PROTOCOLS = HERE.parent / "protocols"
 SIMULATE_STEPS = 30
 SHOWN = 5
 # characters of every kind of token, blanks, a comment, a letter (一)
-# and numerals (², Ⅻ) outside ASCII, strays, and words that start
-# definitions and machine sections
+# and numerals (², Ⅻ) outside ASCII, strays, words that start
+# definitions and machine sections, and quoted marks, which are
+# strings wherever a mark may stand
 TEXT_PIECES = list("pqé一²Ⅻ1_$ \t\r\n\"/-|>!?;:,={}()[]#") + [
     "->", "|>", "end", "proc ", "global ", "network ", "queue ",
-    "machine ", "states ", "start ", "delta "]
+    "machine ", "states ", "start ", "delta ", '"!"', '"?"', '","', '"{"',
+    '"}"', '";"', '"]"']
 TEXT_LENGTH = 12
 HEADS = ["proc P = ", "global G = ", "network N { ", "queue Q = [",
          "machine M { "]

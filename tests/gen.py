@@ -18,7 +18,6 @@ from mpst.terms import (
     gend,
     gin,
     gout,
-    pend,
     pin,
     pout,
 )
@@ -52,7 +51,7 @@ def random_pnode(rng: random.Random, owner: str, max_nodes=6,
     shells = []
     for _ in range(count):
         if rng.random() < end_bias:
-            shells.append(pend())
+            shells.append(gend())
         else:
             make = rng.choice((pout, pin))
             shells.append(make(rng.choice(partners)))
@@ -130,7 +129,7 @@ def chain_network(n: int, restart: bool = False) -> Network:
     """p sends ``l`` to q n times and q reads it n times.  With
     ``restart``, p may send ``r`` instead at every step, and the ``r``
     takes p, and q once it reads it, back to the start."""
-    p, q = pend(), pend()
+    p, q = gend(), gend()
     steps = []
     for _ in range(n):
         p = pout("q", {"l": p})

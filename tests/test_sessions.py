@@ -32,7 +32,7 @@ from mpst.sessions import (
     step_session,
     LivenessMode,
 )
-from mpst.terms import Comm, Network, Queue, gend, gout, pend, pin, pout
+from mpst.terms import Comm, Network, Queue, gend, gout, pin, pout
 from gen import (
     LABELS,
     PARTS,
@@ -265,8 +265,8 @@ class TestHospitalTrace:
 
 class TestLiveness:
     def test_clean_exchange_verified(self):
-        net = Network({"p": pout("q", {"l": pend()}),
-                       "q": pin("p", {"l": pend()})})
+        net = Network({"p": pout("q", {"l": gend()}),
+                       "q": pin("p", {"l": gend()})})
         for mode in LivenessMode:
             assert check_liveness(fresh(net), 10, mode) == Verified()
 
@@ -296,7 +296,7 @@ class TestLiveness:
         net = Network({
             "p": _loop_out("q", "l"),
             "q": _loop_in("p", "l"),
-            "r": pin("p", {"x": pend()}),
+            "r": pin("p", {"x": gend()}),
         })
         result = check_liveness(fresh(net), 10)
         assert isinstance(result, CounterexampleTrace)
@@ -314,7 +314,7 @@ class TestLiveness:
                               LivenessMode.INPUT_ENABLING) == Verified()
 
     def test_stuck_at_the_start(self):
-        waiting = fresh(Network({"q": pin("p", {"l": pend()})}))
+        waiting = fresh(Network({"q": pin("p", {"l": gend()})}))
         stray = fresh(Network(), Queue().push("p", "l", "q"))
         for s, owing in ((waiting, LivenessMode.INPUT_ENABLING),
                          (stray, LivenessMode.QUEUE_CONSUMING)):
@@ -364,10 +364,10 @@ class TestLiveness:
         # check after the round, so it is reported, not the lasso
         session = fresh(Network({
             "p": pout("q", {"a": _loop_out("q", "x"),
-                            "b": pout("q", {"c": pend()})}),
+                            "b": pout("q", {"c": gend()})}),
             "q": pin("p", {"a": _loop_in("p", "x"),
-                           "b": pin("p", {"c": pend()})}),
-            "r": pin("p", {"z": pend()}),
+                           "b": pin("p", {"c": gend()})}),
+            "r": pin("p", {"z": gend()}),
         }))
         result = check_liveness(session, 10)
         assert isinstance(result, CounterexampleTrace)

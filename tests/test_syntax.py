@@ -25,7 +25,7 @@ from mpst.syntax import (
     _lex,
 )
 from mpst.machines import QueueMachine
-from mpst.terms import Msg, Network, Queue, bisimilar, gend, gout, pend, pout, \
+from mpst.terms import Msg, Network, Queue, bisimilar, gend, gout, pout, \
     reachable_nodes
 from conftest import PROTOCOLS, load_protocol
 from oracles import oracle_lex
@@ -210,11 +210,25 @@ class TestParseErrors:
         ('machine M { states s; start "s"; }',
          'expected a symbol, found "s"', 1, 29),
         ('proc P "=" end', "expected '=', found \"=\"", 1, 8),
+        ('global G = p q "!" l; end', "expected '!' or '?', found \"!\"",
+         1, 16),
+        ('proc P = q "?" l; end', 'expected a definition, found "?"', 1, 12),
+        ('global G = p q!{l; end "," m; end}', "expected '}', found \",\"",
+         1, 24),
+        ('global G = p q! "{" l; end, m; end}',
+         'expected a label, found "{"', 1, 17),
+        ('proc P = q!l; end\nproc Q = p?l; end\n'
+         'network N { p |> P "," q |> Q }', "expected '}', found \",\"",
+         3, 20),
+        ('queue Q = [p->q:a "," p->q:b]', "expected ']', found \",\"", 1, 19),
+        ('machine M { states s ";" }', 'expected a symbol, found ";"', 1, 22),
     ], ids=["participant-twice", "definer-as-term", "missing-mark",
             "unquoted-word", "non-symbol", "empty-symbols",
             "trailing-comment", "quoted-start", "quoted-bottom",
             "quoted-delta-state", "punct-start", "quoted-symbol",
-            "quoted-punct"])
+            "quoted-punct", "quoted-global-mark", "quoted-process-mark",
+            "quoted-choice-comma", "quoted-brace", "quoted-network-comma",
+            "quoted-queue-comma", "quoted-semicolon"])
     def test_parse_error_positions(self, text, message, line, col):
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -330,17 +344,17 @@ class TestPrinting:
 
     @pytest.mark.parametrize("bad", ["1x", "end", "proc", "q-r"])
     def test_names_parse_would_not_read_back(self, bad):
-        net = Network({"p": pout("q", {"l": pend()})})
+        net = Network({"p": pout("q", {"l": gend()})})
         queue = Queue.from_msgs([Msg("p", "l", "q")])
         printed = [
             lambda: format_gtype(gout("p", "q", {bad: gend()})),
             lambda: format_gtype(gout("p", bad, {"l": gend()})),
             lambda: format_gtype(gend(), bad),
-            lambda: format_proc(pout("q", {bad: pend()})),
-            lambda: format_proc(pout(bad, {"l": pend()})),
-            lambda: format_proc(pend(), bad),
-            lambda: format_network(Network({bad: pout("q", {"l": pend()})})),
-            lambda: format_network(Network({"p": pout("q", {bad: pend()})})),
+            lambda: format_proc(pout("q", {bad: gend()})),
+            lambda: format_proc(pout(bad, {"l": gend()})),
+            lambda: format_proc(gend(), bad),
+            lambda: format_network(Network({bad: pout("q", {"l": gend()})})),
+            lambda: format_network(Network({"p": pout("q", {bad: gend()})})),
             lambda: format_network(net, bad),
             lambda: format_queue(Queue.from_msgs([Msg("p", bad, "q")])),
             lambda: format_queue(Queue.from_msgs([Msg(bad, "l", "q")])),
@@ -350,6 +364,19 @@ class TestPrinting:
         for fmt in printed:
             with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 fmt()
+
+    @pytest.mark.parametrize("fmt", [
+        lambda: format_gtype(pout("q", {"l": gend()})),
+        lambda: format_gtype(gout("p", "q", {"l": pout("q")})),
+        lambda: format_proc(gout("p", "q", {"l": gend()})),
+        lambda: format_proc(pout("q", {"l": gout("p", "q")})),
+        lambda: format_network(Network({"r": gout("p", "q", {"l": gend()})})),
+    ], ids=["process-as-global", "process-below-global", "global-as-process",
+            "global-below-process", "global-in-network"])
+    def test_nodes_parse_would_not_read_back(self, fmt):
+        # a global type names both participants, a process one
+        with pytest.raises(ValueError, match="cannot be parsed back"):
+            fmt()
 
     def test_machine_names(self):
         def machine(state):

@@ -14,7 +14,6 @@ from mpst.terms import (
     GNode,
     Msg,
     Network,
-    PNode,
     Queue,
     bisimilar,
     comms,
@@ -22,7 +21,6 @@ from mpst.terms import (
     gin,
     gout,
     minimize,
-    pend,
     pin,
     players,
     pout,
@@ -57,13 +55,13 @@ class TestNodes:
 
     def test_process_and_global_never_equal(self):
         g = gout("p", "q", {"l": gend()})
-        p = pout("q", {"l": pend()})
+        p = pout("q", {"l": gend()})
         assert not bisimilar(g, p)
 
     def test_process_nodes_are_global_nodes(self):
         # a process node leaves out the participant that moves
-        assert PNode is GNode
         out, inp = pout("q"), pin("p")
+        assert type(out) is type(inp) is GNode
         assert (out.sender, out.receiver, out.player) == (None, "q", None)
         assert (inp.sender, inp.receiver, inp.player) == ("p", None, None)
 
@@ -72,10 +70,12 @@ class TestNodes:
         assert pin("p").partner == "p"
         assert gout("p", "q").partner == "q"
         assert gin("p", "q").partner == "p"
-        assert pend().partner is None
+        assert gend().partner is None
 
     def test_end_is_one_term(self):
-        assert bisimilar(gend(), pend())
+        # a process and a global type end in the same term
+        assert bisimilar(pout("q", {"l": gend()}).branches["l"],
+                         gout("p", "q", {"l": gend()}).branches["l"])
 
 
 class TestBisimilarity:
@@ -426,8 +426,8 @@ class TestQueueLanes:
 
 class TestNetwork:
     def test_terminated_components_dropped(self):
-        assert Network({"p": pend()}).is_empty
-        assert Network({"p": pend()}) == Network()
+        assert Network({"p": gend()}).is_empty
+        assert Network({"p": gend()}) == Network()
 
     def test_get_missing_is_end(self):
         assert Network().get("p").kind == "end"
@@ -438,11 +438,11 @@ class TestNetwork:
     def test_with_and_without(self):
         net = mp().net
         assert net.without("p").players() == {"q"}
-        assert net.with_comp("p", pend()).players() == {"q"}
-        bigger = net.with_comp("r", pout("p", {"l": pend()}))
+        assert net.with_comp("p", gend()).players() == {"q"}
+        bigger = net.with_comp("r", pout("p", {"l": gend()}))
         assert bigger.players() == {"p", "q", "r"}
         assert "r" in bigger and "r" not in net
-        first = bigger.with_comp("a", pin("p", {"l": pend()}))
+        first = bigger.with_comp("a", pin("p", {"l": gend()}))
         assert [name for name, _ in first.items()] == ["a", "p", "q", "r"]
 
     def test_equality_is_componentwise_bisimilarity(self):

@@ -18,7 +18,6 @@ from mpst.terms import (
     gend,
     gin,
     gout,
-    pend,
     pin,
     pout,
 )
@@ -71,8 +70,8 @@ def mp() -> SimpleNamespace:
     g = gout("p", "q")
     g.branches["l"] = gin("p", "q", {"lp": gend()})
     net = Network({
-        "p": pout("q", {"l": pend()}),
-        "q": pin("p", {"lp": pend()}),
+        "p": pout("q", {"l": gend()}),
+        "q": pin("p", {"lp": gend()}),
     })
     return SimpleNamespace(g=g, net=net)
 
