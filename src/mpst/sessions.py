@@ -4,15 +4,17 @@ A session is a network side by side with a queue.  Outputs append to
 the queue and never block; inputs read the head of their channel and
 block until it carries an expected label.  One rule,
 ``_options_by_player``, decides what is enabled, and one round
-function, ``_apply``, performs what it offered, with one new session
-at the end.  Single steps, lockstep rounds (every participant able to
-move performs one communication), simulation and the liveness check
-over all lockstep schedules all go through both.  The check explores
-the reachable lockstep states once, breadth-first, with ``horizon``
-bounding the depth.  It names a state by the bisimilarity blocks of its
-processes, from one partition refinement of the start network's graphs,
-and by its queue, and keeps of a state only that name and its links,
-and its session and options until it is expanded.
+function, ``_apply``, performs what it offered; both work on a process
+map and a queue.  Single steps, lockstep rounds (every participant
+able to move performs one communication), simulation and the liveness
+check over all lockstep schedules all go through both, and only the
+public functions and a returned trace wrap the result in a session.
+The check explores the reachable lockstep states once, breadth-first,
+with ``horizon`` bounding the depth.  It replaces each start process by
+its quotient under bisimilarity, so bisimilar processes are one node,
+and a state is its process nodes in name order and its queue's key,
+which is its own key.  Of a state it keeps that key and its links, and
+its process map and options until it is expanded.
 A state where nobody can move and something is owed is reported when
 it is generated.  A failed obligation is found on the strongly
 connected components of the explored graph and reported as a lasso: a
@@ -27,7 +29,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from mpst.terms import Comm, IN, Network, OUT, Queue, _refine, reachable_nodes
+from mpst.terms import Comm, IN, Network, OUT, Queue, minimize
 
 
 class _Sentinel:
@@ -60,28 +62,38 @@ class Session:
 # single steps
 
 
-def _apply(session: Session, comms) -> Session:
-    """Perform ``comms``, options of ``session`` for distinct players,
-    in order.  The process map is copied once and :meth:`Queue.after`
-    does the queue's part, so a round costs O(moves) beyond the copies."""
-    procs = dict(session.net.items())
+def _apply(procs, queue: Queue, comms) -> tuple:
+    """Perform ``comms``, options of ``procs`` (a map, or its pairs,
+    from names to processes) and ``queue`` for distinct players, in
+    order, as ``(procs, queue)``.  The process map is copied once and
+    :meth:`Queue.after` does the queue's part, so a round costs O(moves)
+    beyond the copies.  A process that ends stays in the map, at its
+    place in the order; :class:`Network` drops it."""
+    procs = dict(procs)
     for kind, sender, receiver, label in comms:
         player = sender if kind == OUT else receiver
         procs[player] = procs[player].branches[label]
-    return Session(Network(procs), session.queue.after(comms))
+    return procs, queue.after(comms)
+
+
+def _after(session: Session, comms) -> Session:
+    """The session after ``comms``, options of ``session``."""
+    procs, queue = _apply(session.net.items(), session.queue, comms)
+    return Session(Network(procs), queue)
 
 
 def step_session(session: Session, comm: Comm):
     """Perform one communication, or NOT_ENABLED unless it is offered."""
-    if comm not in _options_by_player(session).get(comm.play, ()):
+    options = _options_by_player(session.net.items(), session.queue)
+    if comm not in options.get(comm.play, ()):
         return NOT_ENABLED
-    return _apply(session, (comm,))
+    return _after(session, (comm,))
 
 
 def enabled(session: Session) -> set:
     """All communications the session can do right now."""
-    return {comm for comms in _options_by_player(session).values()
-            for comm in comms}
+    options = _options_by_player(session.net.items(), session.queue)
+    return {comm for comms in options.values() for comm in comms}
 
 
 def classify(session: Session) -> Classification:
@@ -94,7 +106,7 @@ def classify(session: Session) -> Classification:
 
 def deadlock_info(session: Session) -> dict:
     """What each blocked participant waits for and what sits unread."""
-    options = _options_by_player(session)
+    options = _options_by_player(session.net.items(), session.queue)
     blocked = {}
     for name, proc in session.net.items():
         if proc.kind == IN and name not in options:
@@ -165,18 +177,19 @@ def _choose(policy: ChoicePolicy, options: list, *player) -> Comm:
     return comm
 
 
-def _options_by_player(session: Session) -> dict:
-    """The communications of each participant able to move, in
-    ``sort_key`` order: its outputs by label, or the one input that
-    the head of its channel allows."""
+def _options_by_player(procs, queue: Queue) -> dict:
+    """The communications of each participant able to move, given its
+    ``(name, process)`` pairs ``procs`` and ``queue``, in ``sort_key``
+    order: its outputs by label, or the one input that the head of its
+    channel allows."""
     by_player = {}
-    for name, proc in session.net.items():
+    for name, proc in procs:
         comms = []
         if proc.kind == OUT:
             comms = [Comm(OUT, name, proc.receiver, lab)
                      for lab in sorted(proc.branches)]
         elif proc.kind == IN:
-            head = session.queue.head(proc.sender, name)
+            head = queue.head(proc.sender, name)
             if head is not None and head in proc.branches:
                 comms = [Comm(IN, proc.sender, name, head)]
         if comms:
@@ -193,11 +206,11 @@ def lockstep(session: Session, policy: ChoicePolicy = None):
     channels' heads, and each channel is read by one participant only.
     """
     policy = policy or MinLabelPolicy()
-    options = _options_by_player(session)
+    options = _options_by_player(session.net.items(), session.queue)
     if not options:
         return NOT_LIVE
     chosen = [_choose(policy, opts, player) for player, opts in options.items()]
-    return frozenset(chosen), _apply(session, chosen)
+    return frozenset(chosen), _after(session, chosen)
 
 
 @dataclass(frozen=True)
@@ -223,12 +236,11 @@ def simulate(session: Session, policy: ChoicePolicy = None,
                 return
             delta, session = result
         else:
-            options = sorted((c for comms in _options_by_player(session).values()
-                              for c in comms), key=lambda c: c.sort_key)
+            options = sorted(enabled(session), key=lambda c: c.sort_key)
             if not options:
                 return
             comm = _choose(policy, options)
-            session = _apply(session, (comm,))
+            session = _after(session, (comm,))
             delta = frozenset({comm})
         yield TraceStep(index + 1, delta, session)
 
@@ -257,19 +269,6 @@ class CounterexampleTrace:
 @dataclass(frozen=True)
 class HorizonExceeded:
     horizon: int
-
-
-def _owed(mode, state, waits) -> set:
-    """The obligations a state owes: the participants waiting on an
-    input, or the channels holding a message.  ``state`` is a state key
-    of :func:`check_liveness` and ``waits`` holds the blocks of its input
-    nodes.  A state where nobody can move has completed exactly when it
-    owes nothing, since every participant left there waits on an input
-    (no choice is empty)."""
-    procs, queue = state
-    if mode is LivenessMode.INPUT_ENABLING:
-        return {name for name, b in procs if b in waits}
-    return {chan for chan, _ in queue}
 
 
 def _served(mode, delta) -> tuple:
@@ -396,8 +395,9 @@ def _replay(session: Session, path) -> tuple:
     by its position in :func:`_rounds`, as ``(delta, session)`` pairs."""
     trace = []
     for k in path:
-        combo = next(itertools.islice(_rounds(_options_by_player(session)), k, None))
-        session = _apply(session, combo)
+        options = _options_by_player(session.net.items(), session.queue)
+        combo = next(itertools.islice(_rounds(options), k, None))
+        session = _after(session, combo)
         trace.append((frozenset(combo), session))
     return tuple(trace)
 
@@ -407,14 +407,17 @@ def check_liveness(session: Session, horizon: int = 50,
     """Explore the lockstep rounds from ``session`` breadth-first, up to
     ``horizon`` rounds deep, and check the mode's obligations.
 
-    Every reachable state is visited once.  A state's processes are
-    nodes of the start network's graphs, so one partition refinement of
-    those graphs names each process by its bisimilarity block, and a
-    state is identified by its blocks and its queue's key.  A state is
-    kept as that key, its parent link and, once expanded, its edges; the
-    session that first generated it and its options are kept only until
-    its layer is expanded, so the options of each state are built once.
-    A state where nobody can move and something is still owed yields its
+    Every reachable state is visited once.  Each start process is
+    replaced by its quotient, :func:`minimize`, so bisimilar processes
+    reached later are one node.  A state is the tuple of its process
+    nodes in name order, ended ones included, with its queue's key, and
+    is its own key.  A state is kept as that key, its parent link and,
+    once expanded, its edges; its process map and options are kept only
+    until its layer is expanded, so the options of each state are built
+    once.  A state owes the participants waiting on an input, or the
+    channels holding a message.  Where nobody can move it has completed
+    exactly when it owes nothing, since every participant left there
+    waits on an input (no choice is empty); otherwise it yields its
     shortest trace.  Each state is tested for this when it is generated,
     so the first one generated is reported before anything found later.
     The strongly connected components of the explored graph are checked
@@ -427,46 +430,41 @@ def check_liveness(session: Session, horizon: int = 50,
     Verified, weakened to HorizonExceeded if some state at depth
     ``horizon`` could still move.
     """
-    nodes = {}
-    for _, proc in session.net.items():
-        for node in reachable_nodes(proc):
-            nodes[id(node)] = node
-    block = _refine(list(nodes.values()))
-    waits = {block[i] for i, node in nodes.items() if node.kind == IN}
-
-    def ident(s):
-        return (tuple([(name, block[id(proc)]) for name, proc in s.net.items()]),
-                s.queue.key())
+    start = {name: minimize(proc) for name, proc in session.net.items()}
+    names = tuple(start)
 
     def owes(v):
-        return _owed(mode, keys[v], waits)
+        procs, queue = keys[v]
+        if mode is LivenessMode.INPUT_ENABLING:
+            return {name for name, p in zip(names, procs) if p.kind == IN}
+        return {chan for chan, _ in queue}
 
-    keys = [ident(session)]
+    keys = [(tuple(start.values()), session.queue.key())]
     index = {keys[0]: 0}
     # a round is named by its position in _rounds of its state
     parent = [None]  # (predecessor, round) on a shortest trace
     edges = []  # per expanded state: (successor, round, obligations served)
     truncated = False  # a state at depth horizon can move
 
-    def options(s, v, deep):
-        """The options of the new state ``v``, whose session is ``s``, or
-        None when nobody can move there while something is owed.  A
-        state at depth ``horizon`` (``deep``) is not expanded: its
-        options are built only if it owes something, or until one such
-        state can move."""
+    def options(procs, queue, v, deep):
+        """The options of the new state ``v`` with process map ``procs``
+        and ``queue``, or None when nobody can move there while
+        something is owed.  A state at depth ``horizon`` (``deep``) is
+        not expanded: its options are built only if it owes something,
+        or until one such state can move."""
         nonlocal truncated
         if deep and truncated and not owes(v):
             return {}
-        opts = _options_by_player(s)
+        opts = _options_by_player(procs.items(), queue)
         if not opts and owes(v):
             return None
         truncated = truncated or deep and bool(opts)
         return opts
 
-    opts = options(session, 0, horizon <= 0)
+    opts = options(start, session.queue, 0, horizon <= 0)
     if opts is None:
         return CounterexampleTrace(())
-    layer = [(session, opts)]  # the sessions and options of a layer
+    layer = [(start, session.queue, opts)]  # the states of a layer
     first = 0
     checked = 0  # states expanded at the last cycle check
     unchecked = False  # an edge closed a cycle since then
@@ -476,24 +474,24 @@ def check_liveness(session: Session, horizon: int = 50,
             break
         deep = depth == horizon - 1
         nxt = []
-        layer.reverse()  # popped as expanded, so each session is freed
+        layer.reverse()  # popped as expanded, so each state's map is freed
         for i in range(first, layer_end):
-            current, opts = layer.pop()
+            current, queue, opts = layer.pop()
             out = []
             # a state with no options is stuck and owes nothing: completed
             for k, combo in enumerate(_rounds(opts)):
-                s = _apply(current, combo)
-                key = ident(s)
+                procs, after = _apply(current, queue, combo)
+                key = (tuple(procs.values()), after.key())
                 j = index.setdefault(key, len(keys))
                 if j == len(keys):
                     keys.append(key)
                     parent.append((i, k))
-                    found = options(s, j, deep)
+                    found = options(procs, after, j, deep)
                     if found is None:
                         return CounterexampleTrace(
                             _replay(session, _path(parent, j, 0)))
                     if not deep:
-                        nxt.append((s, found))
+                        nxt.append((procs, after, found))
                 elif j < layer_end:
                     # a cycle can only close on an edge that does not
                     # lead one layer deeper
@@ -508,8 +506,8 @@ def check_liveness(session: Session, horizon: int = 50,
         if unchecked and (last or len(edges) >= 2 * checked):
             bad = _lasso(edges, owes)
             if bad is not None:
-                start, cycle = bad
+                v, cycle = bad
                 return CounterexampleTrace(
-                    _replay(session, _path(parent, start, 0) + cycle))
+                    _replay(session, _path(parent, v, 0) + cycle))
             checked, unchecked = len(edges), False
     return HorizonExceeded(horizon) if truncated else Verified()

@@ -547,11 +547,6 @@ class Network:
         procs[name] = proc
         return Network(procs)
 
-    def without(self, name: str) -> "Network":
-        procs = dict(self._procs)
-        procs.pop(name, None)
-        return Network(procs)
-
     def key(self):
         if self._key is None:
             self._key = tuple([(name, proc.key())

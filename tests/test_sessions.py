@@ -32,6 +32,7 @@ from mpst.sessions import (
     step_session,
     LivenessMode,
 )
+from mpst.syntax import parse
 from mpst.terms import Comm, Network, Queue, gend, gout, pin, pout
 from gen import (
     LABELS,
@@ -96,7 +97,7 @@ class TestStep:
             for comm, net2, q2 in oracle_session_successors(net, queue):
                 succ[comm] = Session(net2, q2)
             assert enabled(s) == set(succ)
-            options = _options_by_player(s)
+            options = _options_by_player(s.net.items(), s.queue)
             assert {c for cs in options.values() for c in cs} == set(succ)
             for player, cs in options.items():
                 assert {c.play for c in cs} == {player}
@@ -403,6 +404,38 @@ class TestLiveness:
     def test_independent_pairs_verified(self):
         # pairs(3) has 9 reachable states, all explored within 4 rounds
         assert check_liveness(fresh(pairs(3)), 4) == Verified()
+
+    def test_states_are_identified_up_to_bisimilarity(self):
+        # p's five processes are bisimilar, so the state after round 2
+        # is the one after round 1; told apart, no state would repeat
+        # before round 6
+        net = parse("""
+            proc P0 = q!a; P1
+            proc P1 = q!a; P2
+            proc P2 = q!a; P3
+            proc P3 = q!a; P4
+            proc P4 = q!a; P0
+            proc Q = p?a; Q
+            network N { p |> P0, q |> Q }
+        """).networks["N"]
+        for horizon in (2, 3):
+            for mode in LivenessMode:
+                assert check_liveness(fresh(net), horizon, mode) == Verified()
+
+    def test_exploration_builds_no_network(self, monkeypatch):
+        # states are bare process nodes and queues: a network is built
+        # only for a returned trace, and pairs(3) returns none
+        built = []
+        init = Network.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        s = fresh(pairs(3))
+        monkeypatch.setattr(Network, "__init__", counted)
+        assert check_liveness(s, 6) == Verified()
+        assert len(built) == 0
 
     def test_long_chain_does_not_recurse(self):
         assert check_liveness(fresh(chain_network(5000)), 10**4) == Verified()

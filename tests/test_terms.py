@@ -437,7 +437,6 @@ class TestNetwork:
 
     def test_with_and_without(self):
         net = mp().net
-        assert net.without("p").players() == {"q"}
         assert net.with_comp("p", gend()).players() == {"q"}
         bigger = net.with_comp("r", pout("p", {"l": gend()}))
         assert bigger.players() == {"p", "q", "r"}
