@@ -236,6 +236,52 @@ class TestParseErrors:
         assert (err.value.message, err.value.line, err.value.col) == (
             message, line, col)
 
+    # each error is placed at a token read before it is raised, a name
+    # held until the file is resolved or a token the parser went past;
+    # a comment and a "\r\n" come first, so placing is by line and column
+    @pytest.mark.parametrize("text,cls,message,line,col", [
+        ("global G = p q!l;\n   H", UnboundName, "undefined name 'H'", 5, 4),
+        ("proc A = B\nproc B =\tA", ParseError, "unguarded cycle A = B = A",
+         5, 10),
+        ("global G =\tp q!{}", EmptyChoice,
+         "a choice needs at least one branch", 4, 16),
+        ("global G = p q!{a; end,\r\n a; end}", DuplicateLabelInChoice,
+         "label 'a' appears twice in one choice", 4, 16),
+        ("network N { p |> q!l; end,\n  q |> q!l; end }", SelfCommunication,
+         "'q' communicates with itself", 5, 3),
+        ("queue Q = [p->q:a,\n  r->r:b]", SelfCommunication,
+         "message from 'r' to itself", 5, 3),
+        ("global G = p q!l;\n  r r?l; end", SelfCommunication,
+         "participant 'r' talking to itself", 5, 3),
+        ("proc P = end\n proc P = end", ParseError,
+         "duplicate proc definition 'P'", 5, 7),
+        ("  machine M {\n  states s; }", ParseError,
+         "machine without queue_alphabet", 4, 3),
+        ("machine M { states s; input a; queue_alphabet a $;\n bottom $;"
+         ' start s; delta (s, a) -> (s, "");\r\n delta (s, a) -> (s, "a"); }',
+         ParseError, "duplicate delta row (s, a)", 6, 2),
+        ("machine M {\n  states s; bogus s; }", ParseError,
+         "unknown machine section 'bogus'", 5, 13),
+        ("machine M { states s s; input a; queue_alphabet a $;\n bottom $;"
+         " start s; }", ParseError, "state listed twice in s s", 4, 1),
+    ], ids=["unbound", "unguarded-cycle", "empty-choice", "duplicate-label",
+            "self-component", "self-message", "self-prefix",
+            "duplicate-definition", "machine-without", "duplicate-delta",
+            "unknown-section", "invalid-machine"])
+    def test_held_token_error_positions(self, text, cls, message, line, col):
+        with pytest.raises(SourceError) as err:
+            parse("// a comment\r\nproc Z = end  // more\r\n\n" + text)
+        assert type(err.value) is cls
+        assert (err.value.message, err.value.line, err.value.col) == (
+            message, line, col)
+
+    def test_error_position_deep_in_a_long_text(self):
+        text = "".join(f"proc P{i} = q!l; P{i + 1}\r\n" for i in range(1000))
+        with pytest.raises(UnboundName) as err:
+            parse(text + "proc P1000 = q!l;  X")
+        assert (err.value.message, err.value.line, err.value.col) == (
+            "undefined name 'X'", 1001, 20)
+
     def test_machine_must_be_total(self):
         with pytest.raises(ParseError, match="misses"):
             parse("machine M { states s; input a; queue_alphabet a $;"
