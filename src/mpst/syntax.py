@@ -11,8 +11,10 @@ A file is a sequence of definitions:
                 bottom $; start q0; delta (q0, a) -> (q0, "a");
                 delta (q0, $) -> (q0, "$"); }
 
-The lexer is one regular expression, and a token's line and column
-come from the offsets of its match.  Every name is an identifier under
+The lexer is one regular expression, and a token is only its text: a
+string keeps its quotes, so a token's kind shows in its first character.
+Tokens keep no position; an error works out its line and column when it
+is raised, from the token's index.  Every name is an identifier under
 the one rule of ``terms._is_name``; keywords are names only in machine
 sections.  Every lookahead for a mark, a word or a name goes through
 ``_Parser.at`` or ``_Parser.at_name``, which a quoted string never
@@ -20,9 +22,9 @@ passes: ``"!"`` is a string, never the mark ``!``.
 
 Terms are parsed straight into graph nodes.  Definitions may
 reference each other by name in any order: a name stays in its place
-as a token until the whole file is read, and then becomes an edge to
-its definition's node, so cycles through names tie the back edges of
-the term graphs.  A cycle that never passes through a communication,
+as its token's index until the whole file is read, and then becomes
+an edge to its definition's node, so cycles through names tie the
+back edges of the term graphs.  A cycle that never passes through a communication,
 like ``proc A = B`` with ``proc B = A``, is rejected.
 
 Printing produces the same surface form back: nodes that are shared,
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from itertools import islice
 
 from mpst.machines import QueueMachine
 from mpst.terms import (
@@ -49,7 +51,9 @@ from mpst.terms import (
     Msg,
     Network,
     Queue,
+    _NAME,
     _is_name,
+    _starts_name,
     gend,
     reachable_nodes,
 )
@@ -95,46 +99,42 @@ class SelfCommunication(SourceError):
 # lexer
 
 
-class Token(NamedTuple):
-    type: str
-    value: str
-    line: int
-    col: int
-
-
-def _shown(tok: Token) -> str:
+def _shown(tok: str) -> str:
     """A token as an error message shows it, a string in its quotes."""
-    shown = repr(tok.value)
-    return f'"{shown[1:-1]}"' if tok.type == "string" else shown
+    return f'"{repr(tok[1:-1])[1:-1]}"' if tok[:1] == '"' else repr(tok)
 
 
-_TOKEN = re.compile(r"""[ \t\r]*(?://[^\n]*)?(?:
-    (?P<newline>\n) | (?P<ident>[\w$]+) | (?P<punct>->|\|>|[={}(),;!?[\]:])
-    | (?P<string>"[^"\n]*") | (?P<stray>.) | (?P<eof>\Z))""", re.X)
+_MARKS = {"->", "|>", *"={}(),;!?[]:", ""}  # and the empty eof token
+_TOKEN = re.compile(r"""[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
+    (%s | -> | \|> | [={}(),;!?[\]:] | "[^"\n]*" | . | \Z)""" % _NAME.pattern,
+                    re.X)
 
 
-def _lex(text: str):
-    """The tokens of ``text``, then an eof token.  Each match of
-    ``_TOKEN`` is blanks and a comment, then a token of the group that
-    matched; ``stray`` takes any other character, so matches are
-    contiguous.  A word that is not a name, like ``1x``, is stray."""
-    tokens = []
-    line, start = 1, 0  # the line and the offset where it starts
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line, start = line + 1, m.end()
-            continue
-        value = m[kind]
-        col = m.start(kind) - start + 1
-        if kind == "string":
-            value = value[1:-1]
-        elif kind == "stray" or kind == "ident" and not _is_name(value):
-            raise ParseError("unterminated string" if value == '"'
-                             else f"stray character {value[0]!r}", line, col)
-        tokens.append(Token(kind, value, line, col))
-        if kind == "eof":
-            return tokens
+def _lex(text: str) -> list:
+    """The tokens of ``text``, then the empty eof token.  Each match of
+    ``_TOKEN`` is blanks and comments, then a token: a word, a mark, a
+    string in its quotes, or any other character, so matches are
+    contiguous.  A word that is not a name, like ``1x``, and any other
+    character are stray, and a lone ``"`` starts an unterminated string."""
+    tokens = _TOKEN.findall(text)
+    if tokens[-2:] == ["", ""]:  # blanks at the end leave a second \Z match
+        tokens.pop()
+    # neither a mark, a name nor a string: a stray or a lone quote
+    bad = [tok for tok in set(tokens) - _MARKS
+           if not _starts_name(tok) and (tok[0] != '"' or tok == '"')]
+    if bad:
+        at = min(map(tokens.index, bad))
+        raise ParseError("unterminated string" if tokens[at] == '"'
+                         else f"stray character {tokens[at][0]!r}",
+                         *_place(text, at))
+    return tokens
+
+
+def _place(text: str, index: int) -> tuple:
+    """The line and column of token ``index`` of ``text``: the lexer
+    keeps no positions, so this matches ``_TOKEN`` again up to it."""
+    at = next(islice(_TOKEN.finditer(text), index, None)).start(1)
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +143,8 @@ def _lex(text: str):
 # Terms are parsed straight into nodes: each goes into a slot, which is
 # a branch map and a label, a definition map and a name, or a network's
 # component map and a participant.  A name in term position stays in
-# its slot as a token until the whole file is read; ``_resolve`` then
-# swaps it for the node of its definition.
+# its slot as its token's index until the whole file is read;
+# ``_Parser.resolve`` then swaps it for the node of its definition.
 
 
 @dataclass
@@ -160,75 +160,76 @@ class Document:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
         self.doc = Document()
-        # the slots that hold a name token, per kind of term
+        # the slots that hold a name's token index, per kind of term
         self.refs = {"process": [], "global type": []}
-        # (component map, participant token) of every network component
+        # (component map, participant's token index) of every component
         self.parts = []
 
-    def peek(self) -> Token:
-        # ``next`` never moves past the eof token
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int, cls=ParseError) -> SourceError:
+        """A ``cls`` error placed at token ``index``."""
+        return cls(message, *_place(self.text, index))
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.type == "eof":
-            raise ParseError("unexpected end of file", tok.line, tok.col)
+        if not tok:  # the eof token, which ``next`` never moves past
+            raise self.error("unexpected end of file", self.pos)
         self.pos += 1
         return tok
 
     def at(self, value: str) -> bool:
-        """Whether the next token is the mark or word ``value``, which a
-        quoted string never is."""
-        tok = self.tokens[self.pos]
-        return tok.value == value and tok.type != "string"
+        """Whether the next token is the mark or word ``value``.  A
+        string keeps its quotes, so it never is."""
+        return self.tokens[self.pos] == value
 
     def at_name(self, keywords=KEYWORDS) -> bool:
-        """Whether the next token is a name: a word not in ``keywords``."""
+        """Whether the next token is a name: a word not in ``keywords``.
+        Every token passed the lexer, so any but a mark, the eof token
+        and a string is a word."""
         tok = self.tokens[self.pos]
-        return tok.type == "ident" and tok.value not in keywords
+        return tok not in keywords and tok not in _MARKS and tok[0] != '"'
 
     def take(self, value: str) -> bool:
-        """Consumes the next token if :meth:`at` ``value``."""
-        if self.at(value):
+        """Consumes the next token if it is ``value``."""
+        if self.tokens[self.pos] == value:
             self.pos += 1
             return True
         return False
 
-    def expect(self, value: str) -> None:
-        tok = self.tokens[self.pos]
-        if not self.at(value):
-            self.next()  # at the end of the file, says so
-            raise ParseError(f"expected {value!r}, found {_shown(tok)}",
-                             tok.line, tok.col)
-        self.pos += 1
+    def expected(self, what: str):
+        """Raises that ``what`` was expected where the next token is."""
+        tok = self.next()  # at the end of the file, says so
+        raise self.error(f"expected {what}, found {_shown(tok)}", self.pos - 1)
 
-    def name(self, what="name", keywords=KEYWORDS) -> Token:
-        tok = self.tokens[self.pos]
+    def expect(self, value: str) -> None:
+        if not self.take(value):
+            self.expected(repr(value))
+
+    def name(self, what="name", keywords=KEYWORDS) -> int:
+        """Reads a name and returns its token index."""
         if not self.at_name(keywords):
-            self.next()  # at the end of the file, says so
-            raise ParseError(f"expected a {what}, found {_shown(tok)}",
-                             tok.line, tok.col)
+            self.expected(f"a {what}")
         self.pos += 1
-        return tok
+        return self.pos - 1
 
     def head(self, keyword: str, defs: dict) -> str:
         """Reads the name of a ``keyword`` definition that goes into
         ``defs``, once the keyword is read, and returns it."""
-        name = self.name()
-        if name.value in defs:
-            raise ParseError(f"duplicate {keyword} definition {name.value!r}",
-                             name.line, name.col)
-        return name.value
+        at = self.name()
+        name = self.tokens[at]
+        if name in defs:
+            raise self.error(f"duplicate {keyword} definition {name!r}", at)
+        return name
 
     # ---- definitions
 
     def document(self) -> Document:
         doc = self.doc
-        while self.peek().type != "eof":
-            tok = self.peek()
+        while self.tokens[self.pos]:
+            at = self.pos
             if self.take("proc"):
                 self.termdef("proc", "process", doc.procs)
             elif self.take("global"):
@@ -238,18 +239,17 @@ class _Parser:
             elif self.take("queue"):
                 self.queuedef()
             elif self.take("machine"):
-                self.machinedef(tok)
+                self.machinedef(at)
             else:
-                raise ParseError(f"expected a definition, found {_shown(tok)}",
-                                 tok.line, tok.col)
-        _resolve(doc.procs, self.refs["process"])
-        _resolve(doc.globals_, self.refs["global type"])
-        for comps, part in self.parts:
-            for sub in reachable_nodes(comps[part.value]):
-                if part.value in (sub.sender, sub.receiver):
-                    raise SelfCommunication(
-                        f"{part.value!r} communicates with itself",
-                        part.line, part.col)
+                self.expected("a definition")
+        self.resolve(doc.procs, self.refs["process"])
+        self.resolve(doc.globals_, self.refs["global type"])
+        for comps, at in self.parts:
+            part = self.tokens[at]
+            for sub in reachable_nodes(comps[part]):
+                if part in (sub.sender, sub.receiver):
+                    raise self.error(f"{part!r} communicates with itself", at,
+                                     SelfCommunication)
         for name, comps in doc.networks.items():
             doc.networks[name] = Network(comps)
         return doc
@@ -270,13 +270,13 @@ class _Parser:
         self.expect("}")
 
     def component(self, comps):
-        part = self.name("participant")
-        if part.value in comps:
-            raise ParseError(f"participant {part.value!r} listed twice",
-                             part.line, part.col)
+        at = self.name("participant")
+        part = self.tokens[at]
+        if part in comps:
+            raise self.error(f"participant {part!r} listed twice", at)
         self.expect("|>")
-        self.parts.append((comps, part))
-        self.term("process", comps, part.value)
+        self.parts.append((comps, at))
+        self.term("process", comps, part)
 
     def queuedef(self):
         name = self.head("queue", self.doc.queues)
@@ -291,16 +291,16 @@ class _Parser:
         self.doc.queues[name] = Queue.from_msgs(msgs)
 
     def message(self):
-        sender = self.name("participant")
+        at = self.name("participant")
         self.expect("->")
-        receiver = self.name("participant")
+        receiver = self.tokens[self.name("participant")]
         self.expect(":")
-        label = self.name("label")
-        if sender.value == receiver.value:
-            raise SelfCommunication(
-                f"message from {sender.value!r} to itself",
-                sender.line, sender.col)
-        return Msg(sender.value, label.value, receiver.value)
+        label = self.tokens[self.name("label")]
+        sender = self.tokens[at]
+        if sender == receiver:
+            raise self.error(f"message from {sender!r} to itself", at,
+                             SelfCommunication)
+        return Msg(sender, label, receiver)
 
     # ---- terms
 
@@ -310,60 +310,59 @@ class _Parser:
 
         A process prefix ``q!`` or ``p?`` names the partner only, a
         global one ``p q!`` or ``p q?`` both participants.  A name is
-        left in its slot as its token, and the slot is recorded for
-        ``_resolve``.  A prefix without braces has one branch, so the
-        loop walks down a ``;`` chain; each open ``{...}`` waits on
-        ``braces`` with its branch map, its brace and the first label
-        it repeats, which is reported once it closes.
+        left in its slot as its token index, and the slot is recorded
+        for :meth:`resolve`.  A prefix without braces has one branch,
+        so the loop walks down a ``;`` chain; each open ``{...}`` waits
+        on ``braces`` with its branch map, its brace's token index and
+        the first label it repeats, which is reported once it closes.
         """
         is_global = what == "global type"
         refs = self.refs[what]
+        tokens = self.tokens
         braces = []
         while True:
-            tok = None if self.take("end") else self.name(what)
-            if tok is None or not (self.at_name() if is_global
-                                   else self.at("!") or self.at("?")):
+            at = None if self.take("end") else self.name(what)
+            if at is None or not (self.at_name() if is_global
+                                  else self.at("!") or self.at("?")):
                 # a leaf: close the choices it completes, then go on
                 # with the next branch of the innermost open one
-                slots[key] = tok or gend()
-                if tok:
+                if at is None:
+                    slots[key] = gend()
+                else:
+                    slots[key] = at
                     refs.append((slots, key))
                 while braces and not self.take(","):
                     self.expect("}")
                     _, brace, twice = braces.pop()
                     if twice is not None:
-                        raise DuplicateLabelInChoice(
+                        raise self.error(
                             f"label {twice!r} appears twice in one choice",
-                            brace.line, brace.col)
+                            brace, DuplicateLabelInChoice)
                 if not braces:
                     return
                 slots = braces[-1][0]
             else:
-                names = ([tok.value, self.next().value] if is_global
-                         else [tok.value])
+                names = ([tokens[at], self.next()] if is_global
+                         else [tokens[at]])
                 kind = OUT if self.take("!") else IN if self.take("?") else None
                 if kind is None:
-                    mark = self.next()  # at the end of the file, says so
-                    raise ParseError(
-                        f"expected '!' or '?', found {_shown(mark)}",
-                        mark.line, mark.col)
+                    self.expected("'!' or '?'")
                 if len(names) == 1:
                     # a process leaves out its own participant, the one
                     # that moves
                     names.insert(0 if kind == OUT else 1, None)
                 elif names[0] == names[1]:
-                    raise SelfCommunication(
-                        f"participant {tok.value!r} talking to itself",
-                        tok.line, tok.col)
+                    raise self.error(
+                        f"participant {names[0]!r} talking to itself", at,
+                        SelfCommunication)
                 node = slots[key] = GNode(kind, *names)
                 slots = node.branches
-                if self.at("{"):
-                    brace = self.next()
+                if self.take("{"):
                     if self.at("}"):
-                        raise EmptyChoice("a choice needs at least one branch",
-                                          brace.line, brace.col)
-                    braces.append([slots, brace, None])
-            key = self.name("label").value
+                        raise self.error("a choice needs at least one branch",
+                                         self.pos - 1, EmptyChoice)
+                    braces.append([slots, self.pos - 1, None])
+            key = tokens[self.name("label")]
             self.expect(";")
             if key in slots and braces[-1][2] is None:
                 # a new node's map is empty, so ``slots`` is the brace's
@@ -372,20 +371,21 @@ class _Parser:
     # ---- machines
 
     def machinedef(self, head):
-        """Reads a machine after its keyword, the token ``head``."""
+        """Reads a machine after its keyword, token ``head``."""
         name = self.head("machine", self.doc.machines)
         self.expect("{")
         parts = {"input": ()}
         delta = {}
         while not self.take("}"):
-            word = self.name("section")
-            if word.value in ("states", "input", "queue_alphabet"):
-                parts[word.value] = self.symbols_until_semi(
-                    allow_empty=word.value == "input")
-            elif word.value in ("bottom", "start"):
-                parts[word.value] = self.symbol()
+            at = self.name("section")
+            word = self.tokens[at]
+            if word in ("states", "input", "queue_alphabet"):
+                parts[word] = self.symbols_until_semi(
+                    allow_empty=word == "input")
+            elif word in ("bottom", "start"):
+                parts[word] = self.symbol()
                 self.expect(";")
-            elif word.value == "delta":
+            elif word == "delta":
                 self.expect("(")
                 state = self.symbol()
                 self.expect(",")
@@ -396,74 +396,67 @@ class _Parser:
                 target = self.symbol()
                 self.expect(",")
                 out = self.next()
-                if out.type != "string":
-                    raise ParseError("expected a quoted word",
-                                     out.line, out.col)
+                if out[0] != '"':
+                    raise self.error("expected a quoted word", self.pos - 1)
                 self.expect(")")
                 self.expect(";")
                 if (state, sym) in delta:
-                    raise ParseError(
-                        f"duplicate delta row ({state}, {sym})",
-                        word.line, word.col)
-                delta[(state, sym)] = (target, tuple(out.value.split()))
+                    raise self.error(
+                        f"duplicate delta row ({state}, {sym})", at)
+                delta[(state, sym)] = (target, tuple(out[1:-1].split()))
             else:
-                raise ParseError(f"unknown machine section {word.value!r}",
-                                 word.line, word.col)
+                raise self.error(f"unknown machine section {word!r}", at)
         for part in ("states", "queue_alphabet", "bottom", "start"):
             if part not in parts:
-                raise ParseError(f"machine without {part}",
-                                 head.line, head.col)
+                raise self.error(f"machine without {part}", head)
         try:
             self.doc.machines[name] = QueueMachine(
                 parts["states"], parts["input"], parts["queue_alphabet"],
                 parts["bottom"], parts["start"], delta)
         except ValueError as err:
-            raise ParseError(str(err), head.line, head.col) from None
+            raise self.error(str(err), head) from None
 
     def symbol(self) -> str:
         """Reads a machine's state or symbol: any word."""
-        return self.name("symbol", ()).value
+        return self.tokens[self.name("symbol", ())]
 
     def symbols_until_semi(self, allow_empty=False):
         syms = []
         while not self.take(";"):
             syms.append(self.symbol())
         if not syms and not allow_empty:
-            raise ParseError("empty symbol list", self.peek().line,
-                             self.peek().col)
+            raise self.error("empty symbol list", self.pos)
         return tuple(syms)
 
+    def resolve(self, defs: dict, refs: list) -> None:
+        """Swaps the names the parser left in ``defs`` and in the slots
+        ``refs`` lists, each held as its token index, for nodes.
 
-def _resolve(defs: dict, refs: list) -> None:
-    """Swaps the name tokens the parser left in ``defs`` and in the
-    slots ``refs`` lists for nodes.
+        A definition that is a bare name, like ``proc A = B``, first takes
+        the node at the end of its alias chain.  A chain that comes back to
+        one of its names never passes a communication, so it is rejected.
+        Every other name is then an edge to its definition's node.
+        """
+        for name, body in defs.items():
+            chain = {name: None}  # ordered, with O(1) membership
+            while type(body) is int:
+                if self.tokens[body] in chain:
+                    raise self.error(f"unguarded cycle {' = '.join(chain)} = "
+                                     f"{self.tokens[body]}", body)
+                chain[self.tokens[body]] = None
+                body = self.definition(defs, body)
+            for link in chain:
+                defs[link] = body
+        for slots, key in refs:
+            if type(slots[key]) is int:
+                slots[key] = self.definition(defs, slots[key])
 
-    A definition that is a bare name, like ``proc A = B``, first takes
-    the node at the end of its alias chain.  A chain that comes back to
-    one of its names never passes a communication, so it is rejected.
-    Every other name is then an edge to its definition's node.
-    """
-    for name, body in defs.items():
-        chain = {name: None}  # ordered, with O(1) membership
-        while isinstance(body, Token):
-            if body.value in chain:
-                raise ParseError(
-                    f"unguarded cycle {' = '.join(chain)} = {body.value}",
-                    body.line, body.col)
-            chain[body.value] = None
-            body = _definition(defs, body)
-        for link in chain:
-            defs[link] = body
-    for slots, key in refs:
-        if isinstance(slots[key], Token):
-            slots[key] = _definition(defs, slots[key])
-
-
-def _definition(defs: dict, name: Token):
-    if name.value not in defs:
-        raise UnboundName(f"undefined name {name.value!r}",
-                          name.line, name.col)
-    return defs[name.value]
+    def definition(self, defs: dict, at: int):
+        """The definition of the name at token ``at``."""
+        name = self.tokens[at]
+        if name not in defs:
+            raise self.error(f"undefined name {name!r}", at, UnboundName)
+        return defs[name]
 
 
 def parse(text: str) -> Document:

@@ -18,7 +18,6 @@ their keys once, on first use, and queues their keys and hashes.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 END = "end"
@@ -267,13 +266,23 @@ def players(g: GNode) -> set:
 # communications and messages
 
 
-@lru_cache(maxsize=4096)  # the lexer asks this of every identifier
+_NAME = re.compile(r"[\w$]+")  # exactly the isalnum(), _ and $ characters
+# a communication's participants are names, its label any word
+_COMM = re.compile(r"\s*({0})\s*->\s*({0})\s*([!?])\s*({0})\s*".format(
+    _NAME.pattern))
+
+
+def _starts_name(text: str) -> bool:
+    """Whether ``text`` starts as a name does: with a letter
+    (``isalpha()``), ``_`` or ``$``."""
+    first = text[:1]
+    return first.isalpha() or first in ("_", "$")
+
+
 def _is_name(text: str) -> bool:
-    """Whether ``text`` is a name the syntax reads and writes: a letter
-    (``isalpha()``), ``_`` or ``$``, then ``[\\w$]`` characters, which
-    are exactly those that are ``isalnum()``, ``_`` or ``$``."""
-    return (re.fullmatch(r"[\w$]+", text) is not None
-            and (text[0].isalpha() or text[0] in "_$"))
+    """Whether ``text`` is a name the syntax reads and writes: a
+    ``_NAME`` word that :func:`_starts_name`."""
+    return _NAME.fullmatch(text) is not None and _starts_name(text)
 
 
 class Comm(NamedTuple):
@@ -302,10 +311,8 @@ class Comm(NamedTuple):
 
     @classmethod
     def parse(cls, text: str) -> "Comm":
-        # the participants are names, the label any word
-        m = re.fullmatch(
-            r"\s*([\w$]+)\s*->\s*([\w$]+)\s*([!?])\s*([\w$]+)\s*", text)
-        if m is None or not (_is_name(m[1]) and _is_name(m[2])):
+        m = _COMM.fullmatch(text)
+        if m is None or not (_starts_name(m[1]) and _starts_name(m[2])):
             raise ValueError(f"cannot parse communication {text!r}")
         return cls(OUT if m[3] == "!" else IN, m[1], m[2], m[4])
 

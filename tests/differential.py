@@ -10,7 +10,7 @@ It prints the first mismatching calls and exits 1 if any differ.
 
 The sessions are ``random.Random(seed)``, then ``gen.random_network``,
 then ``gen.random_queue``, always drawn by this checkout's ``gen.py``.
-The 77,908 calls:
+The 78,108 calls:
 
 - ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
   and 4 and seeds 2000-2099 at horizon 6 (1,800 calls): the result
@@ -28,7 +28,10 @@ The 77,908 calls:
   ``gen.random_gnode`` for seeds 4000-4999, of ``format_network`` of
   ``gen.random_network`` for seeds 5000-5999, and of random texts for
   seeds 6000-9999, each the head of a definition and then up to
-  ``TEXT_LENGTH`` of ``TEXT_PIECES``, quoted marks among them (6,008
+  ``TEXT_LENGTH`` of ``TEXT_PIECES``, quoted marks among them, and of
+  long texts for seeds 12000-12199, each ``LONG_DEFS`` lines of
+  ``format_gtype`` of ``gen.random_gnode`` with one character replaced
+  by one of ``TEXT_PIECES``, so errors sit deep in the text (6,208
   calls): every definition of the document, printed back, or the
   error with its line and column;
 - ``balanced_inductive`` and ``weakly_balanced_inductive`` at
@@ -68,6 +71,7 @@ TEXT_PIECES = list("pqé一²Ⅻ1_$ \t\r\n\"/-|>!?;:,={}()[]#") + [
     "machine ", "states ", "start ", "delta ", '"!"', '"?"', '","', '"{"',
     '"}"', '";"', '"]"']
 TEXT_LENGTH = 12
+LONG_DEFS = 50
 HEADS = ["proc P = ", "global G = ", "network N { ", "queue Q = [",
          "machine M { "]
 CHECKS = [(check, max_revisits) for check in ("balanced", "weakly")
@@ -103,6 +107,7 @@ def call_set() -> list:
     calls += [("parse", "gtype", seed) for seed in range(4000, 5000)]
     calls += [("parse", "network", seed) for seed in range(5000, 6000)]
     calls += [("parse", "text", seed) for seed in range(6000, 10000)]
+    calls += [("parse", "long", seed) for seed in range(12000, 12200)]
     configs = ([("gtype", seed) for seed in range(10000, 10600)]
                + [("machine", seed) for seed in range(11000, 11200)]
                + [("diamonds", n) for n in range(1, 11)])
@@ -166,6 +171,11 @@ def emit(src: str, n) -> None:
             return format_gtype(random_gnode(rng))
         if source == "network":
             return format_network(random_network(rng))
+        if source == "long":
+            text = "\n".join(format_gtype(random_gnode(rng), f"G{i}")
+                             for i in range(LONG_DEFS))
+            at = rng.randrange(len(text))
+            return text[:at] + rng.choice(TEXT_PIECES) + text[at + 1:]
         return rng.choice(HEADS) + "".join(
             rng.choice(TEXT_PIECES) for _ in range(rng.randint(0, TEXT_LENGTH)))
 

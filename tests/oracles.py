@@ -19,6 +19,7 @@ into the tests were computed with these functions.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from mpst.sessions import (
     CounterexampleTrace,
@@ -27,7 +28,7 @@ from mpst.sessions import (
     Session,
     Verified,
 )
-from mpst.syntax import ParseError, Token
+from mpst.syntax import ParseError
 from mpst.terms import Comm, GNode, Msg, Network, Queue
 from mpst.wellformed import (
     Accept,
@@ -634,6 +635,15 @@ def oracle_config_step(g: GNode, queue: Queue, comm: Comm, fuel=200):
     return GNode("in", gp, gq, stepped), push_front(rests[0], gp, head, gq)
 
 
+class OracleToken(NamedTuple):
+    """A token with its kind and where it starts, counted from 1."""
+
+    type: str  # "ident", "punct", "string" or "eof"
+    value: str  # a string without its quotes
+    line: int
+    col: int
+
+
 _PUNCT2 = ("->", "|>")
 _PUNCT1 = "={}(),;!?[]:"
 
@@ -666,7 +676,7 @@ def oracle_lex(text: str):
                 j += 1
             if j >= n or text[j] != '"':
                 raise ParseError("unterminated string", line, col)
-            tokens.append(Token("string", text[i + 1:j], line, col))
+            tokens.append(OracleToken("string", text[i + 1:j], line, col))
             col += j + 1 - i
             i = j + 1
             continue
@@ -674,20 +684,20 @@ def oracle_lex(text: str):
             j = i
             while j < n and (text[j].isalnum() or text[j] in "_$"):
                 j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
+            tokens.append(OracleToken("ident", text[i:j], line, col))
             col += j - i
             i = j
             continue
         if text[i:i + 2] in _PUNCT2:
-            tokens.append(Token("punct", text[i:i + 2], line, col))
+            tokens.append(OracleToken("punct", text[i:i + 2], line, col))
             i += 2
             col += 2
             continue
         if ch in _PUNCT1:
-            tokens.append(Token("punct", ch, line, col))
+            tokens.append(OracleToken("punct", ch, line, col))
             i += 1
             col += 1
             continue
         raise ParseError(f"stray character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(OracleToken("eof", "", line, col))
     return tokens

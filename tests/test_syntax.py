@@ -23,10 +23,11 @@ from mpst.syntax import (
     format_queue,
     parse,
     _lex,
+    _place,
 )
 from mpst.machines import QueueMachine
 from mpst.terms import Msg, Network, Queue, bisimilar, gend, gout, pout, \
-    reachable_nodes
+    reachable_nodes, _starts_name
 from conftest import PROTOCOLS, load_protocol
 from oracles import oracle_lex
 from gen import chain, chain_network, random_gnode, random_machine, \
@@ -317,9 +318,24 @@ class TestParseErrors:
                 parse(sample)
 
 
-def _lexed(lex, text):
+def _lexed(text):
+    """``_lex`` of ``text`` as ``oracle_lex`` gives it: each token's
+    kind and value told from its text, and its place from ``_place``;
+    or the error's class, message and place."""
     try:
-        return lex(text)
+        tokens = _lex(text)
+    except ParseError as err:
+        return type(err), err.message, err.line, err.col
+    kinds = [("eof", tok) if not tok
+             else ("string", tok[1:-1]) if tok[0] == '"'
+             else ("ident" if _starts_name(tok) else "punct", tok)
+             for tok in tokens]
+    return [(*kind, *_place(text, i)) for i, kind in enumerate(kinds)]
+
+
+def _oracle_lexed(text):
+    try:
+        return [tuple(tok) for tok in oracle_lex(text)]
     except ParseError as err:
         return type(err), err.message, err.line, err.col
 
@@ -334,7 +350,7 @@ class TestLexer:
     @settings(max_examples=500, deadline=None)
     @given(st.text(st.sampled_from(_LEX_ALPHABET), max_size=30))
     def test_matches_the_character_loop(self, text):
-        assert _lexed(_lex, text) == _lexed(oracle_lex, text)
+        assert _lexed(text) == _oracle_lexed(text)
 
     @pytest.mark.parametrize("text,last", [
         ("p //", ("eof", "", 1, 5)),
@@ -346,8 +362,8 @@ class TestLexer:
     ], ids=["comment-at-eof", "quote-at-eof", "lone-minus", "numeral-first",
             "numeral-after", "tabs"])
     def test_edge_cases(self, text, last):
-        lexed = _lexed(_lex, text)
-        assert lexed == _lexed(oracle_lex, text)
+        lexed = _lexed(text)
+        assert lexed == _oracle_lexed(text)
         assert tuple(lexed[-1] if type(lexed) is list else lexed) == last
 
 
