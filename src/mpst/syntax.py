@@ -117,7 +117,8 @@ def _lex(text: str) -> list:
     contiguous.  A word that is not a name, like ``1x``, and any other
     character are stray, and a lone ``"`` starts an unterminated string."""
     tokens = _TOKEN.findall(text)
-    if tokens[-2:] == ["", ""]:  # blanks at the end leave a second \Z match
+    # after blanks or a comment at the end, \Z matches twice: keep one
+    if tokens[-2:] == ["", ""]:
         tokens.pop()
     # neither a mark, a name nor a string: a stray or a lone quote
     bad = [tok for tok in set(tokens) - _MARKS
@@ -229,7 +230,6 @@ class _Parser:
     def document(self) -> Document:
         doc = self.doc
         while self.tokens[self.pos]:
-            at = self.pos
             if self.take("proc"):
                 self.termdef("proc", "process", doc.procs)
             elif self.take("global"):
@@ -239,7 +239,7 @@ class _Parser:
             elif self.take("queue"):
                 self.queuedef()
             elif self.take("machine"):
-                self.machinedef(at)
+                self.machinedef(self.pos - 1)
             else:
                 self.expected("a definition")
         self.resolve(doc.procs, self.refs["process"])
@@ -326,10 +326,8 @@ class _Parser:
                                   else self.at("!") or self.at("?")):
                 # a leaf: close the choices it completes, then go on
                 # with the next branch of the innermost open one
-                if at is None:
-                    slots[key] = gend()
-                else:
-                    slots[key] = at
+                slots[key] = gend() if at is None else at
+                if at is not None:
                     refs.append((slots, key))
                 while braces and not self.take(","):
                     self.expect("}")

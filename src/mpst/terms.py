@@ -18,6 +18,7 @@ their keys once, on first use, and queues their keys and hashes.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 END = "end"
@@ -279,6 +280,7 @@ def _starts_name(text: str) -> bool:
     return first.isalpha() or first in ("_", "$")
 
 
+@lru_cache(maxsize=4096)  # the printers ask this of every name they write
 def _is_name(text: str) -> bool:
     """Whether ``text`` is a name the syntax reads and writes: a
     ``_NAME`` word that :func:`_starts_name`."""
