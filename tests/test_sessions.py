@@ -22,7 +22,9 @@ from mpst.sessions import (
     Session,
     TraceStep,
     Verified,
+    _apply,
     _options_by_player,
+    _rounds,
     check_liveness,
     classify,
     deadlock_info,
@@ -33,7 +35,7 @@ from mpst.sessions import (
     LivenessMode,
 )
 from mpst.syntax import parse
-from mpst.terms import Comm, Network, Queue, gend, gout, pin, pout
+from mpst.terms import Comm, IN, Network, OUT, Queue, gend, gout, pin, pout
 from gen import (
     LABELS,
     PARTS,
@@ -401,6 +403,28 @@ class TestLiveness:
         assert _same(result.trace[-1][1], session)
         assert _genuine(session, result.trace, mode)
 
+    def test_least_starving_state_starts_the_lasso(self):
+        # Random(3356), then random_network and random_queue.  p waits on
+        # q forever, and after s->r!l1 and after s->r!l3 in round one, a
+        # state starves p on a cycle of r->q!a, and the second one s
+        # too.  The lasso starts at the state explored first
+        net = parse("""
+            proc N_p = q?a; N_p
+            proc N_q = s!l3; N_q_1
+            proc N_q_1 = r?{a; N_q_1, l1; N_q, l2; s!b; N_q_1}
+            proc N_r = q!{a; N_r, l1; N_r}
+            proc N_s = r!{a; N_s_1, l1; end, l3; q?a; N_s_1}
+            proc N_s_1 = r!{a; end, b; N_s_2, l3; N_s_2}
+            proc N_s_2 = p!{l1; end, l2; N_s, l3; end}
+            network N { p |> N_p, q |> N_q, r |> N_r, s |> N_s }
+        """).networks["N"]
+        mode = LivenessMode.INPUT_ENABLING
+        result = check_liveness(fresh(net), 4, mode)
+        assert isinstance(result, CounterexampleTrace)
+        assert [{str(c) for c in delta} for delta, _ in result.trace] == [
+            {"q->s!l3", "r->q!a", "s->r!l1"}, {"r->q!a", "r->q?a"}]
+        assert _genuine(fresh(net), result.trace, mode)
+
     def test_independent_pairs_verified(self):
         # pairs(3) has 9 reachable states, all explored within 4 rounds
         assert check_liveness(fresh(pairs(3)), 4) == Verified()
@@ -463,6 +487,36 @@ class TestLiveness:
                         assert type(new) is type(old)
                         decided += 1
         assert decided > 100
+
+
+def test_a_reader_has_one_option():
+    # the lasso search takes a state's rounds to serve the same
+    # obligations: a participant able to read has that one input, so
+    # every round has the same readers and reads the same channels
+    rng = random.Random(79)
+    states = 0
+    for _ in range(40):
+        start = fresh(random_network(rng), random_queue(rng))
+        layer = [(dict(start.net.items()), start.queue)]
+        seen = set()
+        for _ in range(4):
+            nxt = []
+            for procs, queue in layer:
+                key = (tuple(map(id, procs.values())), queue.key())
+                if key in seen:
+                    continue
+                seen.add(key)
+                opts = _options_by_player(procs.items(), queue)
+                for comms in opts.values():
+                    assert all(c.kind == OUT for c in comms) or len(comms) == 1
+                reads = {frozenset((c.play, c.sender) for c in combo
+                                   if c.kind == IN)
+                         for combo in _rounds(opts)}
+                assert len(reads) <= 1
+                nxt += [_apply(procs, queue, combo) for combo in _rounds(opts)]
+            layer = nxt
+        states += len(seen)
+    assert states > 1000
 
 
 def _same(a, b):
