@@ -509,7 +509,8 @@ def _fmt_term(root, names, out, keyword):
         else:
             at_def = False
             used.update(node.branches, (node.sender, node.receiver))
-            if (node.sender is None) + (node.receiver is None) != unnamed:
+            if ((node.sender is None) + (node.receiver is None) != unnamed
+                    or not node.branches):
                 raise ValueError(f"node {node!r} cannot be parsed back "
                                  f"in a {keyword} definition")
             who = " ".join(filter(None, (node.sender, node.receiver)))

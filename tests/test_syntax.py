@@ -433,10 +433,15 @@ class TestPrinting:
         lambda: format_proc(gout("p", "q", {"l": gend()})),
         lambda: format_proc(pout("q", {"l": gout("p", "q")})),
         lambda: format_network(Network({"r": gout("p", "q", {"l": gend()})})),
+        lambda: format_gtype(gout("p", "q")),
+        lambda: format_proc(pout("q")),
+        lambda: format_network(Network({"p": pout("q")})),
     ], ids=["process-as-global", "process-below-global", "global-as-process",
-            "global-below-process", "global-in-network"])
+            "global-below-process", "global-in-network", "empty-global",
+            "empty-process", "empty-in-network"])
     def test_nodes_parse_would_not_read_back(self, fmt):
-        # a global type names both participants, a process one
+        # a global type names both participants, a process one, and a
+        # choice has a branch
         with pytest.raises(ValueError, match="cannot be parsed back"):
             fmt()
 
