@@ -13,12 +13,13 @@ The check explores the reachable lockstep states once, breadth-first,
 with ``horizon`` bounding the depth.  It replaces each start process by
 its quotient under bisimilarity, so bisimilar processes are one node,
 and a state is its process nodes in name order and its queue's key,
-which is its own key.  Of a state it keeps that key and its links, and
-its process map and options until it is expanded.
-A state where nobody can move and something is owed is reported when
-it is generated.  A failed obligation is found on the strongly
-connected components of the explored graph and reported as a lasso: a
-shortest trace to a state, then a cycle back to it.
+which is its own key.  Of a state it keeps that key, its links and what
+it starves (owes, and no round of it serves), and its process map and
+options until it is expanded.  A state where nobody can move and
+something is owed is reported when it is generated.  A failed obligation
+is found on the strongly connected components of the states that starve
+it and reported as a lasso: a shortest trace to a state, then a cycle
+back to it.
 """
 
 from __future__ import annotations
@@ -271,13 +272,19 @@ class HorizonExceeded:
     horizon: int
 
 
-def _served(mode, delta) -> tuple:
-    """The obligations a round serves: its readers, or their channels.
-    Each participant moves once and each channel has one reader, so
-    they are distinct."""
+def _starved(mode, procs, queue: Queue, options) -> tuple:
+    """What a state with process map ``procs``, ``queue`` and
+    ``options`` owes and none of its rounds serves: the participants
+    waiting on an input that cannot move, or the channels holding a
+    message that no option reads.  A participant able to read has only
+    that input, so it reads in every round.  With no options this is
+    what the state owes."""
     if mode is LivenessMode.INPUT_ENABLING:
-        return tuple([c.play for c in delta if c.kind == IN])
-    return tuple([(c.sender, c.receiver) for c in delta if c.kind == IN])
+        return tuple([name for name, proc in procs.items()
+                      if proc.kind == IN and name not in options])
+    read = {(comms[0].sender, name) for name, comms in options.items()
+            if comms[0].kind == IN}
+    return tuple([chan for chan in queue.channels() if chan not in read])
 
 
 def _rounds(options) -> Iterable:
@@ -330,47 +337,43 @@ def _on_cycle(comp, succ) -> list:
     return sorted(v for v, c in comp.items() if size[c] > 1 or v in succ(v))
 
 
-def _lasso(edges, owes):
-    """A state owing an obligation and a cycle back to it on rounds that
-    never serve it, as ``(state, rounds of the cycle)``, or None.
+def _lasso(edges, starved):
+    """A state that starves an obligation and a cycle back to it that
+    never serves it, as ``(state, rounds of the cycle)``, or None.
 
-    Such a cycle exists exactly when the state lies on a cycle of the
-    subgraph of rounds that do not serve the obligation.  Among all
-    obligations the state found first by the exploration is taken, and
-    the shortest such cycle through it.
+    Whether a round serves an obligation depends only on the state it
+    leaves (:func:`_starved`), and an obligation never served stays
+    owed: a blocked reader does not move, and a channel that nobody
+    reads only grows.  So a cycle that never serves an obligation owed
+    at one of its states passes only states that starve it, and lies in
+    a strongly connected component of those states.  Among all
+    obligations the state found first by the exploration is taken, ties
+    to the first obligation, and the shortest cycle through it in its
+    component.
     """
-    def succ(v):
-        return [j for j, _, _ in edges[v] if j < len(edges)]
-
-    comp = _components(range(len(edges)), succ)
-    cyclic = _on_cycle(comp, succ)
-    owed = {v: owes(v) for v in cyclic}
     best = None
-    for ob in sorted({ob for v in cyclic for ob in owed[v]}):
-        def unserved(v, ob=ob):
-            return [j for j, _, served in edges[v]
-                    if ob not in served and comp.get(j) == comp[v]]
+    for ob in sorted({ob for obs in starved for ob in obs}):
+        members = {v for v, obs in enumerate(starved) if ob in obs}
 
-        sub = _components(cyclic, unserved)
-        for v in _on_cycle(sub, unserved):
-            if ob in owed[v]:
-                if best is None or v < best[0]:
-                    best = (v, sub)
-                break
+        def succ(v, members=members):
+            return [j for j, _ in edges[v] if j in members]
+
+        comp = _components(members, succ)
+        cyclic = _on_cycle(comp, succ)
+        if cyclic and (best is None or cyclic[0] < best[0]):
+            best = (cyclic[0], comp)
     if best is None:
         return None
-    start, sub = best
+    start, comp = best
     # breadth-first search for the shortest way back to start inside its
-    # sub-SCC.  No round between two of its states serves the
-    # obligation: each of them leaves by a round that does not, and
-    # whether a round serves it depends only on the state it leaves
+    # component, all of whose states starve the obligation
     back = {}
     frontier = [start]
     while start not in back:
         nxt = []
         for v in frontier:
-            for j, k, _ in edges[v]:
-                if sub.get(j) != sub[start] or j in back:
+            for j, k in edges[v]:
+                if comp.get(j) != comp[start] or j in back:
                     continue
                 back[j] = (v, k)
                 nxt.append(j)
@@ -412,56 +415,49 @@ def check_liveness(session: Session, horizon: int = 50,
     reached later are one node.  A state is the tuple of its process
     nodes in name order, ended ones included, with its queue's key, and
     is its own key.  A state is kept as that key, its parent link and,
-    once expanded, its edges; its process map and options are kept only
-    until its layer is expanded, so the options of each state are built
-    once.  A state owes the participants waiting on an input, or the
-    channels holding a message.  Where nobody can move it has completed
-    exactly when it owes nothing, since every participant left there
-    waits on an input (no choice is empty); otherwise it yields its
-    shortest trace.  Each state is tested for this when it is generated,
-    so the first one generated is reported before anything found later.
-    The strongly connected components of the explored graph are checked
-    after the first layer that closes a cycle, then once the expanded
-    states have doubled since the last check, and after the last layer.
-    A failed obligation yields a lasso: a shortest trace to a state that
-    owes it, followed by a cycle back to that state on which it is never
-    served, so the trace ends in a state it passed before.  A returned
-    trace is replayed from ``session``.  Otherwise the result is
-    Verified, weakened to HorizonExceeded if some state at depth
-    ``horizon`` could still move.
+    once expanded, its edges and what it starves; its process map and
+    options are kept only until its layer is expanded, so the options of
+    each state are built once.  A state owes the participants waiting on
+    an input, or the channels holding a message, and starves those that
+    none of its rounds serves (:func:`_starved`).  Where nobody can move
+    it has completed exactly when it owes nothing, since every
+    participant left there waits on an input (no choice is empty);
+    otherwise it yields its shortest trace.  Each state is tested for
+    this when it is generated, so the first one generated is reported
+    before anything found later.  The states that starve each obligation
+    are searched for a cycle after the first layer that closes a cycle,
+    then once the expanded states have doubled since the last check, and
+    after the last layer.  A failed obligation yields a lasso: a
+    shortest trace to a state that starves it, followed by a cycle back
+    to that state on which it is never served, so the trace ends in a
+    state it passed before.  A returned trace is replayed from
+    ``session``.  Otherwise the result is Verified, weakened to
+    HorizonExceeded if some state at depth ``horizon`` could still move.
     """
     start = {name: minimize(proc) for name, proc in session.net.items()}
-    names = tuple(start)
-
-    def owes(v):
-        procs, queue = keys[v]
-        if mode is LivenessMode.INPUT_ENABLING:
-            return {name for name, p in zip(names, procs) if p.kind == IN}
-        return {chan for chan, _ in queue}
-
-    keys = [(tuple(start.values()), session.queue.key())]
-    index = {keys[0]: 0}
+    index = {(tuple(start.values()), session.queue.key()): 0}
     # a round is named by its position in _rounds of its state
     parent = [None]  # (predecessor, round) on a shortest trace
-    edges = []  # per expanded state: (successor, round, obligations served)
+    edges = []  # per expanded state: (successor, round) pairs
+    starved = []  # per expanded state: the obligations it starves
     truncated = False  # a state at depth horizon can move
 
-    def options(procs, queue, v, deep):
-        """The options of the new state ``v`` with process map ``procs``
-        and ``queue``, or None when nobody can move there while
-        something is owed.  A state at depth ``horizon`` (``deep``) is
-        not expanded: its options are built only if it owes something,
-        or until one such state can move."""
+    def options(procs, queue, deep):
+        """The options of a new state with process map ``procs`` and
+        ``queue``, or None when nobody can move there while something
+        is owed.  A state at depth ``horizon`` (``deep``) is not
+        expanded: its options are built only if it owes something, or
+        until one such state can move."""
         nonlocal truncated
-        if deep and truncated and not owes(v):
+        if deep and truncated and not _starved(mode, procs, queue, {}):
             return {}
         opts = _options_by_player(procs.items(), queue)
-        if not opts and owes(v):
+        if not opts and _starved(mode, procs, queue, opts):
             return None
         truncated = truncated or deep and bool(opts)
         return opts
 
-    opts = options(start, session.queue, 0, horizon <= 0)
+    opts = options(start, session.queue, horizon <= 0)
     if opts is None:
         return CounterexampleTrace(())
     layer = [(start, session.queue, opts)]  # the states of a layer
@@ -469,7 +465,7 @@ def check_liveness(session: Session, horizon: int = 50,
     checked = 0  # states expanded at the last cycle check
     unchecked = False  # an edge closed a cycle since then
     for depth in range(horizon):
-        layer_end = len(keys)
+        layer_end = len(parent)
         if first == layer_end:
             break
         deep = depth == horizon - 1
@@ -477,16 +473,16 @@ def check_liveness(session: Session, horizon: int = 50,
         layer.reverse()  # popped as expanded, so each state's map is freed
         for i in range(first, layer_end):
             current, queue, opts = layer.pop()
+            starved.append(_starved(mode, current, queue, opts))
             out = []
             # a state with no options is stuck and owes nothing: completed
             for k, combo in enumerate(_rounds(opts)):
                 procs, after = _apply(current, queue, combo)
                 key = (tuple(procs.values()), after.key())
-                j = index.setdefault(key, len(keys))
-                if j == len(keys):
-                    keys.append(key)
+                j = index.setdefault(key, len(parent))
+                if j == len(parent):
                     parent.append((i, k))
-                    found = options(procs, after, j, deep)
+                    found = options(procs, after, deep)
                     if found is None:
                         return CounterexampleTrace(
                             _replay(session, _path(parent, j, 0)))
@@ -496,15 +492,15 @@ def check_liveness(session: Session, horizon: int = 50,
                     # a cycle can only close on an edge that does not
                     # lead one layer deeper
                     unchecked = True
-                out.append((j, k, _served(mode, combo)))
+                out.append((j, k))
             edges.append(tuple(out))
         first, layer = layer_end, nxt
         # check again once the expanded graph has doubled, and after the
         # last layer: the checks cost linear time in total, and a lasso
         # is found within twice the states it needs
-        last = deep or first == len(keys)
+        last = deep or first == len(parent)
         if unchecked and (last or len(edges) >= 2 * checked):
-            bad = _lasso(edges, owes)
+            bad = _lasso(edges, starved)
             if bad is not None:
                 v, cycle = bad
                 return CounterexampleTrace(

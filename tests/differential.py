@@ -10,13 +10,19 @@ It prints the first mismatching calls and exits 1 if any differ.
 
 The sessions are ``random.Random(seed)``, then ``gen.random_network``,
 then ``gen.random_queue``, always drawn by this checkout's ``gen.py``.
-The 78,108 calls:
+The starving sessions, for ``STARVING_SEEDS``, are ``random.Random(seed)``,
+then ``p`` and ``q`` from ``gen.random_pnode`` over ``p`` and ``q`` with
+at most three nodes and no end, ``r`` waiting on ``s``, which is absent,
+and ``gen.random_queue`` over ``p``, ``q`` and ``r``: every schedule
+that does not deadlock starves ``r``, so many end in a lasso.  The
+80,508 calls:
 
 - ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
-  and 4 and seeds 2000-2099 at horizon 6 (1,800 calls): the result
-  class and, for a counterexample, every round's communications and
-  every session's ``Network.key()`` and queue key;
-- ``simulate`` of each of those 500 sessions, one communication at a
+  and 4, seeds 2000-2099 at horizon 6 and the starving sessions at
+  horizons 3 and 5 (4,200 calls): the result class and, for a
+  counterexample, every round's communications and every session's
+  ``Network.key()`` and queue key;
+- ``simulate`` of each of the 500 random sessions, one communication at a
   time and in lockstep rounds, with ``MinLabelPolicy`` and with
   ``RandomPolicy(seed)`` (2,000 calls): every step's communications
   and session;
@@ -74,12 +80,13 @@ TEXT_LENGTH = 12
 LONG_DEFS = 50
 HEADS = ["proc P = ", "global G = ", "network N { ", "queue Q = [",
          "machine M { "]
+STARVING_SEEDS = range(14000, 14600)
 CHECKS = [(check, max_revisits) for check in ("balanced", "weakly")
           for max_revisits in (1, 2)] + [("agree", None)]
 
 
 def _sessions():
-    """(seed, liveness horizons) of every session of the call set."""
+    """(seed, liveness horizons) of every random session of the call set."""
     return ([(seed, (2, 4)) for seed in range(3000, 3400)]
             + [(seed, (6,)) for seed in range(2000, 2100)])
 
@@ -102,6 +109,9 @@ def call_set() -> list:
                 for label in LABELS:
                     calls.append(("step_session", seed, kind, sender,
                                   receiver, label))
+    calls += [("check_liveness", seed, horizon, mode)
+              for seed in STARVING_SEEDS for horizon in (3, 5)
+              for mode in ("INPUT_ENABLING", "QUEUE_CONSUMING")]
     calls += [("parse", "protocol", path.stem)
               for path in sorted(PROTOCOLS.glob("*.mps"))]
     calls += [("parse", "gtype", seed) for seed in range(4000, 5000)]
@@ -141,9 +151,9 @@ def emit(src: str, n) -> None:
                              format_proc, format_queue, parse)
     from mpst import wellformed as W
     from mpst.machines import encode_config, qm_start
-    from mpst.terms import Comm, Queue, reachable_nodes
+    from mpst.terms import Comm, Network, Queue, gend, pin, reachable_nodes
     from gen import (diamonds, random_gnode, random_machine, random_network,
-                     random_queue, random_word)
+                     random_pnode, random_queue, random_word)
 
     if not Path(mpst.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {mpst.__file__}, not from {src}")
@@ -159,8 +169,14 @@ def emit(src: str, n) -> None:
     def session(seed):
         if seed not in cache:
             rng = random.Random(seed)
-            net = random_network(rng)
-            cache[seed] = S.Session(net, random_queue(rng))
+            if seed in STARVING_SEEDS:
+                net = Network({p: random_pnode(rng, p, 3, ["p", "q"],
+                                               end_bias=0.0) for p in "pq"}
+                              | {"r": pin("s", {"a": gend()})})
+                queue = random_queue(rng, ["p", "q", "r"])
+            else:
+                net, queue = random_network(rng), random_queue(rng)
+            cache[seed] = S.Session(net, queue)
         return cache[seed]
 
     def text(source, key):
