@@ -405,9 +405,9 @@ class TestLiveness:
 
     def test_least_starving_state_starts_the_lasso(self):
         # Random(3356), then random_network and random_queue.  p waits on
-        # q forever, and after s->r!l1 and after s->r!l3 in round one, a
-        # state starves p on a cycle of r->q!a, and the second one s
-        # too.  The lasso starts at the state explored first
+        # q forever.  After s->r!l1 and after s->r!l3 in round one, a
+        # state lies on a cycle of r->q!a that starves p, and the second
+        # starves s too.  The lasso starts at the state explored first
         net = parse("""
             proc N_p = q?a; N_p
             proc N_q = s!l3; N_q_1
