@@ -80,7 +80,7 @@ def _apply(procs, queue: Queue, comms) -> tuple:
 def _after(session: Session, comms) -> Session:
     """The session after ``comms``, options of ``session``."""
     procs, queue = _apply(session.net.items(), session.queue, comms)
-    return Session(Network(procs), queue)
+    return Session(Network._of(procs), queue)
 
 
 def step_session(session: Session, comm: Comm):
@@ -421,17 +421,17 @@ def check_liveness(session: Session, horizon: int = 50,
     an input, or the channels holding a message, and starves those that
     none of its rounds serves (:func:`_starved`).  Where nobody can move
     it has completed exactly when it owes nothing, since every
-    participant left there waits on an input (no choice is empty);
-    otherwise it yields its shortest trace.  Each state is tested for
-    this when it is generated, so the first one generated is reported
-    before anything found later.  The states that starve each obligation
-    are searched for a cycle after the first layer that closes a cycle,
-    then once the expanded states have doubled since the last check, and
-    after the last layer.  A failed obligation yields a lasso: a
-    shortest trace to a state that starves it, followed by a cycle back
-    to that state on which it is never served, so the trace ends in a
-    state it passed before.  A returned trace is replayed from
-    ``session``.  Otherwise the result is Verified, weakened to
+    participant left there waits on an input (no choice is empty, as
+    :class:`Network` enforces); otherwise it yields its shortest trace.
+    Each state is tested for this when it is generated, so the first one
+    generated is reported before anything found later.  The states that
+    starve each obligation are searched for a cycle after the first
+    layer that closes a cycle, then once the expanded states have doubled
+    since the last check, and after the last layer.  A failed obligation
+    yields a lasso: a shortest trace to a state that starves it, followed
+    by a cycle back to that state on which it is never served, so the
+    trace ends in a state it passed before.  A returned trace is replayed
+    from ``session``.  Otherwise the result is Verified, weakened to
     HorizonExceeded if some state at depth ``horizon`` could still move.
     """
     start = {name: minimize(proc) for name, proc in session.net.items()}

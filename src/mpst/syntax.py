@@ -30,10 +30,10 @@ like ``proc A = B`` with ``proc B = A``, is rejected.
 Printing produces the same surface form back: nodes that are shared,
 sit on a cycle, or are the root get a name, everything else is printed
 inline.  Parsing the output yields bisimilar graphs: a printer raises
-ValueError for a name ``parse`` would not read back, and for a node
-that names the wrong participants for its definition: a global type
-names both, a process its partner alone.  Neither parsing nor printing
-recurses, so no term is too deep for either.
+ValueError for a name ``parse`` would not read back, a message to its
+sender, and a graph that fails ``terms._unreadable``, the parser's and
+``Network``'s rule.  Neither parsing nor printing recurses, so no term
+is too deep for either.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from mpst.terms import (
     _NAME,
     _is_name,
     _starts_name,
+    _unreadable,
     gend,
     reachable_nodes,
 )
@@ -246,10 +247,9 @@ class _Parser:
         self.resolve(doc.globals_, self.refs["global type"])
         for comps, at in self.parts:
             part = self.tokens[at]
-            for sub in reachable_nodes(comps[part]):
-                if part in (sub.sender, sub.receiver):
-                    raise self.error(f"{part!r} communicates with itself", at,
-                                     SelfCommunication)
+            if _unreadable(comps[part], part=part) is not None:
+                raise self.error(f"{part!r} communicates with itself", at,
+                                 SelfCommunication)
         for name, comps in doc.networks.items():
             doc.networks[name] = Network(comps)
         return doc
@@ -488,13 +488,11 @@ def _needs_name(root):
                      if node.kind != END and indeg[id(node)] >= 2]
 
 
-def _fmt_term(root, names, out, keyword):
-    """Appends the body of ``root``'s ``keyword`` definition to ``out``.
+def _fmt_term(root, names, out):
+    """Appends the body of ``root``'s definition to ``out``.
     Below the root a node prints as its name if it has one and inline
     otherwise; ``stack`` holds what is still to be written, the next
     piece last."""
-    # a global type names both participants, a process the partner alone
-    unnamed = 0 if keyword == "global" else 1
     stack = [root]
     at_def = True
     used = set()  # the participants and labels written
@@ -509,10 +507,6 @@ def _fmt_term(root, names, out, keyword):
         else:
             at_def = False
             used.update(node.branches, (node.sender, node.receiver))
-            if ((node.sender is None) + (node.receiver is None) != unnamed
-                    or not node.branches):
-                raise ValueError(f"node {node!r} cannot be parsed back "
-                                 f"in a {keyword} definition")
             who = " ".join(filter(None, (node.sender, node.receiver)))
             out.append(f"{who}{'!' if node.kind == OUT else '?'}")
             labs = sorted(node.branches)
@@ -535,6 +529,8 @@ def _fmt_defs(roots, keyword) -> list:
     reserved = {base for _, base in roots}
     defs = []
     for root, base in roots:
+        if (bad := _unreadable(root, keyword == "global")) is not None:
+            raise ValueError(f"{bad!r} cannot be parsed back in a {keyword}")
         named = _needs_name(root)
         names = {id(root): _printed(base, "name")}
         i = 0
@@ -545,7 +541,7 @@ def _fmt_defs(roots, keyword) -> list:
             names[id(node)] = f"{base}_{i}"
         for node in named:
             out = [f"{keyword} {names[id(node)]} = "]
-            _fmt_term(node, names, out, keyword)
+            _fmt_term(node, names, out)
             defs.append("".join(out))
     return defs
 
@@ -573,6 +569,9 @@ def format_network(net: Network, name: str = "N") -> str:
 
 
 def format_queue(queue: Queue, name: str = "Q") -> str:
+    for s, r in queue.channels():
+        if s == r:
+            raise ValueError(f"channel {s}->{r} cannot be parsed back")
     inner = ", ".join(
         f"{_printed(s, 'participant')}->{_printed(r, 'participant')}:"
         f"{_printed(lab, 'label')}" for s, lab, r in queue.messages())

@@ -1,13 +1,14 @@
 """Regular term graphs for global types and process types.
 
-Types with recursion are represented as (possibly cyclic) graphs of
-nodes of one class, :class:`GNode`.  A node is either ``end`` or a
-choice carrying a branch map from labels to child nodes; the branch map
-may be filled in after construction, which is how back edges are tied.
-Once a graph has been hashed or compared it must not be mutated
-further.  A process node is a choice seen by the participant that
-moves, whose own slot is left None: ``pout(q)`` has receiver q and no
-sender, ``pin(p)`` sender p and no receiver.
+Types with recursion are (possibly cyclic) graphs of nodes of one
+class, :class:`GNode`: ``end``, or a choice with a branch map from
+labels to child nodes, which may be filled in after construction to tie
+back edges.  A graph that was hashed, compared or put in a network must
+not be mutated.  A process node is a choice seen by the participant
+that moves, whose own slot is left None: ``pout(q)`` has receiver q and
+no sender, ``pin(p)`` sender p and no receiver.  One rule,
+:func:`_unreadable`, says which graphs ``parse`` reads back and the
+printers write, and a network holds only such components.
 
 Equality of types is bisimilarity.  Every node can produce a canonical
 key via partition refinement of its reachable subgraph; two nodes are
@@ -132,6 +133,19 @@ def reachable_nodes(root) -> list:
         for lab in sorted(node.branches, reverse=True):
             stack.append(node.branches[lab])
     return list(seen.values())
+
+
+def _unreadable(root, is_global: bool = False, part: Optional[str] = None):
+    """The first node below ``root`` that ``parse`` would not read in
+    its place, or None: a choice with no branch, one that names the
+    wrong participants (a global type names both, a process the partner
+    alone), or, in ``part``'s component, one whose partner is ``part``."""
+    for node in reachable_nodes(root):
+        if node.kind != END and (
+                not node.branches or node.partner == part
+                or (None in (node.sender, node.receiver)) == is_global):
+            return node
+    return None
 
 
 def _refine(nodes: list) -> dict:
@@ -522,20 +536,32 @@ class Queue:
 
 
 class Network:
-    """A finite map from participants to process types.
-
-    Terminated components are dropped, so a network equals the empty
-    one exactly when every participant has ended.  A network is never
-    changed after construction, so its key is computed once.
+    """A finite map from participants to process types that ``parse``
+    reads back (:func:`_unreadable`), else ValueError.  Terminated
+    components are dropped, so a network equals the empty one exactly
+    when every participant has ended.  Neither a network nor its graphs
+    change after construction, so its key is computed once.
     """
 
     __slots__ = ("_procs", "_key")
 
     def __init__(self, procs: Optional[dict] = None):
         # kept in name order, so ``items`` need not sort
-        self._procs = {name: proc for name, proc in sorted((procs or {}).items())
-                       if proc.kind != END}
+        procs = sorted((procs or {}).items())
+        for name, proc in procs:
+            if (bad := _unreadable(proc, part=name)) is not None:
+                raise ValueError(f"{bad!r} in {name!r} cannot be parsed back")
+        self._procs = {name: proc for name, proc in procs if proc.kind != END}
         self._key = None
+
+    @classmethod
+    def _of(cls, procs: dict) -> "Network":
+        """The network of a process map in name order, unchecked: each
+        component is a subterm of a network's for the same participant."""
+        net = cls.__new__(cls)
+        net._procs = {n: p for n, p in procs.items() if p.kind != END}
+        net._key = None
+        return net
 
     @property
     def is_empty(self) -> bool:
@@ -550,11 +576,6 @@ class Network:
 
     def items(self) -> Iterator:
         return iter(self._procs.items())
-
-    def with_comp(self, name: str, proc: GNode) -> "Network":
-        procs = dict(self._procs)
-        procs[name] = proc
-        return Network(procs)
 
     def key(self):
         if self._key is None:

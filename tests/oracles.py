@@ -453,14 +453,16 @@ def oracle_session_successors(net: Network, queue: Queue):
         if proc.kind == "out":
             for lab in sorted(proc.branches):
                 out.append((Comm("out", name, proc.partner, lab),
-                            net.with_comp(name, proc.branches[lab]),
+                            Network({**dict(net.items()),
+                                     name: proc.branches[lab]}),
                             queue.push(name, lab, proc.partner)))
         elif proc.kind == "in":
             head = queue.head(proc.partner, name)
             if head is not None and head in proc.branches:
                 _, rest = queue.pop(proc.partner, name)
                 out.append((Comm("in", proc.partner, name, head),
-                            net.with_comp(name, proc.branches[head]),
+                            Network({**dict(net.items()),
+                                     name: proc.branches[head]}),
                             rest))
     return out
 

@@ -20,7 +20,6 @@ from mpst.sessions import (
     ScriptMismatch,
     ScriptPolicy,
     Session,
-    TraceStep,
     Verified,
     _apply,
     _options_by_player,
@@ -41,7 +40,6 @@ from gen import (
     PARTS,
     chain_network,
     pairs,
-    random_gnode,
     random_network,
     random_queue,
 )
@@ -81,12 +79,10 @@ class TestStep:
         assert step_session(s, Comm.parse("q->p!l")) is NOT_ENABLED
 
     def test_matches_direct_rules(self):
-        # process components, then components that are global-type
-        # nodes, whose own slot may be filled: only the partner counts
+        # default draws, then small components that never end
         rng = random.Random(61)
         nets = [random_network(rng) for _ in range(300)]
-        nets += [Network({p: random_gnode(rng) for p in
-                          rng.sample(PARTS, rng.randint(1, len(PARTS)))})
+        nets += [random_network(rng, max_nodes=3, end_bias=0.0)
                  for _ in range(150)]
         candidates = [Comm(kind, sender, receiver, label)
                       for kind in ("out", "in")
@@ -113,19 +109,11 @@ class TestStep:
                     assert got == Session(*expect), comm
 
     def test_component_with_its_own_slot_filled(self):
-        # r's process is the global-type node p q!l: r sends l to its
-        # partner q, and every part of the layer says so
-        s = fresh(Network({"r": gout("p", "q", {"l": gend()})}))
-        comm = Comm.parse("r->q!l")
-        after = Session(Network(), Queue().push("r", "l", "q"))
-        assert enabled(s) == {comm}
-        assert oracle_step(s.net, s.queue, comm) == (after.net, after.queue)
-        assert step_session(s, comm) == after
-        assert lockstep(s) == (frozenset({comm}), after)
-        assert list(simulate(s)) == [TraceStep(1, frozenset({comm}), after)]
-        assert check_liveness(s, 3) == Verified()
-        assert check_liveness(s, 3, LivenessMode.QUEUE_CONSUMING) == \
-            CounterexampleTrace(((frozenset({comm}), after),))
+        # r's process may not be a global-type node such as p q!l, nor
+        # one that fills r's own slot: parse reads neither as a component
+        for sender in ("p", "r"):
+            with pytest.raises(ValueError, match="cannot be parsed back"):
+                Network({"r": gout(sender, "q", {"l": gend()})})
 
 
 class TestEnabledAndClassify:
@@ -447,19 +435,39 @@ class TestLiveness:
                 assert check_liveness(fresh(net), horizon, mode) == Verified()
 
     def test_exploration_builds_no_network(self, monkeypatch):
-        # states are bare process nodes and queues: a network is built
-        # only for a returned trace, and pairs(3) returns none
+        # states are bare process nodes and queues: a network is built,
+        # checked or not, only for a returned trace, and pairs(3)
+        # returns none
         built = []
-        init = Network.__init__
+        init, of = Network.__init__, Network._of
 
         def counted(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
 
+        def counted_of(procs):
+            built.append(procs)
+            return of(procs)
+
         s = fresh(pairs(3))
+        # p sends l, and q waits for m: deadlocked after one round
+        wrong = fresh(Network({"p": pout("q", {"l": gend()}),
+                               "q": pin("p", {"m": gend()})}))
         monkeypatch.setattr(Network, "__init__", counted)
+        monkeypatch.setattr(Network, "_of", counted_of)
         assert check_liveness(s, 6) == Verified()
         assert len(built) == 0
+        # the replay of a returned trace builds its networks unchecked,
+        # and the count sees them
+        assert len(check_liveness(wrong, 3).trace) == 1
+        assert len(built) == 1
+
+    def test_empty_choice_never_reaches_the_check(self):
+        # the completion test assumes that no choice is empty: p, stuck
+        # on an output with no branch, would owe nothing and read as
+        # Verified, though the session is deadlocked
+        with pytest.raises(ValueError, match="cannot be parsed back"):
+            Network({"p": pout("q")})
 
     def test_long_chain_does_not_recurse(self):
         assert check_liveness(fresh(chain_network(5000)), 10**4) == Verified()

@@ -30,7 +30,7 @@ from mpst.terms import Msg, Network, Queue, bisimilar, gend, gout, pout, \
     reachable_nodes, _starts_name
 from conftest import PROTOCOLS, load_protocol
 from oracles import oracle_lex
-from gen import chain, chain_network, random_gnode, random_machine, \
+from gen import PARTS, chain, chain_network, random_gnode, random_machine, \
     random_network, random_pnode, random_queue
 from zoo import burst_choice, copy_loop, depth_example, eraser, growing, \
     hospital, mp, parity, stuck_reader, unread_branch
@@ -436,12 +436,13 @@ class TestPrinting:
         lambda: format_gtype(gout("p", "q")),
         lambda: format_proc(pout("q")),
         lambda: format_network(Network({"p": pout("q")})),
+        lambda: format_queue(Queue.from_msgs([Msg("p", "l", "p")])),
     ], ids=["process-as-global", "process-below-global", "global-as-process",
             "global-below-process", "global-in-network", "empty-global",
-            "empty-process", "empty-in-network"])
+            "empty-process", "empty-in-network", "message-to-sender"])
     def test_nodes_parse_would_not_read_back(self, fmt):
-        # a global type names both participants, a process one, and a
-        # choice has a branch
+        # a global type names both participants, a process one, a
+        # choice has a branch, and a message goes to another participant
         with pytest.raises(ValueError, match="cannot be parsed back"):
             fmt()
 
@@ -473,6 +474,32 @@ class TestRoundTrips:
             net = random_network(rng)
             text = format_network(net, "N")
             assert parse(text).networks["N"] == net, text
+
+    def test_every_network_that_builds_prints_back(self):
+        # components of every kind, faulty ones too: global types,
+        # processes that may name their own participant, and choices
+        # emptied at random; what Network does not refuse round-trips
+        rng = random.Random(97)
+        kinds = [lambda p: random_pnode(rng, p, max_nodes=3),
+                 lambda p: random_pnode(rng, None, max_nodes=3),
+                 lambda p: random_gnode(rng, max_nodes=3)]
+        built = refused = 0
+        for _ in range(400):
+            procs = {p: rng.choice(kinds)(p)
+                     for p in rng.sample(PARTS, rng.randint(1, 3))}
+            for proc in procs.values():
+                if rng.random() < 0.2:
+                    rng.choice(reachable_nodes(proc)).branches.clear()
+            try:
+                net = Network(procs)
+            except ValueError as err:
+                assert "cannot be parsed back" in str(err)
+                refused += 1
+                continue
+            built += 1
+            text = format_network(net, "N")
+            assert parse(text).networks["N"] == net, text
+        assert built > 50 and refused > 50
 
     def test_random_queues(self):
         rng = random.Random(47)

@@ -436,13 +436,27 @@ class TestNetwork:
         assert mp().net.players() == {"p", "q"}
 
     def test_with_and_without(self):
-        net = mp().net
-        assert net.with_comp("p", gend()).players() == {"q"}
-        bigger = net.with_comp("r", pout("p", {"l": gend()}))
+        procs = dict(mp().net.items())
+        assert Network({**procs, "p": gend()}).players() == {"q"}
+        bigger = Network({**procs, "r": pout("p", {"l": gend()})})
         assert bigger.players() == {"p", "q", "r"}
-        assert "r" in bigger and "r" not in net
-        first = bigger.with_comp("a", pin("p", {"l": gend()}))
+        assert "r" in bigger and "r" not in mp().net
+        first = Network({**procs, "r": pout("p", {"l": gend()}),
+                         "a": pin("p", {"l": gend()})})
         assert [name for name, _ in first.items()] == ["a", "p", "q", "r"]
+
+    @pytest.mark.parametrize("proc", [
+        pout("q", {"l": pin("r", {"m": pout("p", {"x": gend()})})}),
+        pout("q", {"l": pin("r", {"m": pout("q")})}),
+        pout("q", {"l": pin("r", {"m": gout("q", "r", {"x": gend()})})}),
+        pin("q", {"l": gin("p", "q", {"x": gend()})}),
+    ], ids=["self-communication", "empty-choice", "global-node",
+            "global-node-naming-itself"])
+    def test_rejects_what_parse_would_not_read(self, proc):
+        # each fault sits below the root: two levels down in the first
+        # three rows, one in the last
+        with pytest.raises(ValueError, match="cannot be parsed back"):
+            Network({"p": proc, "q": pin("p", {"l": gend()})})
 
     def test_equality_is_componentwise_bisimilarity(self):
         one = pout("q")
