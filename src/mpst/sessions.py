@@ -9,17 +9,17 @@ map and a queue.  Single steps, lockstep rounds (every participant
 able to move performs one communication), simulation and the liveness
 check over all lockstep schedules all go through both, and only the
 public functions and a returned trace wrap the result in a session.
+The rule reads a participant's moves at a node from a move table keyed
+by ``(participant, node)`` and filled on the pair's first visit: every
+network that a round derives from a session's shares that network's
+table, and the check keeps its own for the quotients it explores.
 The check explores the reachable lockstep states once, breadth-first,
-with ``horizon`` bounding the depth.  It replaces each start process by
-its quotient under bisimilarity, so bisimilar processes are one node,
-and a state is its process nodes in name order and its queue's key,
-which is its own key.  Of a state it keeps that key, its links and what
-it starves (owes, and no round of it serves), and its process map and
-options until it is expanded.  A state where nobody can move and
-something is owed is reported when it is generated.  A failed obligation
-is found on the strongly connected components of the states that starve
-it and reported as a lasso: a shortest trace to a state, then a cycle
-back to it.
+with ``horizon`` bounding the depth; a state is the quotients of its
+processes under bisimilarity, in name order, and its queue's key.  A
+state where nobody can move and something is owed is reported when it
+is generated, and a failed obligation as a lasso found on the strongly
+connected components of the states that starve it: a shortest trace to
+a state, then a cycle back to it.
 """
 
 from __future__ import annotations
@@ -80,20 +80,20 @@ def _apply(procs, queue: Queue, comms) -> tuple:
 def _after(session: Session, comms) -> Session:
     """The session after ``comms``, options of ``session``."""
     procs, queue = _apply(session.net.items(), session.queue, comms)
-    return Session(Network._of(procs), queue)
+    return Session(Network._of(procs, session.net._moves), queue)
 
 
 def step_session(session: Session, comm: Comm):
     """Perform one communication, or NOT_ENABLED unless it is offered."""
-    options = _options_by_player(session.net.items(), session.queue)
-    if comm not in options.get(comm.play, ()):
+    if comm not in enabled(session):
         return NOT_ENABLED
     return _after(session, (comm,))
 
 
 def enabled(session: Session) -> set:
     """All communications the session can do right now."""
-    options = _options_by_player(session.net.items(), session.queue)
+    options = _options_by_player(session.net.items(), session.queue,
+                                 session.net._moves)
     return {comm for comms in options.values() for comm in comms}
 
 
@@ -107,7 +107,8 @@ def classify(session: Session) -> Classification:
 
 def deadlock_info(session: Session) -> dict:
     """What each blocked participant waits for and what sits unread."""
-    options = _options_by_player(session.net.items(), session.queue)
+    options = _options_by_player(session.net.items(), session.queue,
+                                 session.net._moves)
     blocked = {}
     for name, proc in session.net.items():
         if proc.kind == IN and name not in options:
@@ -125,8 +126,8 @@ def deadlock_info(session: Session) -> dict:
 
 
 class ChoicePolicy:
-    """Resolves which of several enabled communications to take: one of
-    ``options``, which come in ``sort_key`` order, else ValueError."""
+    """Takes one of several enabled communications, ``options``, a list
+    in ``sort_key`` order that it must not change, else ValueError."""
 
     def choose(self, options: list, player: Optional[str] = None) -> Comm:
         raise NotImplementedError
@@ -178,23 +179,25 @@ def _choose(policy: ChoicePolicy, options: list, *player) -> Comm:
     return comm
 
 
-def _options_by_player(procs, queue: Queue) -> dict:
+def _options_by_player(procs, queue: Queue, table: dict) -> dict:
     """The communications of each participant able to move, given its
     ``(name, process)`` pairs ``procs`` and ``queue``, in ``sort_key``
     order: its outputs by label, or the one input that the head of its
-    channel allows."""
+    channel allows.  ``table`` maps a pair, from its first visit on, to
+    that list of outputs, or to a map from each label to that input."""
     by_player = {}
     for name, proc in procs:
-        comms = []
-        if proc.kind == OUT:
-            comms = [Comm(OUT, name, proc.receiver, lab)
-                     for lab in sorted(proc.branches)]
-        elif proc.kind == IN:
-            head = queue.head(proc.sender, name)
-            if head is not None and head in proc.branches:
-                comms = [Comm(IN, proc.sender, name, head)]
-        if comms:
-            by_player[name] = comms
+        moves = table.get(key := (name, proc))
+        if moves is None and proc.kind == IN:
+            moves = table[key] = {lab: [Comm(IN, proc.sender, name, lab)]
+                                  for lab in proc.branches}
+        elif moves is None:  # an output, or an end with no branches
+            moves = table[key] = [Comm(OUT, name, proc.receiver, lab)
+                                  for lab in sorted(proc.branches)]
+        if proc.kind == IN:
+            moves = moves.get(queue.head(proc.sender, name))
+        if moves:
+            by_player[name] = moves
     return by_player
 
 
@@ -207,7 +210,8 @@ def lockstep(session: Session, policy: ChoicePolicy = None):
     channels' heads, and each channel is read by one participant only.
     """
     policy = policy or MinLabelPolicy()
-    options = _options_by_player(session.net.items(), session.queue)
+    options = _options_by_player(session.net.items(), session.queue,
+                                 session.net._moves)
     if not options:
         return NOT_LIVE
     chosen = [_choose(policy, opts, player) for player, opts in options.items()]
@@ -398,7 +402,8 @@ def _replay(session: Session, path) -> tuple:
     by its position in :func:`_rounds`, as ``(delta, session)`` pairs."""
     trace = []
     for k in path:
-        options = _options_by_player(session.net.items(), session.queue)
+        options = _options_by_player(session.net.items(), session.queue,
+                                     session.net._moves)
         combo = next(itertools.islice(_rounds(options), k, None))
         session = _after(session, combo)
         trace.append((frozenset(combo), session))
@@ -435,6 +440,7 @@ def check_liveness(session: Session, horizon: int = 50,
     HorizonExceeded if some state at depth ``horizon`` could still move.
     """
     start = {name: minimize(proc) for name, proc in session.net.items()}
+    table = {}  # the quotients' moves, kept out of session.net's table
     index = {(tuple(start.values()), session.queue.key()): 0}
     # a round is named by its position in _rounds of its state
     parent = [None]  # (predecessor, round) on a shortest trace
@@ -451,7 +457,7 @@ def check_liveness(session: Session, horizon: int = 50,
         nonlocal truncated
         if deep and truncated and not _starved(mode, procs, queue, {}):
             return {}
-        opts = _options_by_player(procs.items(), queue)
+        opts = _options_by_player(procs.items(), queue, table)
         if not opts and _starved(mode, procs, queue, opts):
             return None
         truncated = truncated or deep and bool(opts)

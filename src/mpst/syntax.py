@@ -250,8 +250,8 @@ class _Parser:
             if _unreadable(comps[part], part=part) is not None:
                 raise self.error(f"{part!r} communicates with itself", at,
                                  SelfCommunication)
-        for name, comps in doc.networks.items():
-            doc.networks[name] = Network(comps)
+        for name, comps in doc.networks.items():  # each checked above
+            doc.networks[name] = Network._of(dict(sorted(comps.items())), {})
         return doc
 
     def termdef(self, keyword, what, defs):
@@ -569,9 +569,6 @@ def format_network(net: Network, name: str = "N") -> str:
 
 
 def format_queue(queue: Queue, name: str = "Q") -> str:
-    for s, r in queue.channels():
-        if s == r:
-            raise ValueError(f"channel {s}->{r} cannot be parsed back")
     inner = ", ".join(
         f"{_printed(s, 'participant')}->{_printed(r, 'participant')}:"
         f"{_printed(lab, 'label')}" for s, lab, r in queue.messages())

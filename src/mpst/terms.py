@@ -434,11 +434,11 @@ class Queue:
 
     def __init__(self, chans: Optional[dict] = None):
         lanes = {}
-        if chans:
-            for chan, labels in chans.items():
-                buf = tuple(labels)
-                if buf:
-                    lanes[chan] = (buf, 0, len(buf))
+        for (sender, receiver), labels in (chans or {}).items():
+            if sender == receiver:
+                raise ValueError(f"message from {sender!r} to itself")
+            if buf := tuple(labels):
+                lanes[sender, receiver] = (buf, 0, len(buf))
         self._lanes = lanes
         self._key = None
         self._hash = None
@@ -478,6 +478,8 @@ class Queue:
         return lane[0][lane[1]] if lane else None
 
     def push(self, sender: str, label: str, receiver: str) -> "Queue":
+        if sender == receiver:
+            raise ValueError(f"message from {sender!r} to itself")
         lanes = self._lanes.copy()
         _lane_push(lanes, (sender, receiver), label)
         return Queue._of(lanes)
@@ -491,9 +493,9 @@ class Queue:
         return label, Queue._of(lanes)
 
     def after(self, comms: Iterable[Comm]) -> "Queue":
-        """The queue after ``comms`` in order: an output appends its
-        label to its channel and an input removes its channel's head,
-        whatever its label: the caller decides what is enabled."""
+        """The queue after ``comms`` in order: an output appends its label
+        to its channel and an input removes its channel's head.  They are
+        enabled options of a :class:`Network`, which has no self-loops."""
         lanes = self._lanes.copy()
         for kind, sender, receiver, label in comms:
             if kind == OUT:
@@ -540,10 +542,11 @@ class Network:
     reads back (:func:`_unreadable`), else ValueError.  Terminated
     components are dropped, so a network equals the empty one exactly
     when every participant has ended.  Neither a network nor its graphs
-    change after construction, so its key is computed once.
+    change after construction, so its key and its moves (a table keyed
+    by ``(participant, node)``, shared by :meth:`_of`) are built once.
     """
 
-    __slots__ = ("_procs", "_key")
+    __slots__ = ("_procs", "_key", "_moves")
 
     def __init__(self, procs: Optional[dict] = None):
         # kept in name order, so ``items`` need not sort
@@ -553,14 +556,16 @@ class Network:
                 raise ValueError(f"{bad!r} in {name!r} cannot be parsed back")
         self._procs = {name: proc for name, proc in procs if proc.kind != END}
         self._key = None
+        self._moves = {}
 
     @classmethod
-    def _of(cls, procs: dict) -> "Network":
-        """The network of a process map in name order, unchecked: each
-        component is a subterm of a network's for the same participant."""
+    def _of(cls, procs: dict, moves: dict) -> "Network":
+        """The network of a process map in name order and a move table,
+        unchecked: each component is, or is a subterm of, a checked one."""
         net = cls.__new__(cls)
         net._procs = {n: p for n, p in procs.items() if p.kind != END}
         net._key = None
+        net._moves = moves
         return net
 
     @property

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mpst import sessions
 from mpst.sessions import (
     ChoicePolicy,
     Classification,
@@ -53,6 +54,9 @@ from oracles import (
 from zoo import growing, hospital, mp
 
 
+PROTOCOLS = Path(__file__).resolve().parent.parent / "protocols"
+
+
 def fresh(net, queue=None):
     return Session(net, queue or Queue())
 
@@ -95,7 +99,7 @@ class TestStep:
             for comm, net2, q2 in oracle_session_successors(net, queue):
                 succ[comm] = Session(net2, q2)
             assert enabled(s) == set(succ)
-            options = _options_by_player(s.net.items(), s.queue)
+            options = _options_by_player(s.net.items(), s.queue, {})
             assert {c for cs in options.values() for c in cs} == set(succ)
             for player, cs in options.items():
                 assert {c.play for c in cs} == {player}
@@ -445,9 +449,9 @@ class TestLiveness:
             built.append(self)
             init(self, *args, **kwargs)
 
-        def counted_of(procs):
+        def counted_of(procs, moves):
             built.append(procs)
-            return of(procs)
+            return of(procs, moves)
 
         s = fresh(pairs(3))
         # p sends l, and q waits for m: deadlocked after one round
@@ -497,6 +501,52 @@ class TestLiveness:
         assert decided > 100
 
 
+class TestMoveTable:
+    def test_shared_node_moves_for_each_participant(self):
+        # p and r have one node: the table is keyed by participant and
+        # node, since each sends on its own channel from it
+        x = pout("q", {"l": gend()})
+        s = fresh(Network({"p": x, "q": pin("p", {"m": gend()}), "r": x}))
+        both = {Comm(OUT, "p", "q", "l"), Comm(OUT, "r", "q", "l")}
+        assert enabled(s) == both
+        delta, after = lockstep(s)
+        assert delta == both
+        assert after.queue.channels() == [("p", "q"), ("r", "q")]
+        # q then waits for m behind l: a one-round deadlock
+        for mode in LivenessMode:
+            assert [d for d, _ in check_liveness(s, 3, mode).trace] == [both]
+
+    def test_a_node_builds_its_moves_once(self, monkeypatch):
+        # after a participant's first visit to a node no round builds a
+        # Comm: growing has four, one per participant, node and label
+        net = parse(PROTOCOLS.joinpath("growing.mps").read_text()) \
+            .networks["N"]
+        built = []
+
+        def counted(*args):
+            built.append(Comm(*args))
+            return built[-1]
+
+        monkeypatch.setattr(sessions, "Comm", counted)
+        steps = list(simulate(fresh(net), max_steps=100,
+                              lockstep_rounds=True))
+        assert len(steps) == 100 and len(steps[-1].session.queue) == 101
+        assert sorted(map(str, built)) == [
+            "p->q!l", "p->q?l", "r->q!lp", "r->q?lp"]
+
+    def test_liveness_keeps_its_own_table(self):
+        # the quotient nodes of a check never enter the caller's table
+        s = fresh(growing().net)
+        list(simulate(s, max_steps=4, lockstep_rounds=True))
+        size = len(s.net._moves)
+        assert size == 4
+        for horizon, mode in [(5, LivenessMode.INPUT_ENABLING),
+                              (5, LivenessMode.QUEUE_CONSUMING),
+                              (8, LivenessMode.INPUT_ENABLING)]:
+            assert check_liveness(s, horizon, mode) == HorizonExceeded(horizon)
+        assert len(s.net._moves) == size
+
+
 def test_a_reader_has_one_option():
     # the lasso search takes a state's rounds to serve the same
     # obligations: a participant able to read has that one input, so
@@ -514,7 +564,7 @@ def test_a_reader_has_one_option():
                 if key in seen:
                     continue
                 seen.add(key)
-                opts = _options_by_player(procs.items(), queue)
+                opts = _options_by_player(procs.items(), queue, {})
                 for comms in opts.values():
                     assert all(c.kind == OUT for c in comms) or len(comms) == 1
                 reads = {frozenset((c.play, c.sender) for c in combo

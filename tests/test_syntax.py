@@ -9,6 +9,7 @@ from operator import eq
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mpst import syntax, terms
 from mpst.syntax import (
     DuplicateLabelInChoice,
     EmptyChoice,
@@ -105,6 +106,24 @@ class TestParsing:
     def test_named_network_component(self):
         doc = parse("proc W = q!l; W  network N { p |> W }")
         assert doc.networks["N"].get("p") is doc.procs["W"]
+
+    def test_each_component_checked_once(self, monkeypatch):
+        # the component loop checks each one, so building the network
+        # checks nothing again
+        calls, real = [], terms._unreadable
+
+        def counted(root, *args, **kwargs):
+            calls.append(root)
+            return real(root, *args, **kwargs)
+
+        monkeypatch.setattr(syntax, "_unreadable", counted)
+        monkeypatch.setattr(terms, "_unreadable", counted)
+        doc = parse("proc P = q!l; P  network N { q |> p?l; end, p |> P }"
+                    "  network M { p |> P }")
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert [name for name, _ in doc.networks["N"].items()] == ["p", "q"]
+        assert doc.networks["M"] == Network({"p": doc.procs["P"]})
 
     def test_queue_literal(self):
         doc = parse("queue Q = [p->q:a, p->q:b, r->q:z]")
@@ -436,13 +455,12 @@ class TestPrinting:
         lambda: format_gtype(gout("p", "q")),
         lambda: format_proc(pout("q")),
         lambda: format_network(Network({"p": pout("q")})),
-        lambda: format_queue(Queue.from_msgs([Msg("p", "l", "p")])),
     ], ids=["process-as-global", "process-below-global", "global-as-process",
             "global-below-process", "global-in-network", "empty-global",
-            "empty-process", "empty-in-network", "message-to-sender"])
+            "empty-process", "empty-in-network"])
     def test_nodes_parse_would_not_read_back(self, fmt):
-        # a global type names both participants, a process one, a
-        # choice has a branch, and a message goes to another participant
+        # a global type names both participants, a process one, and a
+        # choice has a branch
         with pytest.raises(ValueError, match="cannot be parsed back"):
             fmt()
 

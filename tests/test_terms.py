@@ -280,6 +280,17 @@ class TestQueue:
         assert Queue.from_msgs([Msg("p", "a", "q")]) != \
             Queue.from_msgs([Msg("q", "a", "p")])
 
+    @pytest.mark.parametrize("make", [
+        lambda: Queue.from_msgs([Msg("p", "l", "p")]),
+        lambda: Queue({("p", "p"): ["l"]}),
+        lambda: Queue().push("p", "l", "p"),
+    ], ids=["from-msgs", "lanes", "push"])
+    def test_rejects_message_to_sender(self, make):
+        # parse refuses it and no participant could read it, so the
+        # printers never meet one either
+        with pytest.raises(ValueError, match="to itself"):
+            make()
+
     def test_pop_empty_raises(self):
         with pytest.raises(LookupError):
             Queue().pop("p", "q")
