@@ -3,19 +3,21 @@
 A session is a network side by side with a queue.  Outputs append to
 the queue and never block; inputs read the head of their channel and
 block until it carries an expected label.  One rule,
-``_options_by_player``, decides what is enabled, and one round
-function, ``_apply``, performs what it offered; both work on a process
-map and a queue.  Single steps, lockstep rounds (every participant
-able to move performs one communication), simulation and the liveness
-check over all lockstep schedules all go through both, and only the
-public functions and a returned trace wrap the result in a session.
+``_options_by_player``, decides what is enabled, reading each channel's
+head through a function.  Single steps, lockstep rounds (every
+participant able to move performs one communication) and simulation
+perform what it offered through one round function, ``_apply``, on a
+process map and a queue, and only the public functions and a returned
+trace wrap the result in a session.  The liveness check over all
+lockstep schedules performs its rounds on flat tuple states instead.
 The rule reads a participant's moves at a node from a move table keyed
 by ``(participant, node)`` and filled on the pair's first visit: every
 network that a round derives from a session's shares that network's
 table, and the check keeps its own for the quotients it explores.
 The check explores the reachable lockstep states once, breadth-first,
-with ``horizon`` bounding the depth; a state is the quotients of its
-processes under bisimilarity, in name order, and its queue's key.  A
+with ``horizon`` bounding the depth; a state is one flat tuple of the
+quotients of its processes under bisimilarity, in name order, and of
+a label tuple per channel, in the order that the check meets them.  A
 state where nobody can move and something is owed is reported when it
 is generated, and a failed obligation as a lasso found on the strongly
 connected components of the states that starve it: a shortest trace to
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -45,6 +48,7 @@ class _Sentinel:
 
 NOT_ENABLED = _Sentinel("NOT_ENABLED")
 NOT_LIVE = _Sentinel("NOT_LIVE")
+_SORT_KEY = operator.attrgetter("sort_key")
 
 
 class Classification(enum.Enum):
@@ -92,7 +96,7 @@ def step_session(session: Session, comm: Comm):
 
 def enabled(session: Session) -> set:
     """All communications the session can do right now."""
-    options = _options_by_player(session.net.items(), session.queue,
+    options = _options_by_player(session.net.items(), session.queue.head,
                                  session.net._moves)
     return {comm for comms in options.values() for comm in comms}
 
@@ -107,7 +111,7 @@ def classify(session: Session) -> Classification:
 
 def deadlock_info(session: Session) -> dict:
     """What each blocked participant waits for and what sits unread."""
-    options = _options_by_player(session.net.items(), session.queue,
+    options = _options_by_player(session.net.items(), session.queue.head,
                                  session.net._moves)
     blocked = {}
     for name, proc in session.net.items():
@@ -179,12 +183,13 @@ def _choose(policy: ChoicePolicy, options: list, *player) -> Comm:
     return comm
 
 
-def _options_by_player(procs, queue: Queue, table: dict) -> dict:
+def _options_by_player(procs, head, table: dict) -> dict:
     """The communications of each participant able to move, given its
-    ``(name, process)`` pairs ``procs`` and ``queue``, in ``sort_key``
-    order: its outputs by label, or the one input that the head of its
-    channel allows.  ``table`` maps a pair, from its first visit on, to
-    that list of outputs, or to a map from each label to that input."""
+    ``(name, process)`` pairs ``procs`` and ``head(sender, receiver)``,
+    the label at the head of a channel or None, in ``sort_key`` order:
+    its outputs by label, or the one input that the head of its channel
+    allows.  ``table`` maps a pair, from its first visit on, to that
+    list of outputs, or to a map from each label to that input."""
     by_player = {}
     for name, proc in procs:
         moves = table.get(key := (name, proc))
@@ -195,7 +200,7 @@ def _options_by_player(procs, queue: Queue, table: dict) -> dict:
             moves = table[key] = [Comm(OUT, name, proc.receiver, lab)
                                   for lab in sorted(proc.branches)]
         if proc.kind == IN:
-            moves = moves.get(queue.head(proc.sender, name))
+            moves = moves.get(head(proc.sender, name))
         if moves:
             by_player[name] = moves
     return by_player
@@ -210,7 +215,7 @@ def lockstep(session: Session, policy: ChoicePolicy = None):
     channels' heads, and each channel is read by one participant only.
     """
     policy = policy or MinLabelPolicy()
-    options = _options_by_player(session.net.items(), session.queue,
+    options = _options_by_player(session.net.items(), session.queue.head,
                                  session.net._moves)
     if not options:
         return NOT_LIVE
@@ -241,9 +246,15 @@ def simulate(session: Session, policy: ChoicePolicy = None,
                 return
             delta, session = result
         else:
-            options = sorted(enabled(session), key=lambda c: c.sort_key)
-            if not options:
+            by_player = _options_by_player(session.net.items(),
+                                           session.queue.head,
+                                           session.net._moves)
+            if not by_player:
                 return
+            # each participant's options come in sort_key order
+            options = [comm for comms in by_player.values() for comm in comms]
+            if len(by_player) > 1:
+                options.sort(key=_SORT_KEY)
             comm = _choose(policy, options)
             session = _after(session, (comm,))
             delta = frozenset({comm})
@@ -276,19 +287,21 @@ class HorizonExceeded:
     horizon: int
 
 
-def _starved(mode, procs, queue: Queue, options) -> tuple:
-    """What a state with process map ``procs``, ``queue`` and
-    ``options`` owes and none of its rounds serves: the participants
-    waiting on an input that cannot move, or the channels holding a
-    message that no option reads.  A participant able to read has only
-    that input, so it reads in every round.  With no options this is
-    what the state owes."""
+def _starved(mode, names, chans, state, options) -> tuple:
+    """What a state of :func:`check_liveness`, ``state``, whose slots
+    hold the processes of ``names`` and then the lanes of ``chans``, and
+    whose options are ``options``, owes and none of its rounds serves:
+    the participants waiting on an input that cannot move, or the
+    channels holding a message that no option reads.  A participant able
+    to read has only that input, so it reads in every round.  With no
+    options this is what the state owes."""
     if mode is LivenessMode.INPUT_ENABLING:
-        return tuple([name for name, proc in procs.items()
+        return tuple([name for name, proc in zip(names, state)
                       if proc.kind == IN and name not in options])
     read = {(comms[0].sender, name) for name, comms in options.items()
             if comms[0].kind == IN}
-    return tuple([chan for chan in queue.channels() if chan not in read])
+    return tuple([chan for chan, lane in zip(chans, state[len(names):])
+                  if lane and chan not in read])
 
 
 def _rounds(options) -> Iterable:
@@ -402,8 +415,8 @@ def _replay(session: Session, path) -> tuple:
     by its position in :func:`_rounds`, as ``(delta, session)`` pairs."""
     trace = []
     for k in path:
-        options = _options_by_player(session.net.items(), session.queue,
-                                     session.net._moves)
+        options = _options_by_player(session.net.items(),
+                                     session.queue.head, session.net._moves)
         combo = next(itertools.islice(_rounds(options), k, None))
         session = _after(session, combo)
         trace.append((frozenset(combo), session))
@@ -417,17 +430,24 @@ def check_liveness(session: Session, horizon: int = 50,
 
     Every reachable state is visited once.  Each start process is
     replaced by its quotient, :func:`minimize`, so bisimilar processes
-    reached later are one node.  A state is the tuple of its process
-    nodes in name order, ended ones included, with its queue's key, and
-    is its own key.  A state is kept as that key, its parent link and,
-    once expanded, its edges and what it starves; its process map and
-    options are kept only until its layer is expanded, so the options of
-    each state are built once.  A state owes the participants waiting on
-    an input, or the channels holding a message, and starves those that
-    none of its rounds serves (:func:`_starved`).  Where nobody can move
-    it has completed exactly when it owes nothing, since every
-    participant left there waits on an input (no choice is empty, as
-    :class:`Network` enforces); otherwise it yields its shortest trace.
+    reached later are one node.  A state is one flat tuple, which is its
+    own key: the process nodes in name order, ended ones included, then
+    one label tuple per channel, up to the last channel that holds a
+    message.  A channel's place is fixed when the check first meets it:
+    the start queue's channels come first, in sorted order, and every
+    other one follows when a round first sends on it, so a lane past the
+    end of a tuple is empty and equal states are equal tuples.  A round
+    writes its movers' nodes and lanes into a list copy of its state and
+    drops the trailing empty lanes: it builds no process map, queue or
+    sorted key.  A state is kept as that key, its parent link and, once
+    expanded, its edges and what it starves; its options are kept only
+    until its layer is expanded, so the options of each state are built
+    once.  A state owes the participants waiting on an input, or the
+    channels holding a message, and starves those that none of its
+    rounds serves (:func:`_starved`).  Where nobody can move it has
+    completed exactly when it owes nothing, since every participant left
+    there waits on an input (no choice is empty, as :class:`Network`
+    enforces); otherwise it yields its shortest trace.
     Each state is tested for this when it is generated, so the first one
     generated is reported before anything found later.  The states that
     starve each obligation are searched for a cycle after the first
@@ -439,34 +459,44 @@ def check_liveness(session: Session, horizon: int = 50,
     from ``session``.  Otherwise the result is Verified, weakened to
     HorizonExceeded if some state at depth ``horizon`` could still move.
     """
-    start = {name: minimize(proc) for name, proc in session.net.items()}
+    names = [name for name, _ in session.net.items()]
+    start = [minimize(proc) for _, proc in session.net.items()]
+    chans = session.queue.channels()
+    n = len(names)
+    slot = {chan: i for i, chan in enumerate(chans, n)}
+    where = {}  # each communication's mover and lane positions
     table = {}  # the quotients' moves, kept out of session.net's table
-    index = {(tuple(start.values()), session.queue.key()): 0}
+    initial = (*start, *(session.queue.labels(*chan) for chan in chans))
+    index = {initial: 0}
     # a round is named by its position in _rounds of its state
     parent = [None]  # (predecessor, round) on a shortest trace
     edges = []  # per expanded state: (successor, round) pairs
     starved = []  # per expanded state: the obligations it starves
     truncated = False  # a state at depth horizon can move
 
-    def options(procs, queue, deep):
-        """The options of a new state with process map ``procs`` and
-        ``queue``, or None when nobody can move there while something
-        is owed.  A state at depth ``horizon`` (``deep``) is not
-        expanded: its options are built only if it owes something, or
-        until one such state can move."""
+    def options(state, deep):
+        """The options of a new state, or None when nobody can move there
+        while something is owed.  A state at depth ``horizon`` (``deep``)
+        is not expanded: its options are built only if it owes something,
+        or until one such state can move."""
         nonlocal truncated
-        if deep and truncated and not _starved(mode, procs, queue, {}):
+        if deep and truncated and not _starved(mode, names, chans, state, {}):
             return {}
-        opts = _options_by_player(procs.items(), queue, table)
-        if not opts and _starved(mode, procs, queue, opts):
+
+        def head(sender, receiver):
+            i = slot.get((sender, receiver), len(state))
+            return state[i][0] if i < len(state) and state[i] else None
+
+        opts = _options_by_player(zip(names, state), head, table)
+        if not opts and _starved(mode, names, chans, state, opts):
             return None
         truncated = truncated or deep and bool(opts)
         return opts
 
-    opts = options(start, session.queue, horizon <= 0)
+    opts = options(initial, horizon <= 0)
     if opts is None:
         return CounterexampleTrace(())
-    layer = [(start, session.queue, opts)]  # the states of a layer
+    layer = [(initial, opts)]  # the states of a layer
     first = 0
     checked = 0  # states expanded at the last cycle check
     unchecked = False  # an edge closed a cycle since then
@@ -476,24 +506,41 @@ def check_liveness(session: Session, horizon: int = 50,
             break
         deep = depth == horizon - 1
         nxt = []
-        layer.reverse()  # popped as expanded, so each state's map is freed
+        layer.reverse()  # popped as expanded, freeing each state's options
         for i in range(first, layer_end):
-            current, queue, opts = layer.pop()
-            starved.append(_starved(mode, current, queue, opts))
+            current, opts = layer.pop()
+            starved.append(_starved(mode, names, chans, current, opts))
             out = []
             # a state with no options is stuck and owes nothing: completed
             for k, combo in enumerate(_rounds(opts)):
-                procs, after = _apply(current, queue, combo)
-                key = (tuple(procs.values()), after.key())
-                j = index.setdefault(key, len(parent))
+                state = list(current)
+                for comm in combo:
+                    at = where.get(comm)
+                    if at is None:
+                        chan = comm.sender, comm.receiver
+                        if chan not in slot:
+                            slot[chan] = n + len(chans)
+                            chans.append(chan)
+                        at = where[comm] = names.index(comm.play), slot[chan]
+                    mover, lane = at
+                    state[mover] = state[mover].branches[comm.label]
+                    if comm.kind == IN:
+                        state[lane] = state[lane][1:]
+                    else:  # a new lane past the end starts empty
+                        state += [()] * (lane + 1 - len(state))
+                        state[lane] = (*state[lane], comm.label)
+                while state and not state[-1]:  # trailing empty lanes
+                    state.pop()
+                state = tuple(state)
+                j = index.setdefault(state, len(parent))
                 if j == len(parent):
                     parent.append((i, k))
-                    found = options(procs, after, deep)
+                    found = options(state, deep)
                     if found is None:
                         return CounterexampleTrace(
                             _replay(session, _path(parent, j, 0)))
                     if not deep:
-                        nxt.append((procs, after, found))
+                        nxt.append((state, found))
                 elif j < layer_end:
                     # a cycle can only close on an edge that does not
                     # lead one layer deeper

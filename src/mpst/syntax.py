@@ -46,6 +46,7 @@ from mpst.machines import QueueMachine
 from mpst.terms import (
     END,
     IN,
+    KEYWORDS,
     OUT,
     GNode,
     Msg,
@@ -58,9 +59,6 @@ from mpst.terms import (
     gend,
     reachable_nodes,
 )
-
-KEYWORDS = {"proc", "global", "network", "queue", "machine", "end"}
-
 
 # ---------------------------------------------------------------------------
 # errors
@@ -468,7 +466,7 @@ def parse(text: str) -> Document:
 
 def _printed(name: str, what: str, keywords=KEYWORDS) -> str:
     """``name``, if ``parse`` reads it back as a ``what``."""
-    if not _is_name(name) or name in keywords:
+    if not _is_name(name, keywords):
         raise ValueError(f"{what} {name!r} cannot be parsed back")
     return name
 
@@ -495,7 +493,6 @@ def _fmt_term(root, names, out):
     piece last."""
     stack = [root]
     at_def = True
-    used = set()  # the participants and labels written
     while stack:
         node = stack.pop()
         if type(node) is str:
@@ -506,7 +503,6 @@ def _fmt_term(root, names, out):
             out.append(names[id(node)])
         else:
             at_def = False
-            used.update(node.branches, (node.sender, node.receiver))
             who = " ".join(filter(None, (node.sender, node.receiver)))
             out.append(f"{who}{'!' if node.kind == OUT else '?'}")
             labs = sorted(node.branches)
@@ -516,8 +512,6 @@ def _fmt_term(root, names, out):
             for i in range(len(labs) - 1, -1, -1):
                 stack.append(node.branches[labs[i]])
                 stack.append(f", {labs[i]}; " if i else f"{labs[i]}; ")
-    for name in used - {None}:
-        _printed(name, "name")
 
 
 def _fmt_defs(roots, keyword) -> list:
@@ -530,7 +524,7 @@ def _fmt_defs(roots, keyword) -> list:
     defs = []
     for root, base in roots:
         if (bad := _unreadable(root, keyword == "global")) is not None:
-            raise ValueError(f"{bad!r} cannot be parsed back in a {keyword}")
+            raise ValueError(f"{bad} cannot be parsed back in a {keyword}")
         named = _needs_name(root)
         names = {id(root): _printed(base, "name")}
         i = 0
@@ -558,8 +552,8 @@ def format_network(net: Network, name: str = "N") -> str:
     """Definitions for every component followed by the network line."""
     _printed(name, "name")
     roots = [(proc, f"{name}_{part}") for part, proc in net.items()]
-    comps = [f"{_printed(part, 'participant')} |> {name}_{part}"
-             for part, _ in net.items()]
+    # a network holds only names that parse reads back
+    comps = [f"{part} |> {name}_{part}" for part, _ in net.items()]
     if not comps:
         # grammar wants a component, and ended ones are dropped anyway
         comps.append("p |> end")

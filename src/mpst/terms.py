@@ -8,7 +8,8 @@ not be mutated.  A process node is a choice seen by the participant
 that moves, whose own slot is left None: ``pout(q)`` has receiver q and
 no sender, ``pin(p)`` sender p and no receiver.  One rule,
 :func:`_unreadable`, says which graphs ``parse`` reads back and the
-printers write, and a network holds only such components.
+printers write, names included, and a network holds only such
+components.
 
 Equality of types is bisimilarity.  Every node can produce a canonical
 key via partition refinement of its reachable subgraph; two nodes are
@@ -136,15 +137,25 @@ def reachable_nodes(root) -> list:
 
 
 def _unreadable(root, is_global: bool = False, part: Optional[str] = None):
-    """The first node below ``root`` that ``parse`` would not read in
-    its place, or None: a choice with no branch, one that names the
+    """What ``parse`` would not read in ``root``'s place, as a phrase, or
+    None: a participant, ``part`` included, or a label that is not a
+    name (:func:`_is_name`); a choice with no branch; one that names the
     wrong participants (a global type names both, a process the partner
-    alone), or, in ``part``'s component, one whose partner is ``part``."""
+    alone); or, in ``part``'s component, one whose partner is ``part``."""
+    if part is not None and not _is_name(part):
+        return f"participant {part!r}"
     for node in reachable_nodes(root):
-        if node.kind != END and (
-                not node.branches or node.partner == part
+        if node.kind == END:
+            continue
+        if (not node.branches or node.partner == part
                 or (None in (node.sender, node.receiver)) == is_global):
-            return node
+            return repr(node)
+        for name in (node.sender, node.receiver):
+            if name is not None and not _is_name(name):
+                return f"participant {name!r}"
+        for lab in node.branches:
+            if not _is_name(lab):
+                return f"label {lab!r}"
     return None
 
 
@@ -294,11 +305,15 @@ def _starts_name(text: str) -> bool:
     return first.isalpha() or first in ("_", "$")
 
 
-@lru_cache(maxsize=4096)  # the printers ask this of every name they write
-def _is_name(text: str) -> bool:
+KEYWORDS = frozenset({"proc", "global", "network", "queue", "machine", "end"})
+
+
+@lru_cache(maxsize=4096)  # asked of every name written or put in a network
+def _is_name(text: str, keywords=KEYWORDS) -> bool:
     """Whether ``text`` is a name the syntax reads and writes: a
-    ``_NAME`` word that :func:`_starts_name`."""
-    return _NAME.fullmatch(text) is not None and _starts_name(text)
+    ``_NAME`` word that :func:`_starts_name`, not in ``keywords``."""
+    return (text not in keywords and _NAME.fullmatch(text) is not None
+            and _starts_name(text))
 
 
 class Comm(NamedTuple):
@@ -539,7 +554,7 @@ class Queue:
 
 class Network:
     """A finite map from participants to process types that ``parse``
-    reads back (:func:`_unreadable`), else ValueError.  Terminated
+    reads back, names included (:func:`_unreadable`), else ValueError.  Terminated
     components are dropped, so a network equals the empty one exactly
     when every participant has ended.  Neither a network nor its graphs
     change after construction, so its key and its moves (a table keyed
@@ -553,7 +568,7 @@ class Network:
         procs = sorted((procs or {}).items())
         for name, proc in procs:
             if (bad := _unreadable(proc, part=name)) is not None:
-                raise ValueError(f"{bad!r} in {name!r} cannot be parsed back")
+                raise ValueError(f"{bad} in {name!r} cannot be parsed back")
         self._procs = {name: proc for name, proc in procs if proc.kind != END}
         self._key = None
         self._moves = {}

@@ -15,13 +15,17 @@ then ``p`` and ``q`` from ``gen.random_pnode`` over ``p`` and ``q`` with
 at most three nodes and no end, ``r`` waiting on ``s``, which is absent,
 and ``gen.random_queue`` over ``p``, ``q`` and ``r``: every schedule
 that does not deadlock starves ``r``, so many end in a lasso.  The
-80,508 calls:
+protocol sessions are network ``N`` of ``protocols/hospital.mps``,
+``burst.mps`` and ``growing.mps`` with the empty queue, whose queues
+grow past ``terms._SHORT`` messages at long horizons.  The 80,586
+calls:
 
 - ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
-  and 4, seeds 2000-2099 at horizon 6 and the starving sessions at
-  horizons 3 and 5 (4,200 calls): the result class and, for a
-  counterexample, every round's communications and every session's
-  ``Network.key()`` and queue key;
+  and 4, seeds 2000-2099 at horizon 6, the starving sessions at
+  horizons 3 and 5, and the protocol sessions at horizons 1-12 and at
+  the benchmark's horizon of each (4,278 calls): the result class and,
+  for a counterexample, every round's communications and every
+  session's ``Network.key()`` and queue key;
 - ``simulate`` of each of the 500 random sessions, one communication at a
   time and in lockstep rounds, with ``MinLabelPolicy`` and with
   ``RandomPolicy(seed)`` (2,000 calls): every step's communications
@@ -81,6 +85,8 @@ LONG_DEFS = 50
 HEADS = ["proc P = ", "global G = ", "network N { ", "queue Q = [",
          "machine M { "]
 STARVING_SEEDS = range(14000, 14600)
+# each protocol session's horizon in bench/workloads.py
+PROTOCOL_HORIZONS = {"hospital": 30, "burst": 32, "growing": 20}
 CHECKS = [(check, max_revisits) for check in ("balanced", "weakly")
           for max_revisits in (1, 2)] + [("agree", None)]
 
@@ -111,6 +117,10 @@ def call_set() -> list:
                                   receiver, label))
     calls += [("check_liveness", seed, horizon, mode)
               for seed in STARVING_SEEDS for horizon in (3, 5)
+              for mode in ("INPUT_ENABLING", "QUEUE_CONSUMING")]
+    calls += [("check_liveness", name, horizon, mode)
+              for name, longest in PROTOCOL_HORIZONS.items()
+              for horizon in (*range(1, 13), longest)
               for mode in ("INPUT_ENABLING", "QUEUE_CONSUMING")]
     calls += [("parse", "protocol", path.stem)
               for path in sorted(PROTOCOLS.glob("*.mps"))]
@@ -169,7 +179,11 @@ def emit(src: str, n) -> None:
     def session(seed):
         if seed not in cache:
             rng = random.Random(seed)
-            if seed in STARVING_SEEDS:
+            if seed in PROTOCOL_HORIZONS:
+                net = parse((PROTOCOLS / f"{seed}.mps").read_text()) \
+                    .networks["N"]
+                queue = Queue()
+            elif seed in STARVING_SEEDS:
                 net = Network({p: random_pnode(rng, p, 3, ["p", "q"],
                                                end_bias=0.0) for p in "pq"}
                               | {"r": pin("s", {"a": gend()})})

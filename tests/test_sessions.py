@@ -25,6 +25,7 @@ from mpst.sessions import (
     _apply,
     _options_by_player,
     _rounds,
+    _starved,
     check_liveness,
     classify,
     deadlock_info,
@@ -99,7 +100,7 @@ class TestStep:
             for comm, net2, q2 in oracle_session_successors(net, queue):
                 succ[comm] = Session(net2, q2)
             assert enabled(s) == set(succ)
-            options = _options_by_player(s.net.items(), s.queue, {})
+            options = _options_by_player(s.net.items(), s.queue.head, {})
             assert {c for cs in options.values() for c in cs} == set(succ)
             for player, cs in options.items():
                 assert {c.play for c in cs} == {player}
@@ -438,33 +439,50 @@ class TestLiveness:
             for mode in LivenessMode:
                 assert check_liveness(fresh(net), horizon, mode) == Verified()
 
+    def test_a_state_recurs_once_its_lanes_empty(self):
+        # p and q take turns on two channels, each emptied again: the
+        # fourth round returns to the start, whose tuple holds no lane,
+        # so the check closes the cycle within four rounds
+        net = parse("""
+            proc P = q!l; q?a; P
+            proc Q = p?l; p!a; Q
+            network N { p |> P, q |> Q }
+        """).networks["N"]
+        for mode in LivenessMode:
+            assert check_liveness(fresh(net), 4, mode) == Verified()
+            assert check_liveness(fresh(net), 3, mode) == HorizonExceeded(3)
+
+    def test_an_empty_lane_is_owed_nothing(self):
+        # a lane before the last non-empty one stays in the tuple, empty
+        state = (pin("q", {"a": gend()}), (), ("a",))
+        assert _starved(LivenessMode.QUEUE_CONSUMING, ["p"],
+                        [("p", "q"), ("q", "p")], state, {}) == (("q", "p"),)
+
     def test_exploration_builds_no_network(self, monkeypatch):
-        # states are bare process nodes and queues: a network is built,
-        # checked or not, only for a returned trace, and pairs(3)
-        # returns none
+        # states are flat tuples of process nodes and label tuples: a
+        # network or a queue is built, checked or not, only for a
+        # returned trace, and pairs(3) returns none
         built = []
-        init, of = Network.__init__, Network._of
 
-        def counted(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
-        def counted_of(procs, moves):
-            built.append(procs)
-            return of(procs, moves)
+        def counting(real):
+            def counted(*args, **kwargs):
+                built.append(args)
+                return real(*args, **kwargs)
+            return counted
 
         s = fresh(pairs(3))
         # p sends l, and q waits for m: deadlocked after one round
         wrong = fresh(Network({"p": pout("q", {"l": gend()}),
                                "q": pin("p", {"m": gend()})}))
-        monkeypatch.setattr(Network, "__init__", counted)
-        monkeypatch.setattr(Network, "_of", counted_of)
+        for cls in (Network, Queue):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+            monkeypatch.setattr(cls, "_of", counting(cls._of))
         assert check_liveness(s, 6) == Verified()
         assert len(built) == 0
-        # the replay of a returned trace builds its networks unchecked,
-        # and the count sees them
+        # the replay of a returned trace builds its network and its
+        # queue unchecked, and the count sees both
         assert len(check_liveness(wrong, 3).trace) == 1
-        assert len(built) == 1
+        assert len(built) == 2
 
     def test_empty_choice_never_reaches_the_check(self):
         # the completion test assumes that no choice is empty: p, stuck
@@ -564,7 +582,7 @@ def test_a_reader_has_one_option():
                 if key in seen:
                     continue
                 seen.add(key)
-                opts = _options_by_player(procs.items(), queue, {})
+                opts = _options_by_player(procs.items(), queue.head, {})
                 for comms in opts.values():
                     assert all(c.kind == OUT for c in comms) or len(comms) == 1
                 reads = {frozenset((c.play, c.sender) for c in combo

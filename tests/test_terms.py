@@ -469,6 +469,20 @@ class TestNetwork:
         with pytest.raises(ValueError, match="cannot be parsed back"):
             Network({"p": proc, "q": pin("p", {"l": gend()})})
 
+    @pytest.mark.parametrize("procs, bad", [
+        ({"1x": pout("q", {"l": gend()})}, "participant '1x'"),
+        ({"p": pout("q", {"l": pin("q", {"1l": gend()})})}, "label '1l'"),
+        ({"end": pout("q", {"l": gend()})}, "participant 'end'"),
+        ({"p": pout("q", {"l": pout("r-s", {"l": gend()})})},
+         "participant 'r-s'"),
+        ({"p": pin("q", {"proc": gend()})}, "label 'proc'"),
+    ], ids=["bad-participant", "bad-label", "keyword-participant",
+            "bad-partner", "keyword-label"])
+    def test_rejects_names_parse_would_not_read(self, procs, bad):
+        # the printers refuse these names, so a network refuses them too
+        with pytest.raises(ValueError, match=f"{bad} .*cannot be parsed back"):
+            Network(procs)
+
     def test_equality_is_componentwise_bisimilarity(self):
         one = pout("q")
         one.branches["l"] = one
