@@ -18,22 +18,26 @@ The check explores the reachable lockstep states once, breadth-first,
 with ``horizon`` bounding the depth; a state is one flat tuple of the
 quotients of its processes under bisimilarity, in name order, and of
 a label tuple per channel, in the order that the check meets them.  A
-state where nobody can move and something is owed is reported when it
-is generated, and a failed obligation as a lasso found on the strongly
-connected components of the states that starve it: a shortest trace to
-a state, then a cycle back to it.
+lane that its receiver can no longer read, because the receiver is
+absent or its node reaches no input from the sender, is kept up to its
+emptiness only: dropped under input-enabling, one marker under
+queue-consuming.  A state where nobody can move and something is owed
+is reported when it is generated, and a failed obligation as a lasso
+found on the strongly connected components of the states that starve
+it: a shortest trace to a state, then a cycle back to it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from mpst.terms import Comm, IN, Network, OUT, Queue, minimize
+from mpst.terms import Comm, IN, Network, OUT, Queue, quotient
 
 
 class _Sentinel:
@@ -49,6 +53,8 @@ class _Sentinel:
 NOT_ENABLED = _Sentinel("NOT_ENABLED")
 NOT_LIVE = _Sentinel("NOT_LIVE")
 _SORT_KEY = operator.attrgetter("sort_key")
+# the content of an unread lane under queue-consuming: not a label
+_UNREAD = ("*",)
 
 
 class Classification(enum.Enum):
@@ -284,6 +290,10 @@ class CounterexampleTrace:
 
 @dataclass(frozen=True)
 class HorizonExceeded:
+    """No verdict within ``horizon`` rounds: a state at that depth could
+    still move, or a starving cycle grows a lane nobody reads.  Such a
+    cycle never returns to an equal state, so no lasso states it."""
+
     horizon: int
 
 
@@ -306,8 +316,77 @@ def _starved(mode, names, chans, state, options) -> tuple:
 
 def _rounds(options) -> Iterable:
     """The lockstep rounds of a state's options, one communication per
-    participant able to move, in a fixed order."""
-    return itertools.product(*options.values())
+    participant able to move, in a fixed order; none when nobody can
+    move."""
+    return itertools.product(*options.values()) if options else ()
+
+
+class _Reads:
+    """What the participants of a liveness check can still read: the
+    read mask of each node, with a bit per sender (:meth:`bit`), of the
+    senders whose input is that node or a node it reaches.  A node
+    reaches only nodes whose mask is a subset of its own.  A participant
+    is met on the first lookup of one of its masks, which fills the
+    masks of every node that its start node reaches."""
+
+    def __init__(self, starts: list):
+        self.starts = starts
+        self.bits = {}
+        self.masks = {}
+        self.met = [False] * len(starts)
+        self.always = [0] * len(starts)  # per participant met: its least mask
+        self.shrinks = [False] * len(starts)  # and whether its masks differ
+
+    def bit(self, name) -> int:
+        return self.bits.setdefault(name, 1 << len(self.bits))
+
+    def mask(self, r: int, node) -> int:
+        """The mask of ``node``, a node of participant ``r``."""
+        if not self.met[r]:
+            self._meet(r)
+        return self.masks[node]
+
+    def _meet(self, r: int) -> None:
+        """One depth-first search for strongly connected components
+        (Tarjan): a node's mask gathers its subtree's on the way back, and
+        a component's root, completed after every component it reaches,
+        gives its mask to every member."""
+        root, masks, bit = self.starts[r], {}, self.bit
+        order = {root: 0}
+        low = [0]
+        mask = [bit(root.sender) if root.kind == IN else 0]
+        path = [root]
+        work = [(root, 0, iter(root.branches.values()))]
+        while work:
+            v, at, todo = work[-1]
+            for w in todo:
+                if w in masks:  # a completed component
+                    mask[at] |= masks[w]
+                elif w not in order:
+                    order[w] = i = len(low)
+                    low.append(i)
+                    mask.append(bit(w.sender) if w.kind == IN else 0)
+                    path.append(w)
+                    work.append((w, i, iter(w.branches.values())))
+                    break
+                elif order[w] < low[at]:  # on the path: the same component
+                    low[at] = order[w]
+            else:
+                work.pop()
+                if work:
+                    up = work[-1][1]
+                    mask[up] |= mask[at]
+                    low[up] = min(low[up], low[at])
+                if low[at] == at:
+                    while True:
+                        w = path.pop()
+                        masks[w] = mask[at]
+                        if w is v:
+                            break
+        self.masks.update(masks)
+        self.met[r] = True
+        self.always[r] = functools.reduce(operator.and_, masks.values())
+        self.shrinks[r] = len(set(masks.values())) > 1
 
 
 def _components(nodes, succ) -> dict:
@@ -354,28 +433,38 @@ def _on_cycle(comp, succ) -> list:
     return sorted(v for v, c in comp.items() if size[c] > 1 or v in succ(v))
 
 
-def _lasso(edges, starved):
-    """A state that starves an obligation and a cycle back to it that
-    never serves it, as ``(state, rounds of the cycle)``, or None.
-
-    Whether a round serves an obligation depends only on the state it
-    leaves (:func:`_starved`), and an obligation never served stays
-    owed: a blocked reader does not move, and a channel that nobody
-    reads only grows.  So a cycle that never serves an obligation owed
-    at one of its states passes only states that starve it, and lies in
-    a strongly connected component of those states.  Among all
-    obligations the state found first by the exploration is taken, ties
-    to the first obligation, and the shortest cycle through it in its
-    component.
-    """
-    best = None
+def _starving(edges, starved, growing):
+    """Per obligation, in order, the strongly connected components of the
+    states that starve it, over their edges, growing ones only if
+    ``growing``, as ``(components, successors)``.  A growing edge holds
+    its round as ``~k``."""
     for ob in sorted({ob for obs in starved for ob in obs}):
         members = {v for v, obs in enumerate(starved) if ob in obs}
 
         def succ(v, members=members):
-            return [j for j, _ in edges[v] if j in members]
+            return [j for j, k in edges[v]
+                    if j in members and (growing or k >= 0)]
 
-        comp = _components(members, succ)
+        yield _components(members, succ), succ
+
+
+def _lasso(edges, starved):
+    """A state that starves an obligation and a cycle back to it that
+    never serves it and grows no lane, as ``(state, rounds of the
+    cycle)``, or None.
+
+    Whether a round serves an obligation depends only on the state it
+    leaves (:func:`_starved`), and an obligation never served stays
+    owed: a blocked reader does not move, and a channel that nobody
+    reads keeps its messages.  So a cycle that never serves an
+    obligation owed at one of its states passes only states that starve
+    it, and lies in a strongly connected component of those states.
+    Among all obligations the state found first by the exploration is
+    taken, ties to the first obligation, and the shortest cycle through
+    it in its component.
+    """
+    best = None
+    for comp, succ in _starving(edges, starved, False):
         cyclic = _on_cycle(comp, succ)
         if cyclic and (best is None or cyclic[0] < best[0]):
             best = (cyclic[0], comp)
@@ -390,13 +479,22 @@ def _lasso(edges, starved):
         nxt = []
         for v in frontier:
             for j, k in edges[v]:
-                if comp.get(j) != comp[start] or j in back:
+                if k < 0 or comp.get(j) != comp[start] or j in back:
                     continue
                 back[j] = (v, k)
                 nxt.append(j)
         frontier = nxt
     last, k = back[start]
     return start, _path(back, last, start) + [k]
+
+
+def _grows(edges, starved) -> bool:
+    """Whether a cycle through states that starve one obligation takes a
+    growing edge; the components are searched only if some edge grows."""
+    return any(k < 0 for out in edges for _, k in out) and any(
+        k < 0 and comp.get(j) == comp[v]
+        for comp, _ in _starving(edges, starved, True)
+        for v in comp for j, k in edges[v])
 
 
 def _path(links, v, stop) -> list:
@@ -429,7 +527,7 @@ def check_liveness(session: Session, horizon: int = 50,
     ``horizon`` rounds deep, and check the mode's obligations.
 
     Every reachable state is visited once.  Each start process is
-    replaced by its quotient, :func:`minimize`, so bisimilar processes
+    replaced by its quotient, :func:`quotient`, so bisimilar processes
     reached later are one node.  A state is one flat tuple, which is its
     own key: the process nodes in name order, ended ones included, then
     one label tuple per channel, up to the last channel that holds a
@@ -458,17 +556,65 @@ def check_liveness(session: Session, horizon: int = 50,
     trace ends in a state it passed before.  A returned trace is replayed
     from ``session``.  Otherwise the result is Verified, weakened to
     HorizonExceeded if some state at depth ``horizon`` could still move.
+
+    States are kept up to unread lanes.  A lane (s, r) is unread at a
+    state when r is absent or r's node reaches no input from s; an
+    ended r reaches none.  It stays unread, since the nodes that r
+    reaches only shrink, so no option ever reads its head and only
+    whether it is empty can count: input-enabling owes it nothing, so
+    its content is dropped, and under queue-consuming it is one marker,
+    which a push leaves as it is.  Concrete states that differ only on
+    unread lanes have the same options, hence the same rounds at the
+    same positions in :func:`_rounds`, starve the same obligations, and
+    a round takes them to states that again differ only on unread
+    lanes.  So this is a bisimulation: it keeps every deadlock and every
+    run that starves an obligation forever, and the rounds of a path
+    replay from ``session``.
+
+    A push tests its lane against its receiver's node at that point of
+    the round: the lane is readable if the receiver waits on that sender
+    there, else by the node's read mask (:class:`_Reads`), whose first
+    lookup meets the receiver.  When a participant met moves to a node
+    whose mask shrank, the lanes into it that it can no longer read are
+    collapsed.  A lane that becomes unread before its receiver is met
+    keeps its messages until its next push collapses it, so no unread
+    lane grows either way.  An edge whose push finds its lane unread is
+    growing: its concrete lane gets longer.  A participant's mask is the
+    same all along a cycle, so a cycle that pushes onto a lane that it
+    cannot read has a growing edge, and an edge that shrinks a mask,
+    marked or not, lies on no cycle.  A cycle with no growing edge
+    therefore replays to an equal concrete state, and only such a cycle
+    makes a lasso.  A starving cycle that grows a lane has none, and the
+    concrete run around it never repeats a state: it makes the answer
+    HorizonExceeded, never Verified.
     """
     names = [name for name, _ in session.net.items()]
-    start = [minimize(proc) for _, proc in session.net.items()]
+    place = {name: i for i, name in enumerate(names)}
+    start = [quotient(proc) for _, proc in session.net.items()]
     chans = session.queue.channels()
     n = len(names)
     slot = {chan: i for i, chan in enumerate(chans, n)}
-    where = {}  # each communication's mover and lane positions
+    # each communication's mover, lane and receiver positions, the last
+    # None for an absent receiver, and its sender's bit
+    where = {}
     table = {}  # the quotients' moves, kept out of session.net's table
-    initial = (*start, *(session.queue.labels(*chan) for chan in chans))
+    reads = _Reads(start)
+    masks, always, shrinks = reads.masks, reads.always, reads.shrinks
+    unread = () if mode is LivenessMode.INPUT_ENABLING else _UNREAD
+    initial = list(start)
+    for sender, receiver in chans:
+        r = place.get(receiver)
+        initial.append(session.queue.labels(sender, receiver)
+                       if r is not None and (
+                           start[r].sender == sender
+                           or reads.mask(r, start[r]) & reads.bit(sender))
+                       else unread)
+    while initial and not initial[-1]:
+        initial.pop()
+    initial = tuple(initial)
     index = {initial: 0}
-    # a round is named by its position in _rounds of its state
+    # a round is named by its position in _rounds of its state, and a
+    # growing edge holds the complement ~k of its round
     parent = [None]  # (predecessor, round) on a shortest trace
     edges = []  # per expanded state: (successor, round) pairs
     starved = []  # per expanded state: the obligations it starves
@@ -511,9 +657,10 @@ def check_liveness(session: Session, horizon: int = 50,
             current, opts = layer.pop()
             starved.append(_starved(mode, names, chans, current, opts))
             out = []
-            # a state with no options is stuck and owes nothing: completed
+            # a completed state has no options, and so no round
             for k, combo in enumerate(_rounds(opts)):
                 state = list(current)
+                g = k  # the edge's round, ~k if it grows
                 for comm in combo:
                     at = where.get(comm)
                     if at is None:
@@ -521,14 +668,34 @@ def check_liveness(session: Session, horizon: int = 50,
                         if chan not in slot:
                             slot[chan] = n + len(chans)
                             chans.append(chan)
-                        at = where[comm] = names.index(comm.play), slot[chan]
-                    mover, lane = at
-                    state[mover] = state[mover].branches[comm.label]
+                        at = where[comm] = (
+                            place[comm.play], slot[chan],
+                            place.get(comm.receiver),
+                            reads.bit(comm.sender))
+                    mover, lane, receiver, bit = at
+                    node = state[mover]
+                    state[mover] = node.branches[comm.label]
                     if comm.kind == IN:
                         state[lane] = state[lane][1:]
-                    else:  # a new lane past the end starts empty
-                        state += [()] * (lane + 1 - len(state))
-                        state[lane] = (*state[lane], comm.label)
+                    else:
+                        if lane >= len(state):  # past the end, lanes are empty
+                            state += [()] * (lane + 1 - len(state))
+                        if receiver is not None and (
+                                always[receiver] & bit
+                                or state[receiver].sender == comm.sender
+                                or reads.mask(receiver, state[receiver])
+                                & bit):
+                            state[lane] = (*state[lane], comm.label)
+                        else:
+                            state[lane] = unread
+                            g = ~k
+                    if shrinks[mover] and masks[node] != masks[state[mover]]:
+                        lost = masks[node] & ~masks[state[mover]]
+                        for sender, gone in reads.bits.items():
+                            other = slot.get((sender, comm.play), len(state))
+                            if gone & lost and other < len(state) \
+                                    and state[other]:
+                                state[other] = unread
                 while state and not state[-1]:  # trailing empty lanes
                     state.pop()
                 state = tuple(state)
@@ -541,11 +708,12 @@ def check_liveness(session: Session, horizon: int = 50,
                             _replay(session, _path(parent, j, 0)))
                     if not deep:
                         nxt.append((state, found))
-                elif j < layer_end:
+                elif j < layer_end and g == k:
                     # a cycle can only close on an edge that does not
-                    # lead one layer deeper
+                    # lead one layer deeper, and _lasso takes no growing
+                    # one
                     unchecked = True
-                out.append((j, k))
+                out.append((j, g))
             edges.append(tuple(out))
         first, layer = layer_end, nxt
         # check again once the expanded graph has doubled, and after the
@@ -559,4 +727,6 @@ def check_liveness(session: Session, horizon: int = 50,
                 return CounterexampleTrace(
                     _replay(session, _path(parent, v, 0) + cycle))
             checked, unchecked = len(edges), False
-    return HorizonExceeded(horizon) if truncated else Verified()
+    if truncated or _grows(edges, starved):
+        return HorizonExceeded(horizon)
+    return Verified()

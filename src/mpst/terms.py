@@ -270,7 +270,19 @@ def bisimilar(a, b) -> bool:
 
 def minimize(root):
     """The quotient of ``root`` by bisimilarity, as a fresh graph."""
+    return _build_quotient(root, *_classes(root))
+
+
+def quotient(root):
+    """The quotient of ``root`` by bisimilarity: ``root`` itself when no
+    two of the nodes it reaches are bisimilar, else :func:`minimize` of
+    it."""
     block, rep = _classes(root)
+    return root if len(rep) == len(block) else _build_quotient(root, block,
+                                                               rep)
+
+
+def _build_quotient(root, block, rep):
     fresh = {b: n._bare_clone() for b, n in rep.items()}
     for b, n in rep.items():
         for lab, child in n.branches.items():

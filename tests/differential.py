@@ -15,15 +15,21 @@ then ``p`` and ``q`` from ``gen.random_pnode`` over ``p`` and ``q`` with
 at most three nodes and no end, ``r`` waiting on ``s``, which is absent,
 and ``gen.random_queue`` over ``p``, ``q`` and ``r``: every schedule
 that does not deadlock starves ``r``, so many end in a lasso.  The
+unread sessions, for ``UNREAD_SEEDS``, are ``random.Random(seed)``,
+then ``p`` and ``q`` from ``gen.random_pnode`` over ``p``, ``q`` and
+``r`` with at most three nodes, and ``gen.random_queue`` over the same
+three: ``r`` is absent and ``p`` or ``q`` may end, so outputs and
+queued messages land on lanes that nobody can read.  The
 protocol sessions are network ``N`` of ``protocols/hospital.mps``,
 ``burst.mps`` and ``growing.mps`` with the empty queue, whose queues
-grow past ``terms._SHORT`` messages at long horizons.  The 80,586
+grow past ``terms._SHORT`` messages at long horizons.  The 81,786
 calls:
 
 - ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
   and 4, seeds 2000-2099 at horizon 6, the starving sessions at
-  horizons 3 and 5, and the protocol sessions at horizons 1-12 and at
-  the benchmark's horizon of each (4,278 calls): the result class and,
+  horizons 3 and 5, the unread sessions at horizons 3 and 6, and the
+  protocol sessions at horizons 1-12 and at the benchmark's horizon of
+  each (5,478 calls): the result class and,
   for a counterexample, every round's communications and every
   session's ``Network.key()`` and queue key;
 - ``simulate`` of each of the 500 random sessions, one communication at a
@@ -54,9 +60,11 @@ calls:
   as a tree, a line per rule with its node's index in
   ``reachable_nodes`` and its queues' keys.
 
-A raise is an answer: its class and message are compared.  ``--sample
-N`` runs only N calls, split about evenly over the five kinds and
-spread evenly within each.
+A raise is an answer: its class and message are compared.  After the
+mismatch count, one line per change of a ``check_liveness`` result
+class, from the other checkout's to this one's, gives how many calls
+made it.  ``--sample N`` runs only N calls, split about evenly over
+the five kinds and spread evenly within each.
 """
 
 from __future__ import annotations
@@ -85,6 +93,7 @@ LONG_DEFS = 50
 HEADS = ["proc P = ", "global G = ", "network N { ", "queue Q = [",
          "machine M { "]
 STARVING_SEEDS = range(14000, 14600)
+UNREAD_SEEDS = range(15000, 15300)
 # each protocol session's horizon in bench/workloads.py
 PROTOCOL_HORIZONS = {"hospital": 30, "burst": 32, "growing": 20}
 CHECKS = [(check, max_revisits) for check in ("balanced", "weakly")
@@ -117,6 +126,9 @@ def call_set() -> list:
                                   receiver, label))
     calls += [("check_liveness", seed, horizon, mode)
               for seed in STARVING_SEEDS for horizon in (3, 5)
+              for mode in ("INPUT_ENABLING", "QUEUE_CONSUMING")]
+    calls += [("check_liveness", seed, horizon, mode)
+              for seed in UNREAD_SEEDS for horizon in (3, 6)
               for mode in ("INPUT_ENABLING", "QUEUE_CONSUMING")]
     calls += [("check_liveness", name, horizon, mode)
               for name, longest in PROTOCOL_HORIZONS.items()
@@ -187,6 +199,10 @@ def emit(src: str, n) -> None:
                 net = Network({p: random_pnode(rng, p, 3, ["p", "q"],
                                                end_bias=0.0) for p in "pq"}
                               | {"r": pin("s", {"a": gend()})})
+                queue = random_queue(rng, ["p", "q", "r"])
+            elif seed in UNREAD_SEEDS:
+                net = Network({p: random_pnode(rng, p, 3, ["p", "q", "r"])
+                               for p in "pq"})
                 queue = random_queue(rng, ["p", "q", "r"])
             else:
                 net, queue = random_network(rng), random_queue(rng)
@@ -300,6 +316,11 @@ def _outputs(checkouts, n) -> list:
     return [out.splitlines() for out in outs]
 
 
+def _result(line: str) -> str:
+    """The result class on an output line of ``check_liveness``."""
+    return line.split(") ", 1)[1].split(" ", 1)[0]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("other", nargs="?", help="the checkout to compare with")
@@ -324,6 +345,13 @@ def main(argv=None) -> int:
     found = sum(" CounterexampleTrace" in line for line in mine)
     print(f"{len(mine)} calls ({', '.join(f'{k} {v}' for k, v in kinds.items())}; "
           f"{found} counterexamples), {len(diff)} mismatches")
+    moves = {}
+    for a, b in diff:
+        if a.startswith("('check_liveness'"):
+            move = f"{_result(b)} -> {_result(a)}"
+            moves[move] = moves.get(move, 0) + 1
+    for move, count in sorted(moves.items()):
+        print(f"check_liveness {move}: {count}")
     for a, b in diff[:SHOWN]:
         at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
                   min(len(a), len(b)))

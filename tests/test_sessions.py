@@ -36,13 +36,15 @@ from mpst.sessions import (
     LivenessMode,
 )
 from mpst.syntax import parse
-from mpst.terms import Comm, IN, Network, OUT, Queue, gend, gout, pin, pout
+from mpst.terms import (Comm, END, IN, Network, OUT, Queue, gend, gout, pin,
+                        pout, reachable_nodes)
 from gen import (
     LABELS,
     PARTS,
     chain_network,
     pairs,
     random_network,
+    random_pnode,
     random_queue,
 )
 from oracles import (
@@ -306,8 +308,102 @@ class TestLiveness:
         result = check_liveness(fresh(net, stray), 10,
                                 LivenessMode.QUEUE_CONSUMING)
         assert isinstance(result, CounterexampleTrace)
+        # r is absent, so its lane is one marker, and the cycle of p and
+        # q grows no lane: the lasso returns to an equal concrete state
+        assert _genuine(fresh(net, stray), result.trace,
+                        LivenessMode.QUEUE_CONSUMING)
         assert check_liveness(fresh(net, stray), 10,
                               LivenessMode.INPUT_ENABLING) == Verified()
+
+    def test_lane_unread_once_its_receiver_moves_on(self):
+        # p sends l forever, q reads one and ends: from then on nobody
+        # reads p->q, so the lane keeps only that it is not empty.  No
+        # participant waits, but a message stays unread forever on a
+        # cycle that has no lasso, since its lane grows
+        net = Network({"p": _loop_out("q", "l"),
+                       "q": pin("p", {"l": gend()})})
+        for horizon in (5, 50):
+            assert check_liveness(fresh(net), horizon,
+                                  LivenessMode.INPUT_ENABLING) == Verified()
+            assert check_liveness(fresh(net), horizon,
+                                  LivenessMode.QUEUE_CONSUMING) \
+                == HorizonExceeded(horizon)
+
+    def test_lane_to_an_absent_receiver_grows(self):
+        # p sends l forever to r, who is absent, and q waits on p: the
+        # cycle starves q and the lane p->r, and it grows that lane
+        net = Network({"p": _loop_out("r", "l"),
+                       "q": pin("p", {"l": gend()})})
+        for horizon in (5, 50):
+            for mode in LivenessMode:
+                assert check_liveness(fresh(net), horizon, mode) \
+                    == HorizonExceeded(horizon)
+
+    def test_a_receiver_that_moves_on_drops_its_unread_lanes(
+            self, monkeypatch):
+        # p sends x or y to q and ends, r sends a or b to q.  After a, q
+        # reads p; after b it ends, and the lane p->q, x or y, is unread
+        # at once: the two states after b are one.  Kept apart, as at the
+        # parent, the check builds the options of 10 states, not 8
+        net = Network({
+            "p": pout("q", {"x": gend(), "y": gend()}),
+            "q": pin("r", {"a": pin("p", {"x": gend(), "y": gend()}),
+                           "b": gend()}),
+            "r": pout("q", {"a": gend(), "b": gend()}),
+        })
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return _options_by_player(*args)
+
+        monkeypatch.setattr(sessions, "_options_by_player", counted)
+        assert check_liveness(fresh(net), 5) == Verified()
+        assert len(built) == 8
+        # under queue-consuming the ended q leaves x or y unread
+        result = check_liveness(fresh(net), 5, LivenessMode.QUEUE_CONSUMING)
+        assert _genuine(fresh(net), result.trace,
+                        LivenessMode.QUEUE_CONSUMING)
+
+    @pytest.mark.parametrize("index, answers", [
+        (39, ((HorizonExceeded, 6), (HorizonExceeded, 21))),
+        (370, ((Verified, 2), (HorizonExceeded, 3)))])
+    def test_unread_lanes_keep_corpus_states_few(self, monkeypatch, index,
+                                                 answers):
+        # network 39 reads none of its lanes, and 370 few: kept whole,
+        # they make thousands to millions of states by horizon 6.  Each
+        # new state builds its options once
+        rng = random.Random(f"corpus/1/net/{index}")
+        s = fresh(random_network(rng), random_queue(rng))
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return _options_by_player(*args)
+
+        monkeypatch.setattr(sessions, "_options_by_player", counted)
+        for mode, (answer, count) in zip(LivenessMode, answers):
+            built.clear()
+            assert type(check_liveness(s, 6, mode)) is answer
+            assert len(built) == count <= 100
+
+    def test_a_state_with_no_options_has_no_round(self, monkeypatch):
+        # a completed state gets no round back to itself, so neither an
+        # empty session nor one message read closes a cycle to search
+        searched = []
+        real = sessions._lasso
+
+        def counted(*args):
+            searched.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sessions, "_lasso", counted)
+        exchange = Network({"p": pout("q", {"l": gend()}),
+                            "q": pin("p", {"l": gend()})})
+        for net in (Network(), exchange):
+            for mode in LivenessMode:
+                assert check_liveness(fresh(net), 5, mode) == Verified()
+        assert searched == []
 
     def test_stuck_at_the_start(self):
         waiting = fresh(Network({"q": pin("p", {"l": gend()})}))
@@ -502,9 +598,14 @@ class TestLiveness:
 
     def test_agrees_with_path_enumeration(self):
         rng = random.Random(73)
+        drawn = [fresh(random_network(rng), random_queue(rng))
+                 for _ in range(60)]
+        # then sessions that send to a participant that is absent or
+        # may end, whose lanes become unread
+        rng = random.Random(83)
+        drawn += [_unread_session(rng) for _ in range(60)]
         decided = 0
-        for _ in range(60):
-            s = fresh(random_network(rng), random_queue(rng))
+        for s in drawn:
             for horizon in (2, 4):
                 for mode in LivenessMode:
                     new = check_liveness(s, horizon, mode)
@@ -595,6 +696,22 @@ def test_a_reader_has_one_option():
     assert states > 1000
 
 
+def test_read_masks_match_a_walk():
+    # a node's mask names the senders of the inputs that it reaches, at
+    # any node of its participant and in any order of lookup
+    rng = random.Random(89)
+    for _ in range(200):
+        starts = [proc for _, proc in random_network(rng).items()]
+        reads = sessions._Reads(starts)
+        nodes = [(r, node) for r, start in enumerate(starts)
+                 for node in reachable_nodes(start)]
+        rng.shuffle(nodes)
+        for r, node in nodes:
+            mask = reads.mask(r, node)
+            assert {name for name, bit in reads.bits.items() if mask & bit} \
+                == {n.sender for n in reachable_nodes(node) if n.kind == IN}
+
+
 def _same(a, b):
     return (a.queue == b.queue and a.net.players() == b.net.players()
             and all(oracle_bisimilar(a.net.get(p), b.net.get(p))
@@ -630,6 +747,23 @@ def _genuine(session, trace, mode):
             return not _cycle_ok(mode, states[at:-1],
                                  [delta for delta, _ in trace[at:]])
     return False
+
+
+def _unread_session(rng):
+    """A session drawn until its queue, or an output of its network,
+    targets a participant that is absent or may end."""
+    while True:
+        parts = rng.sample(PARTS, rng.randint(2, 3))
+        net = Network({p: random_pnode(rng, p, max_nodes=4) for p in parts})
+        queue = random_queue(rng)
+        reach = {p: reachable_nodes(net.get(p)) for p in parts}
+        live = {p for p, nodes in reach.items()
+                if all(node.kind != END for node in nodes)}
+        targets = {node.receiver for nodes in reach.values()
+                   for node in nodes if node.kind == OUT}
+        targets |= {m.receiver for m in queue.messages()}
+        if targets - live:
+            return fresh(net, queue)
 
 
 class _StalePolicy(ChoicePolicy):

@@ -24,6 +24,7 @@ from mpst.terms import (
     pin,
     players,
     pout,
+    quotient,
     reachable_nodes,
     subterms,
 )
@@ -151,6 +152,21 @@ class TestBisimilarity:
         two = gout("p", "q")
         two.branches["l"] = gout("p", "q", {"l": two})
         assert len(reachable_nodes(minimize(two))) == 1
+
+    def test_quotient_keeps_a_minimal_graph(self):
+        # a graph whose nodes are pairwise not bisimilar is its own
+        # quotient; any other gets minimize's fresh one
+        rng = random.Random(17)
+        kept = 0
+        for _ in range(200):
+            g = random_gnode(rng)
+            q = quotient(g)
+            assert bisimilar(g, q)
+            assert len(reachable_nodes(q)) == len(subterms(g))
+            minimal = len(reachable_nodes(g)) == len(subterms(g))
+            assert (q is g) == minimal
+            kept += minimal
+        assert 0 < kept < 200
 
 
 def partition(block):
