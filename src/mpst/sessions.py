@@ -17,14 +17,14 @@ table, and the check keeps its own for the quotients it explores.
 The check explores the reachable lockstep states once, breadth-first,
 with ``horizon`` bounding the depth; a state is one flat tuple of the
 quotients of its processes under bisimilarity, in name order, and of
-a label tuple per channel, in the order that the check meets them.  A
-lane that its receiver can no longer read, because the receiver is
-absent or its node reaches no input from the sender, is kept up to its
-emptiness only: dropped under input-enabling, one marker under
-queue-consuming.  A state where nobody can move and something is owed
-is reported when it is generated, and a failed obligation as a lasso
-found on the strongly connected components of the states that starve
-it: a shortest trace to a state, then a cycle back to it.
+a label tuple per lane that the session can hold, in a fixed sorted
+order.  A lane that its receiver can no longer read, because the
+receiver is absent or its node reaches no input from the sender, is
+kept up to its emptiness only: dropped under input-enabling, one marker
+under queue-consuming.  A state where nobody can move and something is
+owed is reported when it is generated, and a failed obligation as a
+lasso found on the strongly connected components of the states that
+starve it: a shortest trace to a state, then a cycle back to it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from mpst.terms import Comm, IN, Network, OUT, Queue, quotient
+from mpst.terms import (Comm, IN, Network, OUT, Queue, _children,
+                        quotient, reachable_nodes)
 
 
 class _Sentinel:
@@ -327,7 +328,10 @@ class _Reads:
     senders whose input is that node or a node it reaches.  A node
     reaches only nodes whose mask is a subset of its own.  A participant
     is met on the first lookup of one of its masks, which fills the
-    masks of every node that its start node reaches."""
+    masks of every node that its start node reaches: :func:`_components`
+    lists each component's members together, after every component that
+    it reaches, so one pass over its result gives each component its
+    members' senders and its successors' masks."""
 
     def __init__(self, starts: list):
         self.starts = starts
@@ -347,52 +351,27 @@ class _Reads:
         return self.masks[node]
 
     def _meet(self, r: int) -> None:
-        """One depth-first search for strongly connected components
-        (Tarjan): a node's mask gathers its subtree's on the way back, and
-        a component's root, completed after every component it reaches,
-        gives its mask to every member."""
-        root, masks, bit = self.starts[r], {}, self.bit
-        order = {root: 0}
-        low = [0]
-        mask = [bit(root.sender) if root.kind == IN else 0]
-        path = [root]
-        work = [(root, 0, iter(root.branches.values()))]
-        while work:
-            v, at, todo = work[-1]
-            for w in todo:
-                if w in masks:  # a completed component
-                    mask[at] |= masks[w]
-                elif w not in order:
-                    order[w] = i = len(low)
-                    low.append(i)
-                    mask.append(bit(w.sender) if w.kind == IN else 0)
-                    path.append(w)
-                    work.append((w, i, iter(w.branches.values())))
-                    break
-                elif order[w] < low[at]:  # on the path: the same component
-                    low[at] = order[w]
-            else:
-                work.pop()
-                if work:
-                    up = work[-1][1]
-                    mask[up] |= mask[at]
-                    low[up] = min(low[up], low[at])
-                if low[at] == at:
-                    while True:
-                        w = path.pop()
-                        masks[w] = mask[at]
-                        if w is v:
-                            break
-        self.masks.update(masks)
+        comp = _components([self.starts[r]], _children)
+        of = {}  # per component, from its members seen so far
+        for v, c in comp.items():
+            mask = of.get(c, 0)
+            if v.kind == IN:
+                mask |= self.bit(v.sender)
+            for w in v.branches.values():
+                mask |= of.get(comp[w], 0)
+            of[c] = mask
+        self.masks.update((v, of[c]) for v, c in comp.items())
         self.met[r] = True
-        self.always[r] = functools.reduce(operator.and_, masks.values())
-        self.shrinks[r] = len(set(masks.values())) > 1
+        self.always[r] = functools.reduce(operator.and_, of.values())
+        self.shrinks[r] = len(set(of.values())) > 1
 
 
 def _components(nodes, succ) -> dict:
     """Tarjan's strongly connected components of the graph on ``nodes``
-    with successor lists ``succ(v)``, as a map from node to component;
-    the depth-first search keeps its own stack."""
+    with successor lists ``succ(v)``, as a map from node to component,
+    which lists each component's members together and after every
+    component that it reaches; the depth-first search keeps its own
+    stack."""
     order, low, comp = {}, {}, {}
     path = []
     for root in nodes:
@@ -425,12 +404,13 @@ def _components(nodes, succ) -> dict:
     return comp
 
 
-def _on_cycle(comp, succ) -> list:
-    """The nodes of ``comp`` that lie on a cycle, in ascending order."""
+def _on_cycle(comp, succ):
+    """The least node of ``comp`` that lies on a cycle, or None."""
     size = {}
     for c in comp.values():
         size[c] = size.get(c, 0) + 1
-    return sorted(v for v, c in comp.items() if size[c] > 1 or v in succ(v))
+    return min((v for v, c in comp.items() if size[c] > 1 or v in succ(v)),
+               default=None)
 
 
 def _starving(edges, starved, growing):
@@ -465,9 +445,9 @@ def _lasso(edges, starved):
     """
     best = None
     for comp, succ in _starving(edges, starved, False):
-        cyclic = _on_cycle(comp, succ)
-        if cyclic and (best is None or cyclic[0] < best[0]):
-            best = (cyclic[0], comp)
+        v = _on_cycle(comp, succ)
+        if v is not None and (best is None or v < best[0]):
+            best = (v, comp)
     if best is None:
         return None
     start, comp = best
@@ -530,22 +510,20 @@ def check_liveness(session: Session, horizon: int = 50,
     replaced by its quotient, :func:`quotient`, so bisimilar processes
     reached later are one node.  A state is one flat tuple, which is its
     own key: the process nodes in name order, ended ones included, then
-    one label tuple per channel, up to the last channel that holds a
-    message.  A channel's place is fixed when the check first meets it:
-    the start queue's channels come first, in sorted order, and every
-    other one follows when a round first sends on it, so a lane past the
-    end of a tuple is empty and equal states are equal tuples.  A round
-    writes its movers' nodes and lanes into a list copy of its state and
-    drops the trailing empty lanes: it builds no process map, queue or
-    sorted key.  A state is kept as that key, its parent link and, once
-    expanded, its edges and what it starves; its options are kept only
-    until its layer is expanded, so the options of each state are built
-    once.  A state owes the participants waiting on an input, or the
-    channels holding a message, and starves those that none of its
-    rounds serves (:func:`_starved`).  Where nobody can move it has
-    completed exactly when it owes nothing, since every participant left
-    there waits on an input (no choice is empty, as :class:`Network`
-    enforces); otherwise it yields its shortest trace.
+    one label tuple per lane, in sorted order, for each channel of the
+    start queue and each pair of a participant and the receiver of an
+    output that it can reach, so equal states are equal tuples.  A round
+    writes its movers' nodes and lanes into a list copy of its state: it
+    builds no process map, queue or sorted key.  A state is kept as that
+    key, its parent link and, once expanded, its edges and what it
+    starves; its options are kept only until its layer is expanded, so
+    the options of each state are built once.  A state owes the
+    participants waiting on an input, or the channels holding a message,
+    and starves those that none of its rounds serves (:func:`_starved`).
+    Where nobody can move it has completed exactly when it owes nothing,
+    since every participant left there waits on an input (no choice is
+    empty, as :class:`Network` enforces); otherwise it yields its
+    shortest trace.
     Each state is tested for this when it is generated, so the first one
     generated is reported before anything found later.  The states that
     starve each obligation are searched for a cycle after the first
@@ -591,9 +569,10 @@ def check_liveness(session: Session, horizon: int = 50,
     names = [name for name, _ in session.net.items()]
     place = {name: i for i, name in enumerate(names)}
     start = [quotient(proc) for _, proc in session.net.items()]
-    chans = session.queue.channels()
-    n = len(names)
-    slot = {chan: i for i, chan in enumerate(chans, n)}
+    chans = sorted({*session.queue.channels(), *(
+        (name, node.receiver) for name, proc in zip(names, start)
+        for node in reachable_nodes(proc) if node.kind == OUT)})
+    slot = {chan: i for i, chan in enumerate(chans, len(names))}
     # each communication's mover, lane and receiver positions, the last
     # None for an absent receiver, and its sender's bit
     where = {}
@@ -603,14 +582,11 @@ def check_liveness(session: Session, horizon: int = 50,
     unread = () if mode is LivenessMode.INPUT_ENABLING else _UNREAD
     initial = list(start)
     for sender, receiver in chans:
+        lane = session.queue.labels(sender, receiver)
         r = place.get(receiver)
-        initial.append(session.queue.labels(sender, receiver)
-                       if r is not None and (
-                           start[r].sender == sender
-                           or reads.mask(r, start[r]) & reads.bit(sender))
-                       else unread)
-    while initial and not initial[-1]:
-        initial.pop()
+        initial.append(lane if not lane or r is not None and (
+            start[r].sender == sender
+            or reads.mask(r, start[r]) & reads.bit(sender)) else unread)
     initial = tuple(initial)
     index = {initial: 0}
     # a round is named by its position in _rounds of its state, and a
@@ -630,8 +606,8 @@ def check_liveness(session: Session, horizon: int = 50,
             return {}
 
         def head(sender, receiver):
-            i = slot.get((sender, receiver), len(state))
-            return state[i][0] if i < len(state) and state[i] else None
+            i = slot.get((sender, receiver))
+            return state[i][0] if i is not None and state[i] else None
 
         opts = _options_by_player(zip(names, state), head, table)
         if not opts and _starved(mode, names, chans, state, opts):
@@ -664,40 +640,29 @@ def check_liveness(session: Session, horizon: int = 50,
                 for comm in combo:
                     at = where.get(comm)
                     if at is None:
-                        chan = comm.sender, comm.receiver
-                        if chan not in slot:
-                            slot[chan] = n + len(chans)
-                            chans.append(chan)
                         at = where[comm] = (
-                            place[comm.play], slot[chan],
-                            place.get(comm.receiver),
-                            reads.bit(comm.sender))
+                            place[comm.play], slot[comm.sender, comm.receiver],
+                            place.get(comm.receiver), reads.bit(comm.sender))
                     mover, lane, receiver, bit = at
                     node = state[mover]
                     state[mover] = node.branches[comm.label]
                     if comm.kind == IN:
                         state[lane] = state[lane][1:]
+                    elif receiver is not None and (
+                            always[receiver] & bit
+                            or state[receiver].sender == comm.sender
+                            or reads.mask(receiver, state[receiver]) & bit):
+                        state[lane] = (*state[lane], comm.label)
                     else:
-                        if lane >= len(state):  # past the end, lanes are empty
-                            state += [()] * (lane + 1 - len(state))
-                        if receiver is not None and (
-                                always[receiver] & bit
-                                or state[receiver].sender == comm.sender
-                                or reads.mask(receiver, state[receiver])
-                                & bit):
-                            state[lane] = (*state[lane], comm.label)
-                        else:
-                            state[lane] = unread
-                            g = ~k
+                        state[lane] = unread
+                        g = ~k
                     if shrinks[mover] and masks[node] != masks[state[mover]]:
                         lost = masks[node] & ~masks[state[mover]]
                         for sender, gone in reads.bits.items():
-                            other = slot.get((sender, comm.play), len(state))
-                            if gone & lost and other < len(state) \
+                            other = slot.get((sender, comm.play))
+                            if gone & lost and other is not None \
                                     and state[other]:
                                 state[other] = unread
-                while state and not state[-1]:  # trailing empty lanes
-                    state.pop()
                 state = tuple(state)
                 j = index.setdefault(state, len(parent))
                 if j == len(parent):

@@ -136,6 +136,10 @@ def reachable_nodes(root) -> list:
     return list(seen.values())
 
 
+def _children(node):
+    return node.branches.values()
+
+
 def _unreadable(root, is_global: bool = False, part: Optional[str] = None):
     """What ``parse`` would not read in ``root``'s place, as a phrase, or
     None: a participant, ``part`` included, or a label that is not a

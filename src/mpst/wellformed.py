@@ -25,6 +25,7 @@ from mpst.terms import (
     GNode,
     Msg,
     Queue,
+    _children,
     bisimilar,
     players,
     reachable_nodes,
@@ -69,10 +70,6 @@ def _longest(start, succ, target, memo):
             stack.append([state, iter(kids), 0 if kids else INF])
             continue
         stack[-1][2] = max(stack[-1][2], val)
-
-
-def _children(node):
-    return node.branches.values()
 
 
 # ---------------------------------------------------------------------------

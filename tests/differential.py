@@ -61,10 +61,15 @@ calls:
   ``reachable_nodes`` and its queues' keys.
 
 A raise is an answer: its class and message are compared.  After the
-mismatch count, one line per change of a ``check_liveness`` result
-class, from the other checkout's to this one's, gives how many calls
-made it.  ``--sample N`` runs only N calls, split about evenly over
-the five kinds and spread evenly within each.
+mismatch count, one line gives the states that ``check_liveness``
+built over all its calls on each side: the calls of
+``sessions._options_by_player`` less one per round of a returned
+trace, which its replay makes.  The line is for information and never
+counts as a mismatch.  Then one line per change of a
+``check_liveness`` result class, from the other checkout's to this
+one's, gives how many calls made it.  ``--sample N`` runs only N
+calls, split about evenly over the five kinds and spread evenly within
+each.
 """
 
 from __future__ import annotations
@@ -180,6 +185,15 @@ def emit(src: str, n) -> None:
     if not Path(mpst.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {mpst.__file__}, not from {src}")
 
+    options_by_player = S._options_by_player
+    built, states = [0], [0]  # calls of _options_by_player, states built
+
+    def counted(*args):
+        built[0] += 1
+        return options_by_player(*args)
+
+    S._options_by_player = counted
+
     def show(s):
         return f"{s.net.key()!r} {s.queue.key()!r}"
 
@@ -282,7 +296,9 @@ def emit(src: str, n) -> None:
         s = session(seed)
         if what == "check_liveness":
             horizon, mode = args
+            before = built[0]
             result = S.check_liveness(s, horizon, S.LivenessMode[mode])
+            states[0] += built[0] - before - len(getattr(result, "trace", ()))
             lines = [type(result).__name__]
             for comms, after in getattr(result, "trace", ()):
                 lines.append(f"{delta(comms)} | {show(after)}")
@@ -302,9 +318,12 @@ def emit(src: str, n) -> None:
         except Exception as err:  # a raise is an answer to compare
             lines = [f"raises {type(err).__name__}: {err}"]
         print(repr(call), " / ".join(lines))
+    print(states[0])  # the last line, kept out of the comparison
 
 
 def _outputs(checkouts, n) -> list:
+    """Each checkout's output lines and the states that its
+    ``check_liveness`` calls built."""
     procs = [subprocess.Popen(
         [sys.executable, __file__, "--emit", str(Path(c) / "src")]
         + ([] if n is None else ["--sample", str(n)]),
@@ -313,7 +332,8 @@ def _outputs(checkouts, n) -> list:
     for c, p in zip(checkouts, procs):
         if p.returncode:
             raise SystemExit(f"the run with {c} failed ({p.returncode})")
-    return [out.splitlines() for out in outs]
+    return [(lines[:-1], int(lines[-1]))
+            for lines in (out.splitlines() for out in outs)]
 
 
 def _result(line: str) -> str:
@@ -334,7 +354,8 @@ def main(argv=None) -> int:
         return 0
     if args.other is None:
         ap.error("name the checkout to compare with")
-    mine, theirs = _outputs([HERE.parent, args.other], args.sample)
+    (mine, built), (theirs, other_built) = _outputs(
+        [HERE.parent, args.other], args.sample)
     diff = [(a, b) for a, b in zip(mine, theirs) if a != b]
     if len(mine) != len(theirs):
         diff.append((f"{len(mine)} lines", f"{len(theirs)} lines"))
@@ -345,6 +366,8 @@ def main(argv=None) -> int:
     found = sum(" CounterexampleTrace" in line for line in mine)
     print(f"{len(mine)} calls ({', '.join(f'{k} {v}' for k, v in kinds.items())}; "
           f"{found} counterexamples), {len(diff)} mismatches")
+    print(f"check_liveness built {built} states here, "
+          f"{other_built} with {args.other}")
     moves = {}
     for a, b in diff:
         if a.startswith("('check_liveness'"):

@@ -33,7 +33,6 @@ from mpst.terms import Comm, GNode, Msg, Network, Queue
 from mpst.wellformed import (
     Accept,
     Unknown,
-    indistinguishable,
     ok,
     queue_equiv_g,
     read,
@@ -293,7 +292,7 @@ def oracle_agree(g, queue, mod_g=False) -> bool:
             if head is None:
                 qi = q
             else:
-                if head != lab and not indistinguishable(
+                if head != lab and not oracle_indistinguishable(
                         Msg(chan[0], head, chan[1]),
                         Msg(chan[0], lab, chan[1]), child):
                     return False

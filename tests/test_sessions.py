@@ -43,6 +43,7 @@ from gen import (
     PARTS,
     chain_network,
     pairs,
+    random_gnode,
     random_network,
     random_pnode,
     random_queue,
@@ -549,7 +550,7 @@ class TestLiveness:
             assert check_liveness(fresh(net), 3, mode) == HorizonExceeded(3)
 
     def test_an_empty_lane_is_owed_nothing(self):
-        # a lane before the last non-empty one stays in the tuple, empty
+        # every lane keeps its slot in the tuple, empty or not
         state = (pin("q", {"a": gend()}), (), ("a",))
         assert _starved(LivenessMode.QUEUE_CONSUMING, ["p"],
                         [("p", "q"), ("q", "p")], state, {}) == (("q", "p"),)
@@ -710,6 +711,31 @@ def test_read_masks_match_a_walk():
             mask = reads.mask(r, node)
             assert {name for name, bit in reads.bits.items() if mask & bit} \
                 == {n.sender for n in reachable_nodes(node) if n.kind == IN}
+
+
+def test_components_follow_the_components_they_reach():
+    # _Reads gathers its masks in one pass over the map of _components:
+    # every edge stays inside its component or goes to one recorded
+    # earlier, and each component's members are contiguous
+    rng = random.Random(97)
+    graphs = []
+    for _ in range(300):
+        size = rng.randint(1, 12)
+        succ = {v: rng.sample(range(size), rng.randint(0, min(3, size)))
+                for v in rng.sample(range(size), size)}
+        graphs.append((list(succ), succ.__getitem__))
+    graphs += [([random_gnode(rng)], lambda v: v.branches.values())
+               for _ in range(300)]
+    for nodes, succ in graphs:
+        comp = sessions._components(nodes, succ)
+        recorded = []  # the components, in the order of the map
+        for c in comp.values():
+            if not recorded or recorded[-1] != c:
+                assert c not in recorded
+                recorded.append(c)
+        for v in comp:
+            for w in succ(v):
+                assert recorded.index(comp[w]) <= recorded.index(comp[v])
 
 
 def _same(a, b):
