@@ -21,10 +21,13 @@ a label tuple per lane that the session can hold, in a fixed sorted
 order.  A lane that its receiver can no longer read, because the
 receiver is absent or its node reaches no input from the sender, is
 kept up to its emptiness only: dropped under input-enabling, one marker
-under queue-consuming.  A state where nobody can move and something is
-owed is reported when it is generated, and a failed obligation as a
-lasso found on the strongly connected components of the states that
-starve it: a shortest trace to a state, then a cycle back to it.
+under queue-consuming.  A readable lane keeps one label per class that
+its receiver cannot tell apart: labels that every input from the sender
+offers with bisimilar continuations or not at all.  A state where
+nobody can move and something is owed is reported when it is generated,
+and a failed obligation as a lasso found on the strongly connected
+components of the states that starve it: a shortest trace to a state,
+then a cycle back to it, replayed until the concrete session recurs.
 """
 
 from __future__ import annotations
@@ -366,6 +369,25 @@ class _Reads:
         self.shrinks[r] = len(set(of.values())) > 1
 
 
+class _Labels:
+    """The representative labels of a liveness check's lanes.  Labels l
+    and l' on channel (s, r) share one when every input from s in
+    ``inputs[s, r]``, the input nodes from s that r's start quotient
+    reaches, offers neither label or both with the same continuation
+    node; the quotient makes bisimilar continuations one node.  The
+    representative of a class is its first label asked for."""
+
+    def __init__(self, inputs: dict):
+        self.inputs = inputs
+        self.classes = {}  # per channel and continuations: a label
+
+    def rep(self, sender, receiver, label):
+        """The representative of ``label`` on channel (sender, receiver)."""
+        then = tuple([node.branches.get(label)
+                      for node in self.inputs.get((sender, receiver), ())])
+        return self.classes.setdefault((sender, receiver, then), label)
+
+
 def _components(nodes, succ) -> dict:
     """Tarjan's strongly connected components of the graph on ``nodes``
     with successor lists ``succ(v)``, as a map from node to component,
@@ -488,17 +510,26 @@ def _path(links, v, stop) -> list:
     return rounds
 
 
-def _replay(session: Session, path) -> tuple:
+def _replay(session: Session, path, cycle=()) -> tuple:
     """The trace from ``session`` along ``path``, which names each round
-    by its position in :func:`_rounds`, as ``(delta, session)`` pairs."""
+    by its position in :func:`_rounds`, as ``(delta, session)`` pairs,
+    then along ``cycle``, turn after turn, until a turn starts with the
+    queue that an earlier turn started with."""
     trace = []
-    for k in path:
-        options = _options_by_player(session.net.items(),
-                                     session.queue.head, session.net._moves)
-        combo = next(itertools.islice(_rounds(options), k, None))
-        session = _after(session, combo)
-        trace.append((frozenset(combo), session))
-    return tuple(trace)
+    turns = set()  # the queues that turns of the cycle started with
+    rounds = path
+    while True:
+        for k in rounds:
+            options = _options_by_player(session.net.items(),
+                                         session.queue.head,
+                                         session.net._moves)
+            combo = next(itertools.islice(_rounds(options), k, None))
+            session = _after(session, combo)
+            trace.append((frozenset(combo), session))
+        if not cycle or session.queue in turns:
+            return tuple(trace)
+        turns.add(session.queue)
+        rounds = cycle
 
 
 def check_liveness(session: Session, horizon: int = 50,
@@ -532,7 +563,8 @@ def check_liveness(session: Session, horizon: int = 50,
     yields a lasso: a shortest trace to a state that starves it, followed
     by a cycle back to that state on which it is never served, so the
     trace ends in a state it passed before.  A returned trace is replayed
-    from ``session``.  Otherwise the result is Verified, weakened to
+    from ``session``, the cycle as many turns as its labels need (see
+    below).  Otherwise the result is Verified, weakened to
     HorizonExceeded if some state at depth ``horizon`` could still move.
 
     States are kept up to unread lanes.  A lane (s, r) is unread at a
@@ -561,20 +593,49 @@ def check_liveness(session: Session, horizon: int = 50,
     same all along a cycle, so a cycle that pushes onto a lane that it
     cannot read has a growing edge, and an edge that shrinks a mask,
     marked or not, lies on no cycle.  A cycle with no growing edge
-    therefore replays to an equal concrete state, and only such a cycle
-    makes a lasso.  A starving cycle that grows a lane has none, and the
-    concrete run around it never repeats a state: it makes the answer
-    HorizonExceeded, never Verified.
+    therefore replays to a state equal up to labels (see below), and
+    only such a cycle makes a lasso.  A starving cycle that grows a lane
+    has none, and the concrete run around it never repeats a state: it
+    makes the answer HorizonExceeded, never Verified.
+
+    States are also kept up to labels that no reader can tell apart, as
+    the paper's queue equivalence indexed by the type lets such messages
+    trade places (``wellformed.indistinguishable``): a lane holds one
+    representative per class of :class:`_Labels`, found once per
+    communication on its first visit, and so does the start queue.
+    Concrete states that differ only within classes have the same
+    options, since an input offered on one head is offered on the other
+    and leads to the same node, hence the same rounds at the same
+    positions in :func:`_rounds`; they starve the same obligations,
+    since :func:`_starved` sees only who can move and which lanes are
+    empty; and a round takes them to states that again differ only
+    within classes: again a bisimulation.  But a cycle may return to a
+    concrete state whose labels differ, so a lasso replays its cycle
+    turn after turn until a turn starts with the queue that an earlier
+    turn started with.  Every turn starts at the same process nodes,
+    pushes the same labels, since it takes the same positions from the
+    same nodes, and pops as many as it pushes on every lane.  So once
+    the turns have pushed n messages onto a lane of n, that lane starts
+    every turn with the same labels, and a lasso ends within (longest
+    lane + 1) turns.
     """
     names = [name for name, _ in session.net.items()]
     place = {name: i for i, name in enumerate(names)}
     start = [quotient(proc) for _, proc in session.net.items()]
-    chans = sorted({*session.queue.channels(), *(
-        (name, node.receiver) for name, proc in zip(names, start)
-        for node in reachable_nodes(proc) if node.kind == OUT)})
+    chans = set(session.queue.channels())
+    inputs = {}  # per channel: the input nodes of its receiver from its sender
+    for name, proc in zip(names, start):
+        for node in reachable_nodes(proc):
+            if node.kind == OUT:
+                chans.add((name, node.receiver))
+            elif node.kind == IN:
+                inputs.setdefault((node.sender, name), []).append(node)
+    chans = sorted(chans)
     slot = {chan: i for i, chan in enumerate(chans, len(names))}
+    labels = _Labels(inputs)
     # each communication's mover, lane and receiver positions, the last
-    # None for an absent receiver, and its sender's bit
+    # None for an absent receiver, its sender's bit and the
+    # representative of its label
     where = {}
     table = {}  # the quotients' moves, kept out of session.net's table
     reads = _Reads(start)
@@ -582,7 +643,8 @@ def check_liveness(session: Session, horizon: int = 50,
     unread = () if mode is LivenessMode.INPUT_ENABLING else _UNREAD
     initial = list(start)
     for sender, receiver in chans:
-        lane = session.queue.labels(sender, receiver)
+        lane = tuple([labels.rep(sender, receiver, label)
+                      for label in session.queue.labels(sender, receiver)])
         r = place.get(receiver)
         initial.append(lane if not lane or r is not None and (
             start[r].sender == sender
@@ -642,8 +704,9 @@ def check_liveness(session: Session, horizon: int = 50,
                     if at is None:
                         at = where[comm] = (
                             place[comm.play], slot[comm.sender, comm.receiver],
-                            place.get(comm.receiver), reads.bit(comm.sender))
-                    mover, lane, receiver, bit = at
+                            place.get(comm.receiver), reads.bit(comm.sender),
+                            labels.rep(comm.sender, comm.receiver, comm.label))
+                    mover, lane, receiver, bit, label = at
                     node = state[mover]
                     state[mover] = node.branches[comm.label]
                     if comm.kind == IN:
@@ -652,7 +715,7 @@ def check_liveness(session: Session, horizon: int = 50,
                             always[receiver] & bit
                             or state[receiver].sender == comm.sender
                             or reads.mask(receiver, state[receiver]) & bit):
-                        state[lane] = (*state[lane], comm.label)
+                        state[lane] = (*state[lane], label)
                     else:
                         state[lane] = unread
                         g = ~k
@@ -690,7 +753,7 @@ def check_liveness(session: Session, horizon: int = 50,
             if bad is not None:
                 v, cycle = bad
                 return CounterexampleTrace(
-                    _replay(session, _path(parent, v, 0) + cycle))
+                    _replay(session, _path(parent, v, 0), cycle))
             checked, unchecked = len(edges), False
     if truncated or _grows(edges, starved):
         return HorizonExceeded(horizon)

@@ -95,15 +95,18 @@ def bounded_witness(g: GNode) -> Optional[dict]:
     reaching = {}  # participant -> (subterms it plays a part in, memo)
     for p in sorted(players(g)):
         seen = {n for n in nodes if n.player == p}
-        frontier = seen
-        while frontier:
-            frontier = {m for n in frontier for m in preds[n]} - seen
-            seen |= frontier
+        stack = list(seen)
+        while stack:
+            for m in preds[stack.pop()]:
+                if m not in seen:
+                    seen.add(m)
+                    stack.append(m)
         reaching[p] = (seen, {})
     for sub in nodes:
         for p, (seen, memo) in reaching.items():
-            if sub in seen and _longest(
-                    sub, _children, lambda n: n.player == p, memo) == INF:
+            # a walk from an earlier subterm may have valued this one
+            if sub in seen and (memo[sub] if sub in memo else _longest(
+                    sub, _children, lambda n: n.player == p, memo)) == INF:
                 return {"participant": p, "subterm": sub}
     return None
 

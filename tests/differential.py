@@ -67,9 +67,10 @@ built over all its calls on each side: the calls of
 trace, which its replay makes.  The line is for information and never
 counts as a mismatch.  Then one line per change of a
 ``check_liveness`` result class, from the other checkout's to this
-one's, gives how many calls made it.  ``--sample N`` runs only N
-calls, split about evenly over the five kinds and spread evenly within
-each.
+one's, gives how many calls made it, and a last one how many
+``check_liveness`` mismatches keep their class and differ in the trace
+alone (trace-only).  ``--sample N`` runs only N calls, split about
+evenly over the five kinds and spread evenly within each.
 """
 
 from __future__ import annotations
@@ -369,12 +370,17 @@ def main(argv=None) -> int:
     print(f"check_liveness built {built} states here, "
           f"{other_built} with {args.other}")
     moves = {}
+    trace_only = 0
     for a, b in diff:
         if a.startswith("('check_liveness'"):
+            if _result(a) == _result(b):
+                trace_only += 1
+                continue
             move = f"{_result(b)} -> {_result(a)}"
             moves[move] = moves.get(move, 0) + 1
     for move, count in sorted(moves.items()):
         print(f"check_liveness {move}: {count}")
+    print(f"check_liveness trace-only: {trace_only}")
     for a, b in diff[:SHOWN]:
         at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
                   min(len(a), len(b)))

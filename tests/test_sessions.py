@@ -37,7 +37,7 @@ from mpst.sessions import (
 )
 from mpst.syntax import parse
 from mpst.terms import (Comm, END, IN, Network, OUT, Queue, gend, gout, pin,
-                        pout, reachable_nodes)
+                        pout, quotient, reachable_nodes)
 from gen import (
     LABELS,
     PARTS,
@@ -343,9 +343,35 @@ class TestLiveness:
     def test_a_receiver_that_moves_on_drops_its_unread_lanes(
             self, monkeypatch):
         # p sends x or y to q and ends, r sends a or b to q.  After a, q
-        # reads p; after b it ends, and the lane p->q, x or y, is unread
-        # at once: the two states after b are one.  Kept apart, as at the
-        # parent, the check builds the options of 10 states, not 8
+        # reads p, and y leads it to send c to r, so x and y stay apart;
+        # after b it ends, and the lane p->q, x or y, is unread at once:
+        # the two states after b are one.  Before unread lanes
+        # collapsed, the check built the options of 12 states, not 9
+        net = Network({
+            "p": pout("q", {"x": gend(), "y": gend()}),
+            "q": pin("r", {"a": pin("p", {"x": gend(),
+                                          "y": pout("r", {"c": gend()})}),
+                           "b": gend()}),
+            "r": pout("q", {"a": gend(), "b": gend()}),
+        })
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return _options_by_player(*args)
+
+        monkeypatch.setattr(sessions, "_options_by_player", counted)
+        assert check_liveness(fresh(net), 5) == Verified()
+        assert len(built) == 9
+        # under queue-consuming the ended q leaves x or y unread
+        result = check_liveness(fresh(net), 5, LivenessMode.QUEUE_CONSUMING)
+        assert _genuine(fresh(net), result.trace,
+                        LivenessMode.QUEUE_CONSUMING)
+
+    def test_labels_that_no_reader_tells_apart_are_one(self, monkeypatch):
+        # as above, but q reads x and y into one node: p's two choices
+        # meet in one state both after a and after b, so the check
+        # builds the options of 5 states
         net = Network({
             "p": pout("q", {"x": gend(), "y": gend()}),
             "q": pin("r", {"a": pin("p", {"x": gend(), "y": gend()}),
@@ -360,11 +386,25 @@ class TestLiveness:
 
         monkeypatch.setattr(sessions, "_options_by_player", counted)
         assert check_liveness(fresh(net), 5) == Verified()
-        assert len(built) == 8
-        # under queue-consuming the ended q leaves x or y unread
-        result = check_liveness(fresh(net), 5, LivenessMode.QUEUE_CONSUMING)
-        assert _genuine(fresh(net), result.trace,
-                        LivenessMode.QUEUE_CONSUMING)
+        assert len(built) == 5
+
+    def test_a_lasso_through_merged_labels_turns_until_it_recurs(self):
+        # p sends x or y to q forever, q reads either into the same node
+        # and r waits on s, who is absent.  Up to labels the lane p->q
+        # keeps its two messages, but the concrete lane goes from y x to
+        # x x in the first turn of the cycle: only the second turn
+        # returns to a session that the trace met before
+        p = pout("q")
+        p.branches.update(x=p, y=p)
+        q = pin("p")
+        q.branches.update(x=q, y=q)
+        net = Network({"p": p, "q": q, "r": pin("s", {"a": gend()})})
+        s = fresh(net, Queue({("p", "q"): ["y", "x"]}))
+        result = check_liveness(s, 6)
+        assert isinstance(result, CounterexampleTrace)
+        assert _genuine(s, result.trace, LivenessMode.INPUT_ENABLING)
+        assert [after.queue.labels("p", "q") for _, after in result.trace] \
+            == [("x", "x"), ("x", "x")]
 
     @pytest.mark.parametrize("index, answers", [
         (39, ((HorizonExceeded, 6), (HorizonExceeded, 21))),
@@ -711,6 +751,35 @@ def test_read_masks_match_a_walk():
             mask = reads.mask(r, node)
             assert {name for name, bit in reads.bits.items() if mask & bit} \
                 == {n.sender for n in reachable_nodes(node) if n.kind == IN}
+
+
+def test_label_classes_match_a_walk():
+    # two labels share a representative exactly when every input from
+    # the sender in the receiver's own process offers neither or both,
+    # with bisimilar continuations, at any order of lookup
+    rng = random.Random(101)
+    for _ in range(200):
+        net = random_network(rng)
+        inputs = {}
+        for name, proc in net.items():
+            for node in reachable_nodes(quotient(proc)):
+                if node.kind == IN:
+                    inputs.setdefault((node.sender, name), []).append(node)
+        labels = sessions._Labels(inputs)
+        chans = [(s, r) for r in sorted(net.players()) for s in PARTS
+                 if s != r]
+        asks = [(s, r, lab) for s, r in chans for lab in LABELS]
+        rng.shuffle(asks)
+        rep = {ask: labels.rep(*ask) for ask in asks}
+        for (s, r), (a, b) in itertools.product(
+                chans, itertools.combinations(LABELS, 2)):
+            walk = all(
+                a not in node.branches and b not in node.branches
+                or a in node.branches and b in node.branches
+                and oracle_bisimilar(node.branches[a], node.branches[b])
+                for node in reachable_nodes(net.get(r))
+                if node.kind == IN and node.sender == s)
+            assert (rep[s, r, a] == rep[s, r, b]) == walk
 
 
 def test_components_follow_the_components_they_reach():
