@@ -92,6 +92,9 @@ def qm_start(machine: QueueMachine, word) -> MachineConfig:
 
 
 def qm_step(machine: QueueMachine, config: MachineConfig) -> MachineConfig:
+    if config.final:
+        raise ValueError(f"configuration in state {config.state!r} is final: "
+                         "its queue is empty")
     head, rest = config.queue[0], config.queue[1:]
     state, written = machine.delta[(config.state, head)]
     return MachineConfig(state, rest + tuple(written))
@@ -101,15 +104,33 @@ def qm_run(machine: QueueMachine, word, max_steps: int = 100000):
     """Run to acceptance or give up after ``max_steps`` steps.
 
     The same steps as :func:`qm_step`, on a deque instead of a fresh
-    tuple per step, so a run costs O(steps + symbols written).
+    tuple per step.  A run that comes back to a configuration it was in
+    stops there with ``RunningAfter(max_steps)``, which is the full
+    run's answer: the run is deterministic, so it goes round the same
+    configurations forever, and none of them is final, or the run would
+    have accepted on its first way round.  Recurrences are found as
+    Brent (1980) finds cycles: the configurations after steps 0, 1, 3,
+    7, 15, ... are saved and each one after is compared with the last
+    saved, so a run with a tail of t steps before a period of p stops
+    within 2 max(t + 1, p) + p steps, and the copies cost
+    O(steps + symbols written) in all.  A compare is O(1) unless the
+    states and the queues' lengths agree, as deques compare lengths
+    first.
     """
     config = qm_start(machine, word)
     state, queue, delta = config.state, deque(config.queue), machine.delta
-    for step in range(max_steps):
-        if not queue:
-            return Accepted(step)
-        state, written = delta[state, queue.popleft()]
-        queue.extend(written)
+    done, span = 0, 1
+    while done < max_steps:
+        saved_state, saved = state, queue.copy()
+        end = min(done + span, max_steps)
+        for step in range(done, end):
+            if not queue:
+                return Accepted(step)
+            state, written = delta[state, queue.popleft()]
+            queue.extend(written)
+            if state == saved_state and queue == saved:
+                return RunningAfter(max_steps)
+        done, span = end, 2 * span
     if not queue:
         return Accepted(max_steps)
     return RunningAfter(max_steps)

@@ -132,17 +132,71 @@ def weight(msg: Msg, g: GNode):
 # readability
 
 
-def _read_succ(state):
-    node, q = state
-    chan = (node.sender, node.receiver)
-    if node.kind == IN and q.head(*chan) in node.branches:
-        q = q.pop(*chan)[1]
-    return [(c, q) for c in node.branches.values()]
+def _readers(start, chan, label, table):
+    """The nodes where the paths from ``start`` go on once they read
+    ``label`` from ``chan``: the children of the first input on ``chan``
+    offering ``label`` on each path, as a frozenset; None when a path
+    reaches End or a cycle before such an input.
+
+    ``table`` maps nodes to these values for one (chan, label); the
+    walk fills it in for every node it passes, as :func:`_longest`
+    does, and a node on the current path holds None, so that coming
+    back to it closes a cycle.
+    """
+    # a frame is [node, children left, values of the children so far],
+    # the values None once a child gave None
+    stack = [[None, iter((start,)), []]]
+    while True:
+        frame = stack[-1]
+        node = next(frame[1], None) if frame[2] is not None else None
+        if node is None:
+            if len(stack) == 1:
+                return table[start]
+            stack.pop()
+            val = frame[2]
+            if val is not None:
+                val = val[0] if len(val) == 1 else frozenset().union(*val)
+            table[frame[0]] = val
+        elif node in table:
+            val = table[node]
+        elif (node.kind == IN and label in node.branches
+              and (node.sender, node.receiver) == chan):
+            val = table[node] = frozenset(node.branches.values())
+        else:
+            table[node] = None
+            stack.append([node, iter(node.branches.values()),
+                          [] if node.branches else None])
+            continue
+        vals = stack[-1][2]
+        if val is None:
+            stack[-1][2] = None
+        elif vals is not None:
+            vals.append(val)
 
 
-def _readable(node, queue, memo):
-    return queue.is_empty or _longest(
-        (node, queue), _read_succ, lambda s: s[1].is_empty, memo) != INF
+def _readable(node, queue, memo) -> bool:
+    """:func:`read` of ``queue`` at ``node``, lane by lane.
+
+    A lane runs label by label through the set of nodes where its
+    paths may read the next label; ``memo`` maps each (channel, label)
+    to its :func:`_readers` table, so the calls of one balancing check
+    share them.
+    """
+    for chan, labels in queue.key():
+        nodes = (node,)
+        for label in labels:
+            table = memo.get((chan, label))
+            if table is None:
+                table = memo[chan, label] = {}
+            found = []
+            for n in nodes:
+                kids = table[n] if n in table else _readers(n, chan, label,
+                                                            table)
+                if kids is None:
+                    return False
+                found.append(kids)
+            nodes = found[0] if len(found) == 1 else frozenset().union(*found)
+    return True
 
 
 def read(g: GNode, queue: Queue) -> bool:
@@ -152,6 +206,13 @@ def read(g: GNode, queue: Queue) -> bool:
     consumes the head in all branches; other nodes pass the queue on
     unchanged.  Every path of (node, queue) states must reach the empty
     queue: a leftover at End, or a recurring state, means no.
+
+    The queue is readable exactly when each of its lanes is, alone.
+    Every node passes the queue on to all its children, so the paths
+    are the same whatever the queue holds; an input touches only the
+    lane of its own channel; and nothing is pushed, so a lane once
+    empty stays empty.  A path thus empties the queue exactly when it
+    empties every lane.
     """
     return _readable(g, queue, {})
 
@@ -163,10 +224,16 @@ def dread(g: GNode, queue: Queue) -> bool:
     exactly when no End is reachable from g and every cycle reachable
     from g passes through a node n with ``read(n, queue)``; that is,
     when no reachable node has an INF longest wait for such an n.
+    ``read`` is decided lane by lane, as there.
     """
+    return _dread(g, queue, {})
+
+
+def _dread(g, queue, read_memo) -> bool:
+    """:func:`dread` sharing ``read_memo`` with other calls."""
     if queue.is_empty:
         return True
-    read_memo, memo = {}, {}
+    memo = {}
     return all(_longest(n, _children,
                         lambda m: _readable(m, queue, read_memo), memo) != INF
                for n in reachable_nodes(g))
@@ -315,17 +382,19 @@ def ok(g: GNode, hyp_queue: Queue, queue: Queue, weak: bool = False,
     unless ``weak``, that is deeply readable while the old part stays
     readable.  Returns the suffix when all conditions hold.
     """
-    readable = weak or read(g, hyp_queue)
-    return (_grown(g, hyp_queue, queue, weak, mod_g, set()) if readable
-            else None)
+    read_memo = {}
+    readable = weak or _readable(g, hyp_queue, read_memo)
+    return (_grown(g, hyp_queue, queue, weak, mod_g, set(), read_memo)
+            if readable else None)
 
 
-def _grown(g, hyp_queue, queue, weak, mod_g, table) -> Optional[Queue]:
+def _grown(g, hyp_queue, queue, weak, mod_g, table,
+           read_memo) -> Optional[Queue]:
     """:func:`ok` less its ``read``, for hypotheses read when pushed."""
     suffix = split_suffix(hyp_queue, queue)
     if suffix is None or not _agree(g, suffix, mod_g, table):
         return None
-    return suffix if weak or dread(g, suffix) else None
+    return suffix if weak or _dread(g, suffix, read_memo) else None
 
 
 class Accept:
@@ -385,7 +454,7 @@ def _inductive(g, queue, weak, max_revisits, mod_g):
         if open_frames or start is not None:
             log.append((node, hyps.copy()))
         for hq in hyps:
-            suffix = _grown(node, hq, q, weak, mod_g, table)
+            suffix = _grown(node, hq, q, weak, mod_g, table, read_memo)
             if suffix is not None:
                 parent[slot] = {"rule": "ib-Cycle", "type": node, "queue": q,
                                 "hypothesis_queue": hq, "suffix": suffix}

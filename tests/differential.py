@@ -22,7 +22,7 @@ three: ``r`` is absent and ``p`` or ``q`` may end, so outputs and
 queued messages land on lanes that nobody can read.  The
 protocol sessions are network ``N`` of ``protocols/hospital.mps``,
 ``burst.mps`` and ``growing.mps`` with the empty queue, whose queues
-grow past ``terms._SHORT`` messages at long horizons.  The 81,786
+grow past ``terms._SHORT`` messages at long horizons.  The 85,406
 calls:
 
 - ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
@@ -52,13 +52,15 @@ calls:
   error with its line and column;
 - ``balanced_inductive`` and ``weakly_balanced_inductive`` at
   ``max_revisits`` 1 and 2 and ``agree``, each with and without
-  ``mod_g``, of ``gen.random_gnode`` with ``gen.random_queue`` for
-  seeds 10000-10599, of ``encode_config`` of ``gen.random_machine``
-  started on ``gen.random_word`` for seeds 11000-11199, and of
-  ``gen.diamonds(n)`` with the empty queue for n = 1..10 (8,100
-  calls): the verdict and, for an Accept, its derivation written out
-  as a tree, a line per rule with its node's index in
-  ``reachable_nodes`` and its queues' keys.
+  ``mod_g``, and ``read`` and ``dread``, of ``gen.random_gnode`` with
+  ``gen.random_queue`` for seeds 10000-10599, of ``encode_config`` of
+  ``gen.random_machine`` started on ``gen.random_word`` for seeds
+  11000-11199, and of ``gen.diamonds(n)`` with the empty queue for
+  n = 1..10 (9,720 calls): the verdict and, for an Accept, its
+  derivation written out as a tree, a line per rule with its node's
+  index in ``reachable_nodes`` and its queues' keys;
+- ``qm_run`` of ``gen.random_machine`` on ``gen.random_word`` at
+  ``QM_STEPS`` for seeds 16000-17999 (2,000 calls): the result.
 
 A raise is an answer: its class and message are compared.  After the
 mismatch count, one line gives the states that ``check_liveness``
@@ -70,7 +72,7 @@ counts as a mismatch.  Then one line per change of a
 one's, gives how many calls made it, and a last one how many
 ``check_liveness`` mismatches keep their class and differ in the trace
 alone (trace-only).  ``--sample N`` runs only N calls, split about
-evenly over the five kinds and spread evenly within each.
+evenly over the six kinds and spread evenly within each.
 """
 
 from __future__ import annotations
@@ -100,10 +102,14 @@ HEADS = ["proc P = ", "global G = ", "network N { ", "queue Q = [",
          "machine M { "]
 STARVING_SEEDS = range(14000, 14600)
 UNREAD_SEEDS = range(15000, 15300)
+MACHINE_SEEDS = range(16000, 18000)
+QM_STEPS = 2000
 # each protocol session's horizon in bench/workloads.py
 PROTOCOL_HORIZONS = {"hospital": 30, "burst": 32, "growing": 20}
-CHECKS = [(check, max_revisits) for check in ("balanced", "weakly")
-          for max_revisits in (1, 2)] + [("agree", None)]
+CHECKS = ([(check, max_revisits, mod_g) for check in ("balanced", "weakly")
+           for max_revisits in (1, 2) for mod_g in (False, True)]
+          + [("agree", None, mod_g) for mod_g in (False, True)]
+          + [("read", None, None), ("dread", None, None)])
 
 
 def _sessions():
@@ -149,9 +155,9 @@ def call_set() -> list:
     configs = ([("gtype", seed) for seed in range(10000, 10600)]
                + [("machine", seed) for seed in range(11000, 11200)]
                + [("diamonds", n) for n in range(1, 11)])
-    calls += [("balancing", source, key, check, max_revisits, mod_g)
-              for source, key in configs for check, max_revisits in CHECKS
-              for mod_g in (False, True)]
+    calls += [("balancing", source, key, *check)
+              for source, key in configs for check in CHECKS]
+    calls += [("qm_run", seed) for seed in MACHINE_SEEDS]
     return calls
 
 
@@ -178,7 +184,7 @@ def emit(src: str, n) -> None:
     from mpst.syntax import (format_gtype, format_machine, format_network,
                              format_proc, format_queue, parse)
     from mpst import wellformed as W
-    from mpst.machines import encode_config, qm_start
+    from mpst.machines import encode_config, qm_run, qm_start
     from mpst.terms import Comm, Network, Queue, gend, pin, reachable_nodes
     from gen import (diamonds, random_gnode, random_machine, random_network,
                      random_pnode, random_queue, random_word)
@@ -281,6 +287,8 @@ def emit(src: str, n) -> None:
         g, queue = config(source, key)
         if check == "agree":
             return [str(W.agree(g, queue, mod_g))]
+        if check in ("read", "dread"):
+            return [str(getattr(W, check)(g, queue))]
         verdict = (W.balanced_inductive if check == "balanced"
                    else W.weakly_balanced_inductive)(g, queue, max_revisits,
                                                      mod_g)
@@ -294,6 +302,11 @@ def emit(src: str, n) -> None:
             return printed(parse(text(seed, *args)))
         if what == "balancing":
             return balancing(seed, *args)
+        if what == "qm_run":
+            rng = random.Random(seed)
+            machine = random_machine(rng)
+            return [repr(qm_run(machine, random_word(rng, machine),
+                                QM_STEPS))]
         s = session(seed)
         if what == "check_liveness":
             horizon, mode = args

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
@@ -23,6 +24,21 @@ from mpst.terms import Comm, Queue, bisimilar, reachable_nodes
 from gen import random_machine, random_word
 from oracles import oracle_config_step, oracle_qm_run
 from zoo import copy_loop, eraser, parity
+
+
+class CountingDelta(dict):
+    """A transition table that counts the lookups of its rows."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def counted(machine):
+    """The machine with a :class:`CountingDelta` for its table."""
+    return dataclasses.replace(machine, delta=CountingDelta(machine.delta))
 
 
 class TestValidation:
@@ -103,6 +119,27 @@ class TestRuns:
         assert qm_run(doubler, "a", max_steps=200000) == RunningAfter(200000)
         assert time.perf_counter() - start < 1
 
+    def test_a_recurring_run_stops_at_once(self):
+        m = counted(copy_loop())
+        assert qm_run(m, "a", max_steps=10**6) == RunningAfter(10**6)
+        assert m.delta.lookups < 64
+
+    def test_a_late_loop_is_still_found(self):
+        # erases the word, then rewrites the bottom marker forever
+        m = counted(QueueMachine(
+            ("s", "t"), ("a",), ("a", "$"), "$", "s",
+            {("s", "a"): ("s", ()), ("s", "$"): ("t", ("$",)),
+             ("t", "a"): ("t", ()), ("t", "$"): ("t", ("$",))}))
+        assert qm_run(m, "a" * 1500, max_steps=10**4) == RunningAfter(10**4)
+        assert 1500 < m.delta.lookups < 10**4
+
+    def test_a_growing_run_makes_every_step(self):
+        m = counted(QueueMachine(
+            ("s",), ("a",), ("a", "$"), "$", "s",
+            {("s", "a"): ("s", ("a", "a")), ("s", "$"): ("s", ())}))
+        assert qm_run(m, "a", max_steps=5000) == RunningAfter(5000)
+        assert m.delta.lookups == 5000
+
     def test_rejects_symbol_outside_input_alphabet(self):
         with pytest.raises(InvalidInputSymbol):
             qm_run(parity(), "ab")
@@ -113,6 +150,11 @@ class TestRuns:
         cfg = qm_start(parity(), "aa")
         assert cfg == MachineConfig("s0", ("a", "a", "$"))
         assert not cfg.final
+
+    def test_a_final_configuration_has_no_step(self):
+        with pytest.raises(ValueError, match="is final") as err:
+            qm_step(eraser(), MachineConfig("q0", ()))
+        assert type(err.value) is ValueError
 
     def test_matches_reference_interpreter(self):
         rng = random.Random(31)

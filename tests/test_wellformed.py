@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from mpst.machines import Accepted, encode_config, qm_run, qm_start
-from mpst.terms import Msg, Queue, gend, gin, gout, reachable_nodes
+from mpst.terms import (
+    IN,
+    OUT,
+    GNode,
+    Msg,
+    Queue,
+    gend,
+    gin,
+    gout,
+    reachable_nodes,
+)
 from mpst.wellformed import (
     INF,
     Accept,
@@ -148,6 +159,42 @@ class TestQueueEquivalence:
                     == oracle_queue_equiv(seq1, seq2, g))
 
 
+def ring_of_readers(rng, chans, max_nodes=8):
+    """A ring of inputs on ``chans`` in turn and outputs from s, on no
+    channel of ``chans``, each offering some of ``LABELS[:3]``.  A
+    node's first branch goes on round the ring and most others do too;
+    the rest go anywhere or to End, and may close cycles that pass some
+    lane by."""
+    nodes = [GNode(OUT, "s", rng.choice("pqr")) if rng.random() < 0.3
+             else GNode(IN, *chans[i % len(chans)])
+             for i in range(rng.randint(len(chans), max_nodes))]
+    for i, node in enumerate(nodes):
+        least = 1 if node.kind == OUT else 2
+        labels = rng.sample(LABELS[:3], rng.randint(least, 3))
+        for j, lab in enumerate(labels):
+            node.branches[lab] = (
+                nodes[(i + 1) % len(nodes)] if j == 0 or rng.random() < 0.75
+                else rng.choice(nodes + [gend()]))
+    return nodes[0]
+
+
+def long_lanes(rng, chans):
+    """A queue with a lane of 11 to 22 labels on each of ``chans``,
+    mostly ``LABELS[:2]``, pushed one at a time so that the lanes past
+    ``terms._SHORT`` share list buffers, and that queue with two heads
+    popped from each lane, which leaves 9 to 20."""
+    sends = [chan for chan in chans for _ in range(rng.randint(11, 22))]
+    rng.shuffle(sends)
+    full = Queue()
+    for sender, receiver in sends:
+        label = rng.choice(LABELS[:2]) if rng.random() < 0.95 else LABELS[2]
+        full = full.push(sender, label, receiver)
+    popped = full
+    for chan in chans:
+        popped = popped.pop(*chan)[1].pop(*chan)[1]
+    return full, popped
+
+
 class TestReadability:
     def check(self, g, queue):
         assert read(g, queue) == oracle_read(g, queue)
@@ -164,6 +211,38 @@ class TestReadability:
                     seen.add((read(sub, queue), dread(sub, queue)))
         # every combination dread implies read allows shows up
         assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_long_lanes_on_several_channels(self):
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(150):
+            chans = rng.sample([("p", "q"), ("q", "r"), ("r", "p"),
+                                ("q", "p")], rng.randint(2, 3))
+            g = ring_of_readers(rng, chans)
+            for queue in long_lanes(rng, chans):
+                for sub in reachable_nodes(g)[:3]:
+                    self.check(sub, queue)
+                    seen.add(read(sub, queue))
+        assert seen == {False, True}
+
+    def test_a_lane_is_read_on_every_branch(self):
+        # the first read goes on at eight nodes, and the third label is
+        # left at End below one of them
+        for bad in range(8):
+            below = [gin("p", "q", {"b" if i == bad else "a": gend()})
+                     for i in range(8)]
+            g = gin("p", "q", {f"l{i}": gin("p", "q", {"a": n})
+                               for i, n in enumerate(below)})
+            lane = Queue({("p", "q"): ["l0", "a", "a"]})
+            assert not read(g, lane) and not oracle_read(g, lane)
+
+    def test_a_long_lane_reads_in_linear_time(self):
+        # a memo keyed by whole queues hashes every suffix of the lane
+        g = chain(10**4)
+        start = time.perf_counter()
+        assert read(g, Queue({("p", "q"): ["l"] * 10**4}))
+        assert not read(g, Queue({("p", "q"): ["l"] * (10**4 + 1)}))
+        assert time.perf_counter() - start < 1
 
     def test_machine_encodings(self):
         rng = random.Random(9)
