@@ -6,10 +6,10 @@ block until it carries an expected label.  One rule,
 ``_options_by_player``, decides what is enabled, reading each channel's
 head through a function.  Single steps, lockstep rounds (every
 participant able to move performs one communication) and simulation
-perform what it offered through one round function, ``_apply``, on a
-process map and a queue, and only the public functions and a returned
-trace wrap the result in a session.  The liveness check over all
-lockstep schedules performs its rounds on flat tuple states instead.
+perform what it offers through one round function, ``_perform``, in
+place on a working process map (name order, no ended participant) and
+lane map, handing out snapshots that later rounds never change.  The
+liveness check performs its rounds on flat tuple states instead.
 The rule reads a participant's moves at a node from a move table keyed
 by ``(participant, node)`` and filled on the pair's first visit: every
 network that a round derives from a session's shares that network's
@@ -40,8 +40,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from mpst.terms import (Comm, IN, Network, OUT, Queue, _children,
-                        quotient, reachable_nodes)
+from mpst.terms import (Comm, END, IN, Network, OUT, Queue, _children,
+                        _lane_pop, _lane_push, quotient, reachable_nodes)
 
 
 class _Sentinel:
@@ -77,31 +77,47 @@ class Session:
 # single steps
 
 
-def _apply(procs, queue: Queue, comms) -> tuple:
-    """Perform ``comms``, options of ``procs`` (a map, or its pairs,
-    from names to processes) and ``queue`` for distinct players, in
-    order, as ``(procs, queue)``.  The process map is copied once and
-    :meth:`Queue.after` does the queue's part, so a round costs O(moves)
-    beyond the copies.  A process that ends stays in the map, at its
-    place in the order; :class:`Network` drops it."""
-    procs = dict(procs)
+def _perform(procs: dict, lanes: dict, comms) -> None:
+    """Perform ``comms``, options of a working state for distinct players,
+    in order and in place.  A copy of a map taken before stays valid: a
+    push only appends to a list buffer or replaces its lane's entry, and
+    a pop replaces or deletes it (:func:`_lane_push`, :func:`_lane_pop`)."""
     for kind, sender, receiver, label in comms:
-        player = sender if kind == OUT else receiver
-        procs[player] = procs[player].branches[label]
-    return procs, queue.after(comms)
+        if kind == OUT:
+            _lane_push(lanes, (sender, receiver), label)
+            player = sender
+        else:
+            _lane_pop(lanes, (sender, receiver))
+            player = receiver
+        if (proc := procs[player].branches[label]).kind == END:
+            del procs[player]
+        else:
+            procs[player] = proc
 
 
-def _after(session: Session, comms) -> Session:
-    """The session after ``comms``, options of ``session``."""
-    procs, queue = _apply(session.net.items(), session.queue, comms)
-    return Session(Network._of(procs, session.net._moves), queue)
+def _working(session: Session) -> tuple:
+    """The working state ``(procs, lanes, head, moves)`` of ``session``,
+    where ``head(sender, receiver)`` is a lane's head label or None."""
+    lanes = session.queue._lanes.copy()
+
+    def head(sender, receiver):
+        lane = lanes.get((sender, receiver))
+        return lane[0][lane[1]] if lane else None
+
+    return dict(session.net.items()), lanes, head, session.net._moves
+
+
+def _snapshot(procs: dict, lanes: dict, moves: dict) -> Session:
+    return Session(Network._of(procs.copy(), moves), Queue._of(lanes.copy()))
 
 
 def step_session(session: Session, comm: Comm):
     """Perform one communication, or NOT_ENABLED unless it is offered."""
     if comm not in enabled(session):
         return NOT_ENABLED
-    return _after(session, (comm,))
+    procs, lanes, _, moves = _working(session)
+    _perform(procs, lanes, (comm,))
+    return _snapshot(procs, lanes, moves)
 
 
 def enabled(session: Session) -> set:
@@ -140,10 +156,10 @@ def deadlock_info(session: Session) -> dict:
 
 
 class ChoicePolicy:
-    """Takes one of several enabled communications, ``options``, a list
-    in ``sort_key`` order that it must not change, else ValueError."""
+    """Takes one of several enabled communications, ``options``, a tuple
+    in ``sort_key`` order; a choice not among them raises ValueError."""
 
-    def choose(self, options: list, player: Optional[str] = None) -> Comm:
+    def choose(self, options: tuple, player: Optional[str] = None) -> Comm:
         raise NotImplementedError
 
 
@@ -186,7 +202,7 @@ class ScriptPolicy(ChoicePolicy):
         return want
 
 
-def _choose(policy: ChoicePolicy, options: list, *player) -> Comm:
+def _choose(policy: ChoicePolicy, options: tuple, *player) -> Comm:
     comm = policy.choose(options, *player)
     if comm not in options:  # a policy is user code
         raise ValueError(f"{comm} is not among {[str(o) for o in options]}")
@@ -199,16 +215,16 @@ def _options_by_player(procs, head, table: dict) -> dict:
     the label at the head of a channel or None, in ``sort_key`` order:
     its outputs by label, or the one input that the head of its channel
     allows.  ``table`` maps a pair, from its first visit on, to that
-    list of outputs, or to a map from each label to that input."""
+    tuple of outputs, or to a map from each label to that input alone."""
     by_player = {}
     for name, proc in procs:
         moves = table.get(key := (name, proc))
         if moves is None and proc.kind == IN:
-            moves = table[key] = {lab: [Comm(IN, proc.sender, name, lab)]
+            moves = table[key] = {lab: (Comm(IN, proc.sender, name, lab),)
                                   for lab in proc.branches}
         elif moves is None:  # an output, or an end with no branches
-            moves = table[key] = [Comm(OUT, name, proc.receiver, lab)
-                                  for lab in sorted(proc.branches)]
+            moves = table[key] = tuple([Comm(OUT, name, proc.receiver, lab)
+                                        for lab in sorted(proc.branches)])
         if proc.kind == IN:
             moves = moves.get(head(proc.sender, name))
         if moves:
@@ -224,13 +240,9 @@ def lockstep(session: Session, policy: ChoicePolicy = None):
     communication touches its own component, appends preserve other
     channels' heads, and each channel is read by one participant only.
     """
-    policy = policy or MinLabelPolicy()
-    options = _options_by_player(session.net.items(), session.queue.head,
-                                 session.net._moves)
-    if not options:
-        return NOT_LIVE
-    chosen = [_choose(policy, opts, player) for player, opts in options.items()]
-    return frozenset(chosen), _after(session, chosen)
+    for step in simulate(session, policy, 1, True):
+        return step.delta, step.session
+    return NOT_LIVE
 
 
 @dataclass(frozen=True)
@@ -246,29 +258,28 @@ def simulate(session: Session, policy: ChoicePolicy = None,
 
     By default one communication happens per step, chosen by the
     policy among everything enabled.  With ``lockstep_rounds`` each
-    step is a whole round instead.
+    step is a whole round instead.  Each :class:`TraceStep` holds its
+    own immutable snapshot of the run's one working state.  A single
+    step's options are merged and sorted once per run per configuration.
     """
     policy = policy or MinLabelPolicy()
+    procs, lanes, head, moves = _working(session)
+    merged = {}  # per tuple of the players' options: them in sort_key order
     for index in range(max_steps):
+        by_player = _options_by_player(procs.items(), head, moves)
+        if not by_player:
+            return
         if lockstep_rounds:
-            result = lockstep(session, policy)
-            if result is NOT_LIVE:
-                return
-            delta, session = result
+            comms = [_choose(policy, o, p) for p, o in by_player.items()]
         else:
-            by_player = _options_by_player(session.net.items(),
-                                           session.queue.head,
-                                           session.net._moves)
-            if not by_player:
-                return
-            # each participant's options come in sort_key order
-            options = [comm for comms in by_player.values() for comm in comms]
-            if len(by_player) > 1:
-                options.sort(key=_SORT_KEY)
-            comm = _choose(policy, options)
-            session = _after(session, (comm,))
-            delta = frozenset({comm})
-        yield TraceStep(index + 1, delta, session)
+            key = tuple(by_player.values())
+            if (options := merged.get(key)) is None:
+                options = merged[key] = tuple(sorted(
+                    itertools.chain(*key), key=_SORT_KEY))
+            comms = (_choose(policy, options),)
+        _perform(procs, lanes, comms)
+        yield TraceStep(index + 1, frozenset(comms),
+                        _snapshot(procs, lanes, moves))
 
 
 # ---------------------------------------------------------------------------
@@ -518,13 +529,13 @@ def _replay(session: Session, path, cycle=()) -> tuple:
     trace = []
     turns = set()  # the queues that turns of the cycle started with
     rounds = path
+    procs, lanes, head, moves = _working(session)
     while True:
         for k in rounds:
-            options = _options_by_player(session.net.items(),
-                                         session.queue.head,
-                                         session.net._moves)
+            options = _options_by_player(procs.items(), head, moves)
             combo = next(itertools.islice(_rounds(options), k, None))
-            session = _after(session, combo)
+            _perform(procs, lanes, combo)
+            session = _snapshot(procs, lanes, moves)
             trace.append((frozenset(combo), session))
         if not cycle or session.queue in turns:
             return tuple(trace)

@@ -249,7 +249,8 @@ class _Parser:
                 raise self.error(f"{part!r} communicates with itself", at,
                                  SelfCommunication)
         for name, comps in doc.networks.items():  # each checked above
-            doc.networks[name] = Network._of(dict(sorted(comps.items())), {})
+            doc.networks[name] = Network._of(
+                {n: p for n, p in sorted(comps.items()) if p.kind != END}, {})
         return doc
 
     def termdef(self, keyword, what, defs):

@@ -523,18 +523,6 @@ class Queue:
             raise LookupError(f"empty channel {sender}->{receiver}")
         return label, Queue._of(lanes)
 
-    def after(self, comms: Iterable[Comm]) -> "Queue":
-        """The queue after ``comms`` in order: an output appends its label
-        to its channel and an input removes its channel's head.  They are
-        enabled options of a :class:`Network`, which has no self-loops."""
-        lanes = self._lanes.copy()
-        for kind, sender, receiver, label in comms:
-            if kind == OUT:
-                _lane_push(lanes, (sender, receiver), label)
-            else:
-                _lane_pop(lanes, (sender, receiver))
-        return Queue._of(lanes)
-
     def messages(self) -> list:
         """All messages, channels in sorted order, FIFO within each."""
         return [Msg(chan[0], lab, chan[1])
@@ -591,10 +579,10 @@ class Network:
 
     @classmethod
     def _of(cls, procs: dict, moves: dict) -> "Network":
-        """The network of a process map in name order and a move table,
-        unchecked: each component is, or is a subterm of, a checked one."""
+        """The network of a process map in name order, no end in it, and a
+        move table, unchecked: each component is a subterm of a checked one."""
         net = cls.__new__(cls)
-        net._procs = {n: p for n, p in procs.items() if p.kind != END}
+        net._procs = procs
         net._key = None
         net._moves = moves
         return net

@@ -22,7 +22,7 @@ three: ``r`` is absent and ``p`` or ``q`` may end, so outputs and
 queued messages land on lanes that nobody can read.  The
 protocol sessions are network ``N`` of ``protocols/hospital.mps``,
 ``burst.mps`` and ``growing.mps`` with the empty queue, whose queues
-grow past ``terms._SHORT`` messages at long horizons.  The 85,406
+grow past ``terms._SHORT`` messages at long horizons.  The 85,618
 calls:
 
 - ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
@@ -36,6 +36,12 @@ calls:
   time and in lockstep rounds, with ``MinLabelPolicy`` and with
   ``RandomPolicy(seed)`` (2,000 calls): every step's communications
   and session;
+- ``simulate`` at ``LONG_STEPS`` of the protocol sessions and of the
+  random sessions for seeds 3000-3049, in both kinds of step and with
+  both policies, ``RandomPolicy(seed)`` seeded by the protocol's name
+  for a protocol (212 calls): every step's communications and the
+  final session.  Lanes pass ``terms._SHORT`` here, so the list
+  buffers that snapshots share are compared too;
 - ``step_session`` of each of those sessions on every candidate
   communication, both kinds, every ordered pair of ``gen.PARTS`` and
   every label of ``gen.LABELS`` (60,000 calls): ``NOT_ENABLED`` or
@@ -72,7 +78,7 @@ counts as a mismatch.  Then one line per change of a
 one's, gives how many calls made it, and a last one how many
 ``check_liveness`` mismatches keep their class and differ in the trace
 alone (trace-only).  ``--sample N`` runs only N calls, split about
-evenly over the six kinds and spread evenly within each.
+evenly over the seven kinds and spread evenly within each.
 """
 
 from __future__ import annotations
@@ -87,6 +93,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 PROTOCOLS = HERE.parent / "protocols"
 SIMULATE_STEPS = 30
+LONG_STEPS = 300
 SHOWN = 5
 # characters of every kind of token, blanks, a comment, a letter (一)
 # and numerals (², Ⅻ) outside ASCII, strays, words that start
@@ -136,6 +143,10 @@ def call_set() -> list:
                 for label in LABELS:
                     calls.append(("step_session", seed, kind, sender,
                                   receiver, label))
+    calls += [("long_simulate", seed, rounds, policy)
+              for seed in (*PROTOCOL_HORIZONS, *range(3000, 3050))
+              for rounds in (False, True)
+              for policy in ("MinLabelPolicy", "RandomPolicy")]
     calls += [("check_liveness", seed, horizon, mode)
               for seed in STARVING_SEEDS for horizon in (3, 5)
               for mode in ("INPUT_ENABLING", "QUEUE_CONSUMING")]
@@ -317,12 +328,17 @@ def emit(src: str, n) -> None:
             for comms, after in getattr(result, "trace", ()):
                 lines.append(f"{delta(comms)} | {show(after)}")
             return lines
-        if what == "simulate":
+        if what in ("simulate", "long_simulate"):
             rounds, policy = args
             chooser = (S.RandomPolicy(seed) if policy == "RandomPolicy"
                        else S.MinLabelPolicy())
-            return [f"{step.step} {delta(step.delta)} | {show(step.session)}"
-                    for step in S.simulate(s, chooser, SIMULATE_STEPS, rounds)]
+            if what == "simulate":
+                return [f"{step.step} {delta(step.delta)} | "
+                        f"{show(step.session)}" for step in
+                        S.simulate(s, chooser, SIMULATE_STEPS, rounds)]
+            trace = list(S.simulate(s, chooser, LONG_STEPS, rounds))
+            return [f"{step.step} {delta(step.delta)}" for step in trace] + [
+                show(trace[-1].session if trace else s)]
         after = S.step_session(s, Comm(*args))
         return [repr(after) if after is S.NOT_ENABLED else show(after)]
 

@@ -22,8 +22,8 @@ from mpst.sessions import (
     ScriptPolicy,
     Session,
     Verified,
-    _apply,
     _options_by_player,
+    _perform,
     _rounds,
     _starved,
     check_liveness,
@@ -36,8 +36,8 @@ from mpst.sessions import (
     LivenessMode,
 )
 from mpst.syntax import parse
-from mpst.terms import (Comm, END, IN, Network, OUT, Queue, gend, gout, pin,
-                        pout, quotient, reachable_nodes)
+from mpst.terms import (Comm, END, IN, Network, OUT, Queue, _SHORT, gend, gout,
+                        pin, pout, quotient, reachable_nodes)
 from gen import (
     LABELS,
     PARTS,
@@ -107,7 +107,7 @@ class TestStep:
             assert {c for cs in options.values() for c in cs} == set(succ)
             for player, cs in options.items():
                 assert {c.play for c in cs} == {player}
-                assert cs == sorted(cs, key=lambda c: c.sort_key)
+                assert list(cs) == sorted(cs, key=lambda c: c.sort_key)
             for comm in candidates + list(succ):
                 expect = oracle_step(net, queue, comm)
                 got = step_session(s, comm)
@@ -226,6 +226,64 @@ class TestLockstep:
         one = [step.delta for step in simulate(s, RandomPolicy(5), 8)]
         two = [step.delta for step in simulate(s, RandomPolicy(5), 8)]
         assert one == two
+
+    def test_a_policy_cannot_reorder_the_move_table(self):
+        # the options a policy gets are shared with every network derived
+        # from the session, so they are tuples: a policy that reverses
+        # them fails, and later rounds and steps see them as before
+        s = fresh(parse("network N { p |> q!{a; end, b; end}, "
+                        "q |> p?{a; end, b; end} }").networks["N"])
+        before = lockstep(s), enabled(s)
+        assert {str(c) for c in before[0][0]} == {"p->q!a"}
+        for run in (lambda: list(simulate(s, _ReversingPolicy(), 3, True)),
+                    lambda: list(simulate(s, _ReversingPolicy(), 3)),
+                    lambda: lockstep(s, _ReversingPolicy())):
+            try:
+                run()
+            except Exception:  # whatever it raises, nothing changed
+                pass
+            assert (lockstep(s), enabled(s)) == before
+            for rounds in (True, False):
+                first = next(simulate(s, MinLabelPolicy(), 1, rounds))
+                assert {str(c) for c in first.delta} == {"p->q!a"}
+
+
+class TestSnapshots:
+    # a run performs its steps on one working state; every TraceStep
+    # keeps a snapshot that no later step changes, list buffers of lanes
+    # longer than terms._SHORT included
+
+    @pytest.mark.parametrize("make, policy, steps, rounds", [
+        (growing, MinLabelPolicy(), 300, True),
+        (hospital, RandomPolicy(3), 2000, False),
+    ])
+    def test_snapshots_never_change(self, make, policy, steps, rounds):
+        s = fresh(make().net)
+        trace = list(simulate(s, policy, steps, rounds))
+        assert len(trace) == steps
+        assert max(len(step.session.queue) for step in trace) > _SHORT
+        before = s
+        for step in trace:
+            net, queue = before.net, before.queue
+            for comm in sorted(step.delta, key=str):
+                net, queue = oracle_step(net, queue, comm)
+            assert _same(Session(net, queue), step.session)
+            before = step.session
+
+    def test_a_repeated_configuration_sorts_nothing(self, monkeypatch):
+        # the merged options of a single step are sorted once per run
+        # and configuration: 36 sort keys for these 2,000 steps, where
+        # sorting every step with more than one player asks for 4,395
+        keys = []
+
+        def counted(comm):
+            keys.append(comm)
+            return comm.sort_key
+
+        monkeypatch.setattr(sessions, "_SORT_KEY", counted)
+        trace = list(simulate(fresh(hospital().net), RandomPolicy(3), 2000))
+        assert len(trace) == 2000
+        assert len(keys) <= 40
 
 
 class TestHospitalTrace:
@@ -720,7 +778,8 @@ def test_a_reader_has_one_option():
         for _ in range(4):
             nxt = []
             for procs, queue in layer:
-                key = (tuple(map(id, procs.values())), queue.key())
+                key = (tuple([(n, id(p)) for n, p in procs.items()]),
+                       queue.key())
                 if key in seen:
                     continue
                 seen.add(key)
@@ -731,7 +790,10 @@ def test_a_reader_has_one_option():
                                    if c.kind == IN)
                          for combo in _rounds(opts)}
                 assert len(reads) <= 1
-                nxt += [_apply(procs, queue, combo) for combo in _rounds(opts)]
+                for combo in _rounds(opts):
+                    after, lanes = dict(procs), queue._lanes.copy()
+                    _perform(after, lanes, combo)
+                    nxt.append((after, Queue._of(lanes)))
             layer = nxt
         states += len(seen)
     assert states > 1000
@@ -859,6 +921,12 @@ def _unread_session(rng):
         targets |= {m.receiver for m in queue.messages()}
         if targets - live:
             return fresh(net, queue)
+
+
+class _ReversingPolicy(ChoicePolicy):
+    def choose(self, options, player=None):
+        options.reverse()
+        return options[0]
 
 
 class _StalePolicy(ChoicePolicy):
