@@ -16,9 +16,10 @@ string keeps its quotes, so a token's kind shows in its first character.
 Tokens keep no position; an error works out its line and column when it
 is raised, from the token's index.  Every name is an identifier under
 the one rule of ``terms._is_name``; keywords are names only in machine
-sections.  Every lookahead for a mark, a word or a name goes through
-``_Parser.at`` or ``_Parser.at_name``, which a quoted string never
-passes: ``"!"`` is a string, never the mark ``!``.
+sections.  The parser's loops read tokens into locals: a lookahead for a
+mark or a word compares the token, and one for a name asks
+``_Parser.names``, which no quoted string is in: ``"!"`` is a string,
+never the mark ``!``.
 
 Terms are parsed straight into graph nodes.  Definitions may
 reference each other by name in any order: a name stays in its place
@@ -104,24 +105,31 @@ def _shown(tok: str) -> str:
 
 
 _MARKS = {"->", "|>", *"={}(),;!?[]:", ""}  # and the empty eof token
-_TOKEN = re.compile(r"""[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*
-    (%s | -> | \|> | [={}(),;!?[\]:] | "[^"\n]*" | . | \Z)""" % _NAME.pattern,
-                    re.X)
+_NOT_NAMES = _MARKS | KEYWORDS
+# ASCII characters that lex alone and are stray, a lone quote among them
+_STRAYS = {c for c in map(chr, range(128)) if not _starts_name(c)} - _MARKS
+# a word never starts with a digit; ``.`` matches a one-character mark or
+# a stray; no match backtracks into a possessive ``++`` or ``*+``
+_TOKEN = re.compile(r"""[ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+
+    ((?!\d)%s+ | -> | \|> | "[^"\n]*+" | . | \Z)""" % _NAME.pattern, re.X)
 
 
 def _lex(text: str) -> list:
     """The tokens of ``text``, then the empty eof token.  Each match of
     ``_TOKEN`` is blanks and comments, then a token: a word, a mark, a
     string in its quotes, or any other character, so matches are
-    contiguous.  A word that is not a name, like ``1x``, and any other
-    character are stray, and a lone ``"`` starts an unterminated string."""
+    contiguous.  A character that is not a mark and does not start a
+    name (:func:`terms._starts_name`), like ``1``, is stray, and so is a
+    word that starts with one (only a numeral beyond ASCII can); a lone
+    ``"`` starts an unterminated string."""
     tokens = _TOKEN.findall(text)
     # after blanks or a comment at the end, \Z matches twice: keep one
-    if tokens[-2:] == ["", ""]:
+    if len(tokens) > 1 and not tokens[-2]:
         tokens.pop()
-    # neither a mark, a name nor a string: a stray or a lone quote
-    bad = [tok for tok in set(tokens) - _MARKS
-           if not _starts_name(tok) and (tok[0] != '"' or tok == '"')]
+    bad = _STRAYS.intersection(tokens)
+    if not text.isascii():
+        bad.update(tok for tok in set(tokens) - _MARKS
+                   if tok[0] != '"' and not _starts_name(tok))
     if bad:
         at = min(map(tokens.index, bad))
         raise ParseError("unterminated string" if tokens[at] == '"'
@@ -161,9 +169,13 @@ class Document:
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _lex(text)
+        self.tokens = tokens = _lex(text)
+        # the name test: the text's words less the keywords; no string
+        self.names = set(tokens) - _NOT_NAMES
+        if '"' in text:
+            self.names = {tok for tok in self.names if tok[0] != '"'}
         self.pos = 0
-        self.doc = Document()
+        self.doc = Document({}, {}, {}, {}, {})
         # the slots that hold a name's token index, per kind of term
         self.refs = {"process": [], "global type": []}
         # (component map, participant's token index) of every component
@@ -173,90 +185,76 @@ class _Parser:
         """A ``cls`` error placed at token ``index``."""
         return cls(message, *_place(self.text, index))
 
-    def next(self) -> str:
-        tok = self.tokens[self.pos]
-        if not tok:  # the eof token, which ``next`` never moves past
-            raise self.error("unexpected end of file", self.pos)
-        self.pos += 1
-        return tok
-
-    def at(self, value: str) -> bool:
-        """Whether the next token is the mark or word ``value``.  A
-        string keeps its quotes, so it never is."""
-        return self.tokens[self.pos] == value
-
-    def at_name(self, keywords=KEYWORDS) -> bool:
-        """Whether the next token is a name: a word not in ``keywords``.
-        Every token passed the lexer, so any but a mark, the eof token
-        and a string is a word."""
-        tok = self.tokens[self.pos]
-        return tok not in keywords and tok not in _MARKS and tok[0] != '"'
-
     def take(self, value: str) -> bool:
-        """Consumes the next token if it is ``value``."""
+        """Consumes the next token if it is the mark or word ``value``."""
         if self.tokens[self.pos] == value:
             self.pos += 1
             return True
         return False
 
-    def expected(self, what: str):
-        """Raises that ``what`` was expected where the next token is."""
-        tok = self.next()  # at the end of the file, says so
-        raise self.error(f"expected {what}, found {_shown(tok)}", self.pos - 1)
+    def expected(self, what: str, at: int):
+        """Raises that ``what`` was expected at token ``at``."""
+        tok = self.tokens[at]
+        raise self.error(f"expected {what}, found {_shown(tok)}" if tok
+                         else "unexpected end of file", at)
 
     def expect(self, value: str) -> None:
         if not self.take(value):
-            self.expected(repr(value))
+            self.expected(repr(value), self.pos)
 
-    def name(self, what="name", keywords=KEYWORDS) -> int:
-        """Reads a name and returns its token index."""
-        if not self.at_name(keywords):
-            self.expected(f"a {what}")
+    def name(self, what="name", names=None) -> int:
+        """Reads a name, or a member of ``names`` if given, and returns
+        its token index."""
+        if self.tokens[self.pos] not in (names or self.names):
+            self.expected(f"a {what}", self.pos)
         self.pos += 1
         return self.pos - 1
 
     def head(self, keyword: str, defs: dict) -> str:
         """Reads the name of a ``keyword`` definition that goes into
         ``defs``, once the keyword is read, and returns it."""
-        at = self.name()
+        at = self.pos
         name = self.tokens[at]
+        if name not in self.names:
+            self.expected("a name", at)
         if name in defs:
             raise self.error(f"duplicate {keyword} definition {name!r}", at)
+        self.pos = at + 1
         return name
 
     # ---- definitions
 
     def document(self) -> Document:
-        doc = self.doc
-        while self.tokens[self.pos]:
-            if self.take("proc"):
-                self.termdef("proc", "process", doc.procs)
-            elif self.take("global"):
-                self.termdef("global", "global type", doc.globals_)
-            elif self.take("network"):
+        doc, tokens = self.doc, self.tokens
+        while tok := tokens[self.pos]:
+            self.pos += 1
+            if tok == "proc" or tok == "global":
+                what, defs = (("process", doc.procs) if tok == "proc"
+                              else ("global type", doc.globals_))
+                name = self.head(tok, defs)
+                if tokens[self.pos] != "=":
+                    self.expected("'='", self.pos)
+                self.pos += 1
+                self.term(what, defs, name)
+            elif tok == "network":
                 self.netdef()
-            elif self.take("queue"):
+            elif tok == "queue":
                 self.queuedef()
-            elif self.take("machine"):
+            elif tok == "machine":
                 self.machinedef(self.pos - 1)
             else:
-                self.expected("a definition")
+                self.expected("a definition", self.pos - 1)
         self.resolve(doc.procs, self.refs["process"])
         self.resolve(doc.globals_, self.refs["global type"])
         for comps, at in self.parts:
-            part = self.tokens[at]
-            if _unreadable(comps[part], part=part) is not None:
+            part = tokens[at]
+            if _unreadable(reachable_nodes(comps[part]), part=part) is not None:
                 raise self.error(f"{part!r} communicates with itself", at,
                                  SelfCommunication)
         for name, comps in doc.networks.items():  # each checked above
             doc.networks[name] = Network._of(
                 {n: p for n, p in sorted(comps.items()) if p.kind != END}, {})
         return doc
-
-    def termdef(self, keyword, what, defs):
-        name = self.head(keyword, defs)
-        self.expect("=")
-        self.term(what, defs, name)
 
     def netdef(self):
         # the component map stands in for the network until names resolve
@@ -317,50 +315,66 @@ class _Parser:
         """
         is_global = what == "global type"
         refs = self.refs[what]
-        tokens = self.tokens
+        tokens, names, pos = self.tokens, self.names, self.pos
         braces = []
         while True:
-            at = None if self.take("end") else self.name(what)
-            if at is None or not (self.at_name() if is_global
-                                  else self.at("!") or self.at("?")):
+            at = pos if tokens[pos] in names else None
+            if at is None and tokens[pos] != "end":
+                self.expected(f"a {what}", pos)
+            tok = tokens[pos + 1]
+            if at is None or not (tok in names if is_global
+                                  else tok == "!" or tok == "?"):
                 # a leaf: close the choices it completes, then go on
                 # with the next branch of the innermost open one
                 slots[key] = gend() if at is None else at
                 if at is not None:
                     refs.append((slots, key))
-                while braces and not self.take(","):
-                    self.expect("}")
+                pos += 1
+                while braces and tokens[pos] != ",":
+                    if tokens[pos] != "}":
+                        self.expected("'}'", pos)
+                    pos += 1
                     _, brace, twice = braces.pop()
                     if twice is not None:
                         raise self.error(
                             f"label {twice!r} appears twice in one choice",
                             brace, DuplicateLabelInChoice)
                 if not braces:
+                    self.pos = pos
                     return
+                pos += 1
                 slots = braces[-1][0]
             else:
-                names = ([tokens[at], self.next()] if is_global
-                         else [tokens[at]])
-                kind = OUT if self.take("!") else IN if self.take("?") else None
+                if is_global:
+                    sender, receiver = tokens[at], tok
+                    pos += 1
+                    tok = tokens[pos + 1]
+                kind = OUT if tok == "!" else IN if tok == "?" else None
                 if kind is None:
-                    self.expected("'!' or '?'")
-                if len(names) == 1:
-                    # a process leaves out its own participant, the one
-                    # that moves
-                    names.insert(0 if kind == OUT else 1, None)
-                elif names[0] == names[1]:
+                    self.expected("'!' or '?'", pos + 1)
+                pos += 2
+                if not is_global:
+                    # a process leaves out the participant that moves
+                    sender, receiver = ((None, tokens[at]) if kind == OUT
+                                        else (tokens[at], None))
+                elif sender == receiver:
                     raise self.error(
-                        f"participant {names[0]!r} talking to itself", at,
+                        f"participant {sender!r} talking to itself", at,
                         SelfCommunication)
-                node = slots[key] = GNode(kind, *names)
+                node = slots[key] = GNode(kind, sender, receiver)
                 slots = node.branches
-                if self.take("{"):
-                    if self.at("}"):
+                if tokens[pos] == "{":
+                    pos += 1
+                    if tokens[pos] == "}":
                         raise self.error("a choice needs at least one branch",
-                                         self.pos - 1, EmptyChoice)
-                    braces.append([slots, self.pos - 1, None])
-            key = tokens[self.name("label")]
-            self.expect(";")
+                                         pos - 1, EmptyChoice)
+                    braces.append([slots, pos - 1, None])
+            key = tokens[pos]
+            if key not in names:
+                self.expected("a label", pos)
+            if tokens[pos + 1] != ";":
+                self.expected("';'", pos + 1)
+            pos += 2
             if key in slots and braces[-1][2] is None:
                 # a new node's map is empty, so ``slots`` is the brace's
                 braces[-1][2] = key
@@ -392,9 +406,11 @@ class _Parser:
                 self.expect("(")
                 target = self.symbol()
                 self.expect(",")
-                out = self.next()
-                if out[0] != '"':
-                    raise self.error("expected a quoted word", self.pos - 1)
+                out = self.tokens[self.pos]
+                if out[:1] != '"':
+                    raise self.error("expected a quoted word" if out
+                                     else "unexpected end of file", self.pos)
+                self.pos += 1
                 self.expect(")")
                 self.expect(";")
                 if (state, sym) in delta:
@@ -415,7 +431,7 @@ class _Parser:
 
     def symbol(self) -> str:
         """Reads a machine's state or symbol: any word."""
-        return self.tokens[self.name("symbol", ())]
+        return self.tokens[self.name("symbol", self.names | KEYWORDS)]
 
     def symbols_until_semi(self, allow_empty=False):
         syms = []
@@ -434,26 +450,28 @@ class _Parser:
         one of its names never passes a communication, so it is rejected.
         Every other name is then an edge to its definition's node.
         """
+        tokens = self.tokens
         for name, body in defs.items():
             chain = {name: None}  # ordered, with O(1) membership
             while type(body) is int:
-                if self.tokens[body] in chain:
+                link = tokens[body]
+                if link in chain:
                     raise self.error(f"unguarded cycle {' = '.join(chain)} = "
-                                     f"{self.tokens[body]}", body)
-                chain[self.tokens[body]] = None
-                body = self.definition(defs, body)
+                                     f"{link}", body)
+                if link not in defs:
+                    raise self.error(f"undefined name {link!r}", body,
+                                     UnboundName)
+                chain[link] = None
+                body = defs[link]
             for link in chain:
                 defs[link] = body
         for slots, key in refs:
-            if type(slots[key]) is int:
-                slots[key] = self.definition(defs, slots[key])
-
-    def definition(self, defs: dict, at: int):
-        """The definition of the name at token ``at``."""
-        name = self.tokens[at]
-        if name not in defs:
-            raise self.error(f"undefined name {name!r}", at, UnboundName)
-        return defs[name]
+            at = slots[key]
+            if type(at) is int:
+                if tokens[at] not in defs:
+                    raise self.error(f"undefined name {tokens[at]!r}", at,
+                                     UnboundName)
+                slots[key] = defs[tokens[at]]
 
 
 def parse(text: str) -> Document:
@@ -472,72 +490,71 @@ def _printed(name: str, what: str, keywords=KEYWORDS) -> str:
     return name
 
 
-def _needs_name(root):
-    """Nodes that get a definition of their own, in discovery order:
-    the root, and every node other than an end with two or more incoming
-    edges.  A back edge's target other than the root is also reached by
-    the tree edge that discovered it, so cycles are cut at named nodes."""
-    nodes = reachable_nodes(root)
-    indeg = {}
-    for node in nodes:
-        for child in node.branches.values():
-            indeg[id(child)] = indeg.get(id(child), 0) + 1
-    # ends print inline even when shared
-    return [root] + [node for node in nodes[1:]
-                     if node.kind != END and indeg[id(node)] >= 2]
-
-
 def _fmt_term(root, names, out):
-    """Appends the body of ``root``'s definition to ``out``.
-    Below the root a node prints as its name if it has one and inline
-    otherwise; ``stack`` holds what is still to be written, the next
-    piece last."""
+    """Appends the body of ``root``'s definition to ``out``.  Below it a
+    node prints as its entry in ``names`` (a name or ``end``) in one
+    piece with its label, or inline; ``stack`` holds what is still to be
+    written, the next piece last."""
     stack = [root]
-    at_def = True
     while stack:
         node = stack.pop()
         if type(node) is str:
             out.append(node)
-        elif node.kind == END:
+        elif node.kind == END:  # only a root is pushed as an end
             out.append("end")
-        elif not at_def and id(node) in names:
-            out.append(names[id(node)])
         else:
-            at_def = False
-            who = " ".join(filter(None, (node.sender, node.receiver)))
-            out.append(f"{who}{'!' if node.kind == OUT else '?'}")
+            s, r = node.sender, node.receiver
+            who = (r if s is None else s if r is None else f"{s} {r}") + (
+                "!" if node.kind == OUT else "?")
             labs = sorted(node.branches)
             if len(labs) != 1:
-                out.append("{")
                 stack.append("}")
+                who += "{"
             for i in range(len(labs) - 1, -1, -1):
-                stack.append(node.branches[labs[i]])
-                stack.append(f", {labs[i]}; " if i else f"{labs[i]}; ")
+                child = node.branches[labs[i]]
+                piece = f", {labs[i]}; " if i else f"{who}{labs[i]}; "
+                if (leaf := names.get(id(child))) is None:
+                    stack.append(child)
+                    stack.append(piece)
+                else:
+                    stack.append(piece + leaf)
 
 
 def _fmt_defs(roots, keyword) -> list:
-    """The definitions for each ``(root, name)`` of ``roots``: the root
-    under its name, and every other node that needs one under that name
-    with the next suffix ``_1``, ``_2``, ... that is not a root's name.
-    The roots' names are distinct and suffixes are digits, so no name
-    is defined twice."""
+    """The definitions of each ``(root, name)`` of ``roots``, one string
+    per root, from one walk: the root under its name, then every node
+    but an end with two or more incoming edges (a back edge's target is
+    also reached by a tree edge, so cycles are cut at named nodes) under
+    that name and the next suffix ``_1``, ``_2``, ... that is not a
+    root's name; suffixes are digits, so no name is defined twice."""
     reserved = {base for _, base in roots}
     defs = []
     for root, base in roots:
-        if (bad := _unreadable(root, keyword == "global")) is not None:
+        nodes = reachable_nodes(root)
+        if (bad := _unreadable(nodes, keyword == "global")) is not None:
             raise ValueError(f"{bad} cannot be parsed back in a {keyword}")
-        named = _needs_name(root)
+        shared = {}  # id -> whether two or more edges come in
+        for node in nodes:
+            for child in node.branches.values():
+                shared[id(child)] = id(child) in shared
         names = {id(root): _printed(base, "name")}
+        out = [f"{keyword} {names[id(root)]} = "]
+        named = [root]
         i = 0
-        for node in named[1:]:
-            i += 1
-            while f"{base}_{i}" in reserved:
+        for node in nodes[1:]:
+            if node.kind == END:
+                names[id(node)] = "end"  # inline even when shared
+            elif shared[id(node)]:
                 i += 1
-            names[id(node)] = f"{base}_{i}"
-        for node in named:
-            out = [f"{keyword} {names[id(node)]} = "]
+                while f"{base}_{i}" in reserved:
+                    i += 1
+                names[id(node)] = f"{base}_{i}"
+                named.append(node)
+        _fmt_term(root, names, out)
+        for node in named[1:]:
+            out.append(f"\n{keyword} {names[id(node)]} = ")
             _fmt_term(node, names, out)
-            defs.append("".join(out))
+        defs.append("".join(out))
     return defs
 
 

@@ -140,21 +140,23 @@ def _children(node):
     return node.branches.values()
 
 
-def _unreadable(root, is_global: bool = False, part: Optional[str] = None):
-    """What ``parse`` would not read in ``root``'s place, as a phrase, or
-    None: a participant, ``part`` included, or a label that is not a
-    name (:func:`_is_name`); a choice with no branch; one that names the
-    wrong participants (a global type names both, a process the partner
-    alone); or, in ``part``'s component, one whose partner is ``part``."""
+def _unreadable(nodes, is_global: bool = False, part: Optional[str] = None):
+    """What ``parse`` would not read of a graph, given its
+    :func:`reachable_nodes`, as a phrase, or None: a participant, ``part``
+    included, or a label that is not a name (:func:`_is_name`); a choice
+    with no branch; one naming the wrong participants (a global type
+    names both, a process the partner alone); or, in ``part``'s
+    component, one whose partner is ``part``."""
     if part is not None and not _is_name(part):
         return f"participant {part!r}"
-    for node in reachable_nodes(root):
+    for node in nodes:
+        s, r = node.sender, node.receiver
         if node.kind == END:
             continue
-        if (not node.branches or node.partner == part
-                or (None in (node.sender, node.receiver)) == is_global):
+        if (not node.branches or (s is None or r is None) == is_global
+                or part is not None and node.partner == part):
             return repr(node)
-        for name in (node.sender, node.receiver):
+        for name in (s, r):
             if name is not None and not _is_name(name):
                 return f"participant {name!r}"
         for lab in node.branches:
@@ -571,7 +573,7 @@ class Network:
         # kept in name order, so ``items`` need not sort
         procs = sorted((procs or {}).items())
         for name, proc in procs:
-            if (bad := _unreadable(proc, part=name)) is not None:
+            if bad := _unreadable(reachable_nodes(proc), part=name):
                 raise ValueError(f"{bad} in {name!r} cannot be parsed back")
         self._procs = {name: proc for name, proc in procs if proc.kind != END}
         self._key = None

@@ -358,7 +358,7 @@ def _agree(g, queue, mod_g, table) -> bool:
 # the ok judgment and inductive balancing
 
 
-def split_suffix(prefix: Queue, whole: Queue) -> Optional[Queue]:
+def _split_suffix(prefix: Queue, whole: Queue) -> Optional[Queue]:
     """The suffix with ``whole = prefix . suffix``, channel by
     channel, or None when ``prefix`` is not a prefix of ``whole``."""
     lanes = {}
@@ -391,7 +391,7 @@ def ok(g: GNode, hyp_queue: Queue, queue: Queue, weak: bool = False,
 def _grown(g, hyp_queue, queue, weak, mod_g, table,
            read_memo) -> Optional[Queue]:
     """:func:`ok` less its ``read``, for hypotheses read when pushed."""
-    suffix = split_suffix(hyp_queue, queue)
+    suffix = _split_suffix(hyp_queue, queue)
     if suffix is None or not _agree(g, suffix, mod_g, table):
         return None
     return suffix if weak or _dread(g, suffix, read_memo) else None

@@ -22,7 +22,7 @@ three: ``r`` is absent and ``p`` or ``q`` may end, so outputs and
 queued messages land on lanes that nobody can read.  The
 protocol sessions are network ``N`` of ``protocols/hospital.mps``,
 ``burst.mps`` and ``growing.mps`` with the empty queue, whose queues
-grow past ``terms._SHORT`` messages at long horizons.  The 85,618
+grow past ``terms._SHORT`` messages at long horizons.  The 87,418
 calls:
 
 - ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
@@ -56,6 +56,13 @@ calls:
   by one of ``TEXT_PIECES``, so errors sit deep in the text (6,208
   calls): every definition of the document, printed back, or the
   error with its line and column;
+- ``format_gtype``, ``format_proc`` and ``format_network`` of
+  ``gen.random_gnode``, ``gen.random_pnode`` (for ``p``) and
+  ``gen.random_network`` for ``FORMAT_SEEDS``, each as drawn and again
+  with one change where the graph has a choice: a participant or a
+  label swapped for one that does not parse back (``1x``, ``end``,
+  ``q-r``), or the choice emptied (1,800 calls): the text, or the
+  ValueError's message;
 - ``balanced_inductive`` and ``weakly_balanced_inductive`` at
   ``max_revisits`` 1 and 2 and ``agree``, each with and without
   ``mod_g``, and ``read`` and ``dread``, of ``gen.random_gnode`` with
@@ -78,7 +85,7 @@ counts as a mismatch.  Then one line per change of a
 one's, gives how many calls made it, and a last one how many
 ``check_liveness`` mismatches keep their class and differ in the trace
 alone (trace-only).  ``--sample N`` runs only N calls, split about
-evenly over the seven kinds and spread evenly within each.
+evenly over the eight kinds and spread evenly within each.
 """
 
 from __future__ import annotations
@@ -110,6 +117,8 @@ HEADS = ["proc P = ", "global G = ", "network N { ", "queue Q = [",
 STARVING_SEEDS = range(14000, 14600)
 UNREAD_SEEDS = range(15000, 15300)
 MACHINE_SEEDS = range(16000, 18000)
+FORMAT_SEEDS = range(18000, 18300)
+UNPRINTABLE = ["1x", "end", "q-r"]
 QM_STEPS = 2000
 # each protocol session's horizon in bench/workloads.py
 PROTOCOL_HORIZONS = {"hospital": 30, "burst": 32, "growing": 20}
@@ -163,6 +172,9 @@ def call_set() -> list:
     calls += [("parse", "network", seed) for seed in range(5000, 6000)]
     calls += [("parse", "text", seed) for seed in range(6000, 10000)]
     calls += [("parse", "long", seed) for seed in range(12000, 12200)]
+    calls += [("format", kind, seed, changed)
+              for kind in ("gtype", "proc", "network") for seed in FORMAT_SEEDS
+              for changed in (False, True)]
     configs = ([("gtype", seed) for seed in range(10000, 10600)]
                + [("machine", seed) for seed in range(11000, 11200)]
                + [("diamonds", n) for n in range(1, 11)])
@@ -267,6 +279,32 @@ def emit(src: str, n) -> None:
                 lines += fmt(value, name).splitlines()
         return lines
 
+    def formatted(kind, seed, changed):
+        rng = random.Random(seed)
+        if kind == "network":
+            net = random_network(rng)
+            roots = [proc for _, proc in net.items()]
+        else:
+            roots = [random_gnode(rng) if kind == "gtype"
+                     else random_pnode(rng, "p")]
+        choices = [n for root in roots for n in reachable_nodes(root)
+                   if n.kind != "end"]
+        if changed and choices:
+            node, bad = rng.choice(choices), rng.choice(UNPRINTABLE)
+            change = rng.choice(["participant", "label", "empty"])
+            if change == "empty":
+                node.branches.clear()
+            elif change == "label":
+                node.branches[bad] = node.branches.pop(
+                    rng.choice(sorted(node.branches)))
+            elif node.receiver is not None:
+                node.receiver = bad
+            else:
+                node.sender = bad
+        if kind == "network":
+            return format_network(net)
+        return (format_gtype if kind == "gtype" else format_proc)(roots[0])
+
     def config(source, key):
         if source == "diamonds":
             return diamonds(key), Queue()
@@ -311,6 +349,8 @@ def emit(src: str, n) -> None:
         what, seed, *args = call
         if what == "parse":
             return printed(parse(text(seed, *args)))
+        if what == "format":
+            return formatted(seed, *args).splitlines()
         if what == "balancing":
             return balancing(seed, *args)
         if what == "qm_run":

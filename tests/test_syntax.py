@@ -242,13 +242,19 @@ class TestParseErrors:
          3, 20),
         ('queue Q = [p->q:a "," p->q:b]', "expected ']', found \",\"", 1, 19),
         ('machine M { states s ";" }', 'expected a symbol, found ";"', 1, 22),
+        # the lexer reads the whole text before the parser starts, so a
+        # lexer error wins over an earlier parse error
+        ("global G = ; #", "stray character '#'", 1, 14),
+        ("global G = p q!l; H\n1x", "stray character '1'", 2, 1),
+        ('global G = p q!{a; end, a; end} "', "unterminated string", 1, 33),
     ], ids=["participant-twice", "definer-as-term", "missing-mark",
             "unquoted-word", "non-symbol", "empty-symbols",
             "trailing-comment", "quoted-start", "quoted-bottom",
             "quoted-delta-state", "punct-start", "quoted-symbol",
             "quoted-punct", "quoted-global-mark", "quoted-process-mark",
             "quoted-choice-comma", "quoted-brace", "quoted-network-comma",
-            "quoted-queue-comma", "quoted-semicolon"])
+            "quoted-queue-comma", "quoted-semicolon", "stray-after-error",
+            "stray-digit-after-error", "unterminated-after-error"])
     def test_parse_error_positions(self, text, message, line, col):
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -387,6 +393,23 @@ class TestLexer:
 
 
 class TestPrinting:
+    def test_one_walk_per_printed_root(self, monkeypatch):
+        # validity, the nodes and their in-degrees come from one walk
+        walks, real = [], terms.reachable_nodes
+
+        def counted(root):
+            walks.append(root)
+            return real(root)
+
+        h = hospital()
+        monkeypatch.setattr(terms, "reachable_nodes", counted)
+        monkeypatch.setattr(syntax, "reachable_nodes", counted)
+        assert format_gtype(h.g).count("\n") == 1  # G_1 has a definition
+        assert walks == [h.g]
+        walks.clear()
+        format_network(h.net)
+        assert walks == [proc for _, proc in h.net.items()]
+
     def test_hospital_canonical_form(self):
         h = hospital()
         assert format_gtype(h.g, "G") == (
