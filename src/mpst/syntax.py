@@ -16,10 +16,9 @@ string keeps its quotes, so a token's kind shows in its first character.
 Tokens keep no position; an error works out its line and column when it
 is raised, from the token's index.  Every name is an identifier under
 the one rule of ``terms._is_name``; keywords are names only in machine
-sections.  The parser's loops read tokens into locals: a lookahead for a
-mark or a word compares the token, and one for a name asks
-``_Parser.names``, which no quoted string is in: ``"!"`` is a string,
-never the mark ``!``.
+sections.  The parser's loops read tokens into locals and compare them;
+a name is a member of ``_Parser.names``, which holds no quoted string:
+``"!"`` is a string, never the mark ``!``.
 
 Terms are parsed straight into graph nodes.  Definitions may
 reference each other by name in any order: a name stays in its place
@@ -106,24 +105,25 @@ def _shown(tok: str) -> str:
 
 _MARKS = {"->", "|>", *"={}(),;!?[]:", ""}  # and the empty eof token
 _NOT_NAMES = _MARKS | KEYWORDS
+_KINDS = {"!": OUT, "?": IN}  # the kind of a prefix, by its mark
 # ASCII characters that lex alone and are stray, a lone quote among them
 _STRAYS = {c for c in map(chr, range(128)) if not _starts_name(c)} - _MARKS
-# a word never starts with a digit; ``.`` matches a one-character mark or
-# a stray; no match backtracks into a possessive ``++`` or ``*+``
-_TOKEN = re.compile(r"""[ \t\r\n]*+(?://[^\n]*+[ \t\r\n]*+)*+
-    ((?!\d)%s+ | -> | \|> | "[^"\n]*+" | . | \Z)""" % _NAME.pattern, re.X)
+# a word never starts with a digit; ``.`` takes a one-character mark
+_TOKEN = re.compile(r"""[ \t\r\n]* ((?!\d)%s | -> | \|> | //[^\n]* | "[^"\n]*"
+    | . | \Z)""" % _NAME.pattern, re.X)
 
 
 def _lex(text: str) -> list:
     """The tokens of ``text``, then the empty eof token.  Each match of
-    ``_TOKEN`` is blanks and comments, then a token: a word, a mark, a
-    string in its quotes, or any other character, so matches are
-    contiguous.  A character that is not a mark and does not start a
-    name (:func:`terms._starts_name`), like ``1``, is stray, and so is a
-    word that starts with one (only a numeral beyond ASCII can); a lone
-    ``"`` starts an unterminated string."""
+    ``_TOKEN`` is blanks, then a token: a word, a mark, a string in its
+    quotes, a comment (dropped) or any other character, so matches are
+    contiguous.  A token that is neither a mark nor a string and does
+    not start a name (:func:`terms._starts_name`), like ``1`` or ``²``,
+    is stray, and a lone ``"`` starts an unterminated string."""
     tokens = _TOKEN.findall(text)
-    # after blanks or a comment at the end, \Z matches twice: keep one
+    if "//" in text:  # a comment is a blank
+        tokens = [tok for tok in tokens if tok[:2] != "//"]
+    # after blanks at the end, \Z matches twice: keep one
     if len(tokens) > 1 and not tokens[-2]:
         tokens.pop()
     bad = _STRAYS.intersection(tokens)
@@ -141,7 +141,8 @@ def _lex(text: str) -> list:
 def _place(text: str, index: int) -> tuple:
     """The line and column of token ``index`` of ``text``: the lexer
     keeps no positions, so this matches ``_TOKEN`` again up to it."""
-    at = next(islice(_TOKEN.finditer(text), index, None)).start(1)
+    at = next(islice((m.start(1) for m in _TOKEN.finditer(text)
+                      if m[1][:2] != "//"), index, None))
     return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
@@ -175,7 +176,7 @@ class _Parser:
         if '"' in text:
             self.names = {tok for tok in self.names if tok[0] != '"'}
         self.pos = 0
-        self.doc = Document({}, {}, {}, {}, {})
+        self.doc = Document()
         # the slots that hold a name's token index, per kind of term
         self.refs = {"process": [], "global type": []}
         # (component map, participant's token index) of every component
@@ -202,24 +203,19 @@ class _Parser:
         if not self.take(value):
             self.expected(repr(value), self.pos)
 
-    def name(self, what="name", names=None) -> int:
-        """Reads a name, or a member of ``names`` if given, and returns
-        its token index."""
-        if self.tokens[self.pos] not in (names or self.names):
+    def name(self, what="name") -> int:
+        """Reads a name and returns its token index."""
+        if self.tokens[self.pos] not in self.names:
             self.expected(f"a {what}", self.pos)
         self.pos += 1
         return self.pos - 1
 
     def head(self, keyword: str, defs: dict) -> str:
-        """Reads the name of a ``keyword`` definition that goes into
-        ``defs``, once the keyword is read, and returns it."""
-        at = self.pos
+        """Reads and returns the name of a new ``keyword`` definition."""
+        at = self.name()
         name = self.tokens[at]
-        if name not in self.names:
-            self.expected("a name", at)
         if name in defs:
             raise self.error(f"duplicate {keyword} definition {name!r}", at)
-        self.pos = at + 1
         return name
 
     # ---- definitions
@@ -232,9 +228,7 @@ class _Parser:
                 what, defs = (("process", doc.procs) if tok == "proc"
                               else ("global type", doc.globals_))
                 name = self.head(tok, defs)
-                if tokens[self.pos] != "=":
-                    self.expected("'='", self.pos)
-                self.pos += 1
+                self.expect("=")
                 self.term(what, defs, name)
             elif tok == "network":
                 self.netdef()
@@ -248,7 +242,7 @@ class _Parser:
         self.resolve(doc.globals_, self.refs["global type"])
         for comps, at in self.parts:
             part = tokens[at]
-            if _unreadable(reachable_nodes(comps[part]), part=part) is not None:
+            if _unreadable(reachable_nodes(comps[part]), part=part):
                 raise self.error(f"{part!r} communicates with itself", at,
                                  SelfCommunication)
         for name, comps in doc.networks.items():  # each checked above
@@ -322,8 +316,7 @@ class _Parser:
             if at is None and tokens[pos] != "end":
                 self.expected(f"a {what}", pos)
             tok = tokens[pos + 1]
-            if at is None or not (tok in names if is_global
-                                  else tok == "!" or tok == "?"):
+            if at is None or tok not in (names if is_global else _KINDS):
                 # a leaf: close the choices it completes, then go on
                 # with the next branch of the innermost open one
                 slots[key] = gend() if at is None else at
@@ -345,19 +338,14 @@ class _Parser:
                 pos += 1
                 slots = braces[-1][0]
             else:
-                if is_global:
-                    sender, receiver = tokens[at], tok
-                    pos += 1
-                    tok = tokens[pos + 1]
-                kind = OUT if tok == "!" else IN if tok == "?" else None
+                pos += 2 + is_global  # past the mark, after one name or two
+                kind = _KINDS.get(tokens[pos - 1])
                 if kind is None:
-                    self.expected("'!' or '?'", pos + 1)
-                pos += 2
-                if not is_global:
-                    # a process leaves out the participant that moves
-                    sender, receiver = ((None, tokens[at]) if kind == OUT
-                                        else (tokens[at], None))
-                elif sender == receiver:
+                    self.expected("'!' or '?'", pos - 1)
+                # a process leaves out the participant that moves
+                sender, receiver = (tokens[at], tok) if is_global else (
+                    (None, tokens[at]) if kind == OUT else (tokens[at], None))
+                if sender == receiver:
                     raise self.error(
                         f"participant {sender!r} talking to itself", at,
                         SelfCommunication)
@@ -406,8 +394,7 @@ class _Parser:
                 self.expect("(")
                 target = self.symbol()
                 self.expect(",")
-                out = self.tokens[self.pos]
-                if out[:1] != '"':
+                if (out := self.tokens[self.pos])[:1] != '"':
                     raise self.error("expected a quoted word" if out
                                      else "unexpected end of file", self.pos)
                 self.pos += 1
@@ -431,7 +418,10 @@ class _Parser:
 
     def symbol(self) -> str:
         """Reads a machine's state or symbol: any word."""
-        return self.tokens[self.name("symbol", self.names | KEYWORDS)]
+        if self.tokens[self.pos] in KEYWORDS:
+            self.pos += 1
+            return self.tokens[self.pos - 1]
+        return self.tokens[self.name("symbol")]
 
     def symbols_until_semi(self, allow_empty=False):
         syms = []
@@ -450,28 +440,26 @@ class _Parser:
         one of its names never passes a communication, so it is rejected.
         Every other name is then an edge to its definition's node.
         """
-        tokens = self.tokens
         for name, body in defs.items():
             chain = {name: None}  # ordered, with O(1) membership
             while type(body) is int:
-                link = tokens[body]
-                if link in chain:
+                if self.tokens[body] in chain:
                     raise self.error(f"unguarded cycle {' = '.join(chain)} = "
-                                     f"{link}", body)
-                if link not in defs:
-                    raise self.error(f"undefined name {link!r}", body,
-                                     UnboundName)
-                chain[link] = None
-                body = defs[link]
+                                     f"{self.tokens[body]}", body)
+                chain[self.tokens[body]] = None
+                body = self.definition(defs, body)
             for link in chain:
                 defs[link] = body
         for slots, key in refs:
-            at = slots[key]
-            if type(at) is int:
-                if tokens[at] not in defs:
-                    raise self.error(f"undefined name {tokens[at]!r}", at,
-                                     UnboundName)
-                slots[key] = defs[tokens[at]]
+            if type(slots[key]) is int:
+                slots[key] = self.definition(defs, slots[key])
+
+    def definition(self, defs: dict, at: int):
+        """The definition of the name at token ``at``."""
+        name = self.tokens[at]
+        if name not in defs:
+            raise self.error(f"undefined name {name!r}", at, UnboundName)
+        return defs[name]
 
 
 def parse(text: str) -> Document:
@@ -492,9 +480,8 @@ def _printed(name: str, what: str, keywords=KEYWORDS) -> str:
 
 def _fmt_term(root, names, out):
     """Appends the body of ``root``'s definition to ``out``.  Below it a
-    node prints as its entry in ``names`` (a name or ``end``) in one
-    piece with its label, or inline; ``stack`` holds what is still to be
-    written, the next piece last."""
+    node prints as its entry in ``names`` (a name or ``end``), or inline;
+    ``stack`` holds what is still to be written, the next piece last."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -514,19 +501,16 @@ def _fmt_term(root, names, out):
                 child = node.branches[labs[i]]
                 piece = f", {labs[i]}; " if i else f"{who}{labs[i]}; "
                 if (leaf := names.get(id(child))) is None:
-                    stack.append(child)
-                    stack.append(piece)
+                    stack += child, piece
                 else:
                     stack.append(piece + leaf)
 
 
 def _fmt_defs(roots, keyword) -> list:
     """The definitions of each ``(root, name)`` of ``roots``, one string
-    per root, from one walk: the root under its name, then every node
-    but an end with two or more incoming edges (a back edge's target is
-    also reached by a tree edge, so cycles are cut at named nodes) under
-    that name and the next suffix ``_1``, ``_2``, ... that is not a
-    root's name; suffixes are digits, so no name is defined twice."""
+    per root: the root under its name, and each other node but an end
+    with two or more incoming edges (one on every cycle) under that name
+    and the next suffix ``_1``, ``_2``, ... that is no root's name."""
     reserved = {base for _, base in roots}
     defs = []
     for root, base in roots:
@@ -538,8 +522,7 @@ def _fmt_defs(roots, keyword) -> list:
             for child in node.branches.values():
                 shared[id(child)] = id(child) in shared
         names = {id(root): _printed(base, "name")}
-        out = [f"{keyword} {names[id(root)]} = "]
-        named = [root]
+        named, out = [root], []
         i = 0
         for node in nodes[1:]:
             if node.kind == END:
@@ -550,11 +533,10 @@ def _fmt_defs(roots, keyword) -> list:
                     i += 1
                 names[id(node)] = f"{base}_{i}"
                 named.append(node)
-        _fmt_term(root, names, out)
-        for node in named[1:]:
+        for node in named:
             out.append(f"\n{keyword} {names[id(node)]} = ")
             _fmt_term(node, names, out)
-        defs.append("".join(out))
+        defs.append("".join(out)[1:])
     return defs
 
 

@@ -141,12 +141,11 @@ def _children(node):
 
 
 def _unreadable(nodes, is_global: bool = False, part: Optional[str] = None):
-    """What ``parse`` would not read of a graph, given its
-    :func:`reachable_nodes`, as a phrase, or None: a participant, ``part``
-    included, or a label that is not a name (:func:`_is_name`); a choice
-    with no branch; one naming the wrong participants (a global type
-    names both, a process the partner alone); or, in ``part``'s
-    component, one whose partner is ``part``."""
+    """What ``parse`` would not read among ``nodes``, as a phrase, or
+    None: a participant, ``part`` included, or a label that is not a
+    name (:func:`_is_name`); a choice with no branch; one naming the
+    wrong participants (a global type names both, a process the partner
+    alone); or, in ``part``'s component, one whose partner is ``part``."""
     if part is not None and not _is_name(part):
         return f"participant {part!r}"
     for node in nodes:
