@@ -6,7 +6,9 @@ maps to a global type over a single channel whose configuration
 semantics mirrors the machine step for step: the machine diverges from
 a configuration exactly when the matching type configuration is
 balanced.  Since acceptance is Turing-complete, this is the reduction
-showing balancing has no complete algorithm.
+showing balancing has no complete algorithm.  A run that
+:func:`qm_run` stops because its queue can never empty diverges, so
+the reduction makes its encoded start configuration balanced.
 """
 
 from __future__ import annotations
@@ -100,6 +102,35 @@ def qm_step(machine: QueueMachine, config: MachineConfig) -> MachineConfig:
     return MachineConfig(state, rest + tuple(written))
 
 
+def _never_empties(rows, state, queue) -> bool:
+    """Whether the queue keeps a symbol forever, by the counting
+    argument of :func:`qm_run`; ``rows`` maps (state, symbol) to
+    (state, written word), as ``delta`` does."""
+    states, syms = {state}, set(queue)
+    queued = frozenset(syms)
+    todo = [(state, sym) for sym in syms]
+    fired = []
+    while todo:  # each row once, when its state and symbol are both in
+        row = todo.pop()
+        nxt, written = rows[row]
+        fired.append((row[1], written))
+        if nxt not in states:
+            states.add(nxt)
+            todo += [(nxt, sym) for sym in syms]
+        for sym in written:
+            if sym not in syms:
+                syms.add(sym)
+                todo += [(s, sym) for s in states]
+    kept, dropped = syms, True
+    while dropped:
+        dropped = False
+        for sym, written in fired:
+            if sym in kept and kept.isdisjoint(written):
+                kept.discard(sym)
+                dropped = True
+    return not kept.isdisjoint(queued)
+
+
 def qm_run(machine: QueueMachine, word, max_steps: int = 100000):
     """Run to acceptance or give up after ``max_steps`` steps.
 
@@ -116,11 +147,25 @@ def qm_run(machine: QueueMachine, word, max_steps: int = 100000):
     O(steps + symbols written) in all.  A compare is O(1) unless the
     states and the queues' lengths agree, as deques compare lengths
     first.
+
+    A run whose queue can never empty stops with the same answer, as
+    found by counting (after Jéron and Jard 1993).  Before each save,
+    the rows the run can still fire are closed from the current state
+    and the queued symbols: a row whose state and read symbol are in
+    adds its target state and the symbols it writes.  Let P be the
+    greatest set of symbols such that each of those rows that reads a
+    P symbol writes one; it is found by dropping symbols until none
+    goes.  No step then lowers the number of P symbols in the queue, so
+    a queue that holds one never empties and the run never accepts.
+    The closure takes each row it reaches once.
     """
     config = qm_start(machine, word)
     state, queue, delta = config.state, deque(config.queue), machine.delta
+    rows = dict(delta.items())  # the test's copy: delta serves the steps
     done, span = 0, 1
     while done < max_steps:
+        if _never_empties(rows, state, queue):
+            return RunningAfter(max_steps)
         saved_state, saved = state, queue.copy()
         end = min(done + span, max_steps)
         for step in range(done, end):

@@ -22,7 +22,7 @@ three: ``r`` is absent and ``p`` or ``q`` may end, so outputs and
 queued messages land on lanes that nobody can read.  The
 protocol sessions are network ``N`` of ``protocols/hospital.mps``,
 ``burst.mps`` and ``growing.mps`` with the empty queue, whose queues
-grow past ``terms._SHORT`` messages at long horizons.  The 87,418
+grow past ``terms._SHORT`` messages at long horizons.  The 87,618
 calls:
 
 - ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
@@ -73,7 +73,10 @@ calls:
   derivation written out as a tree, a line per rule with its node's
   index in ``reachable_nodes`` and its queues' keys;
 - ``qm_run`` of ``gen.random_machine`` on ``gen.random_word`` at
-  ``QM_STEPS`` for seeds 16000-17999 (2,000 calls): the result.
+  ``QM_STEPS`` for seeds 16000-17999 (2,000 calls), and at
+  ``LONG_QM_STEPS`` for ``LONG_MACHINE_SEEDS`` (200 calls), where a
+  run that neither accepts nor stops early makes every step: the
+  result.
 
 A raise is an answer: its class and message are compared.  After the
 mismatch count, one line gives the states that ``check_liveness``
@@ -85,7 +88,7 @@ counts as a mismatch.  Then one line per change of a
 one's, gives how many calls made it, and a last one how many
 ``check_liveness`` mismatches keep their class and differ in the trace
 alone (trace-only).  ``--sample N`` runs only N calls, split about
-evenly over the eight kinds and spread evenly within each.
+evenly over the nine kinds and spread evenly within each.
 """
 
 from __future__ import annotations
@@ -117,9 +120,11 @@ HEADS = ["proc P = ", "global G = ", "network N { ", "queue Q = [",
 STARVING_SEEDS = range(14000, 14600)
 UNREAD_SEEDS = range(15000, 15300)
 MACHINE_SEEDS = range(16000, 18000)
+LONG_MACHINE_SEEDS = range(19000, 19200)
 FORMAT_SEEDS = range(18000, 18300)
 UNPRINTABLE = ["1x", "end", "q-r"]
 QM_STEPS = 2000
+LONG_QM_STEPS = 10**5
 # each protocol session's horizon in bench/workloads.py
 PROTOCOL_HORIZONS = {"hospital": 30, "burst": 32, "growing": 20}
 CHECKS = ([(check, max_revisits, mod_g) for check in ("balanced", "weakly")
@@ -181,6 +186,7 @@ def call_set() -> list:
     calls += [("balancing", source, key, *check)
               for source, key in configs for check in CHECKS]
     calls += [("qm_run", seed) for seed in MACHINE_SEEDS]
+    calls += [("long_qm_run", seed) for seed in LONG_MACHINE_SEEDS]
     return calls
 
 
@@ -353,11 +359,12 @@ def emit(src: str, n) -> None:
             return formatted(seed, *args).splitlines()
         if what == "balancing":
             return balancing(seed, *args)
-        if what == "qm_run":
+        if what in ("qm_run", "long_qm_run"):
             rng = random.Random(seed)
             machine = random_machine(rng)
             return [repr(qm_run(machine, random_word(rng, machine),
-                                QM_STEPS))]
+                                QM_STEPS if what == "qm_run"
+                                else LONG_QM_STEPS))]
         s = session(seed)
         if what == "check_liveness":
             horizon, mode = args

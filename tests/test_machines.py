@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from mpst import machines
 from mpst.machines import (
     Accepted,
     InvalidInputSymbol,
@@ -39,6 +40,16 @@ class CountingDelta(dict):
 def counted(machine):
     """The machine with a :class:`CountingDelta` for its table."""
     return dataclasses.replace(machine, delta=CountingDelta(machine.delta))
+
+
+def grower():
+    """A queue that grows forever and keeps no symbol for good: s reads
+    an a and writes three, t reads one and writes none, and $ goes as
+    soon as t reads it."""
+    return QueueMachine(
+        ("s", "t"), ("a",), ("a", "$"), "$", "s",
+        {("s", "a"): ("t", ("a", "a", "a")), ("s", "$"): ("s", ("$",)),
+         ("t", "a"): ("s", ()), ("t", "$"): ("t", ())})
 
 
 class TestValidation:
@@ -110,13 +121,17 @@ class TestRuns:
         assert qm_run(eraser(), "ab", max_steps=2) == RunningAfter(2)
 
     def test_long_run_takes_linear_time(self):
-        # each a is read once and written twice, so the queue grows by
-        # one symbol per step; copying it at every step is quadratic
-        doubler = QueueMachine(
+        # each a is read once and written twice, so a stays queued and
+        # the run stops before its first step
+        doubler = counted(QueueMachine(
             ("s",), ("a",), ("a", "$"), "$", "s",
-            {("s", "a"): ("s", ("a", "a")), ("s", "$"): ("s", ())})
-        start = time.perf_counter()
+            {("s", "a"): ("s", ("a", "a")), ("s", "$"): ("s", ())}))
         assert qm_run(doubler, "a", max_steps=200000) == RunningAfter(200000)
+        assert doubler.delta.lookups == 0
+        # the grower's queue gains a symbol every second step and holds
+        # no symbol for good; copying it at every step is quadratic
+        start = time.perf_counter()
+        assert qm_run(grower(), "a", max_steps=200000) == RunningAfter(200000)
         assert time.perf_counter() - start < 1
 
     def test_a_recurring_run_stops_at_once(self):
@@ -125,11 +140,21 @@ class TestRuns:
         assert m.delta.lookups < 64
 
     def test_a_late_loop_is_still_found(self):
-        # erases the word, then rewrites the bottom marker forever
+        # erases the word, then rewrites the bottom marker forever: $ is
+        # never dropped, so the run stops before its first step
         m = counted(QueueMachine(
             ("s", "t"), ("a",), ("a", "$"), "$", "s",
             {("s", "a"): ("s", ()), ("s", "$"): ("t", ("$",)),
              ("t", "a"): ("t", ()), ("t", "$"): ("t", ("$",))}))
+        assert qm_run(m, "a" * 1500, max_steps=10**4) == RunningAfter(10**4)
+        assert m.delta.lookups == 0
+        # erases the word, then turns $ into a and a into $ forever;
+        # (t, a) and (u, $) would erase, so no symbol stays for good
+        m = counted(QueueMachine(
+            ("s", "t", "u"), ("a",), ("a", "$"), "$", "s",
+            {("s", "a"): ("s", ()), ("s", "$"): ("t", ("$",)),
+             ("t", "a"): ("t", ()), ("t", "$"): ("u", ("a",)),
+             ("u", "a"): ("t", ("$",)), ("u", "$"): ("u", ())}))
         assert qm_run(m, "a" * 1500, max_steps=10**4) == RunningAfter(10**4)
         assert 1500 < m.delta.lookups < 10**4
 
@@ -137,6 +162,9 @@ class TestRuns:
         m = counted(QueueMachine(
             ("s",), ("a",), ("a", "$"), "$", "s",
             {("s", "a"): ("s", ("a", "a")), ("s", "$"): ("s", ())}))
+        assert qm_run(m, "a", max_steps=5000) == RunningAfter(5000)
+        assert m.delta.lookups == 0  # a stays queued
+        m = counted(grower())
         assert qm_run(m, "a", max_steps=5000) == RunningAfter(5000)
         assert m.delta.lookups == 5000
 
@@ -167,6 +195,80 @@ class TestRuns:
                 assert got == Accepted(steps)
             else:
                 assert got == RunningAfter(2000)
+
+
+class TestQueueNeverEmpties:
+    """The stop of a run whose queue holds a symbol that every row the
+    run can still fire writes back."""
+
+    @pytest.fixture
+    def stops(self, monkeypatch):
+        """The answers of the counting test, in the order of its calls."""
+        answers = []
+        test = machines._never_empties
+
+        def spy(*args):
+            answers.append(test(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(machines, "_never_empties", spy)
+        return answers
+
+    def test_a_row_behind_an_unwritten_symbol_does_not_block(self):
+        # b is never queued, so t and its erasing rows stay out of reach
+        m = counted(QueueMachine(
+            ("s", "t"), ("a", "b"), ("a", "b", "$"), "$", "s",
+            {("s", "a"): ("s", ("a",)), ("s", "b"): ("t", ()),
+             ("s", "$"): ("s", ()), ("t", "a"): ("t", ()),
+             ("t", "b"): ("t", ()), ("t", "$"): ("t", ())}))
+        assert qm_run(m, "a", max_steps=10**6) == RunningAfter(10**6)
+        assert m.delta.lookups == 0
+
+    def test_a_row_behind_a_written_symbol_blocks(self):
+        # a becomes b, and s reads b into t, which erases everything
+        m = counted(QueueMachine(
+            ("s", "t"), ("a",), ("a", "b", "$"), "$", "s",
+            {("s", "a"): ("s", ("b",)), ("s", "b"): ("t", ()),
+             ("s", "$"): ("s", ("$",)), ("t", "a"): ("t", ()),
+             ("t", "b"): ("t", ()), ("t", "$"): ("t", ())}))
+        assert qm_run(m, "a") == Accepted(4)
+        assert m.delta.lookups == 4
+
+    def test_the_closure_follows_target_states(self):
+        # s writes back what it reads, but its a row leads to t, which
+        # erases everything
+        m = counted(QueueMachine(
+            ("s", "t"), ("a",), ("a", "$"), "$", "s",
+            {("s", "a"): ("t", ("a",)), ("s", "$"): ("s", ("$",)),
+             ("t", "a"): ("t", ()), ("t", "$"): ("t", ())}))
+        assert qm_run(m, "a") == Accepted(3)
+        assert m.delta.lookups == 3
+        assert qm_run(m, "") == RunningAfter(100000)
+        assert m.delta.lookups == 3  # $ stays in s for good
+
+    def test_a_stopped_run_never_accepts(self, stops):
+        # machines that write more grow faster queues, which the
+        # quadratic reference copies at every step
+        rng = random.Random(41)
+        fired = 0
+        for _ in range(1000):
+            m = random_machine(rng, max_states=rng.randint(1, 6),
+                               max_write=rng.randint(1, 2))
+            w = random_word(rng, m)
+            stops.clear()
+            got = qm_run(m, w, max_steps=3000)
+            if any(stops):
+                fired += 1
+                assert got == RunningAfter(3000)
+                kind, _ = oracle_qm_run(m.delta, m.start, m.bottom, w, 3000)
+                assert kind != "accepted", (m, w)
+        assert fired >= 400  # 438 of the 1000 runs
+
+    def test_one_test_per_checkpoint(self, stops):
+        # the configurations after steps 0, 1, 3, 7 and 15 are tested;
+        # the eraser empties its queue after step 21
+        assert qm_run(eraser(), "a" * 20) == Accepted(21)
+        assert stops == [False] * 5
 
 
 class TestEncoding:
