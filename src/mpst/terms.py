@@ -81,9 +81,6 @@ class GNode:
         return (self.kind, self.sender, self.receiver,
                 tuple(sorted(self.branches)))
 
-    def _bare_clone(self) -> "GNode":
-        return GNode(self.kind, self.sender, self.receiver)
-
     def key(self):
         if self._key is None:
             self._key = _canonical_key(self)
@@ -164,52 +161,82 @@ def _unreadable(nodes, is_global: bool = False, part: Optional[str] = None):
     return None
 
 
+def _peel(seeds, preds) -> list:
+    """``seeds``, then each node once all its children came before it,
+    by Kahn's pass up ``preds`` (node -> parents, one per edge): the
+    nodes from which every maximal path meets a seed."""
+    left = dict.fromkeys(seeds, 0)  # a seed only goes below zero, not back
+    order = list(left)
+    for n in order:
+        for m in preds[n]:
+            left[m] = k = (left[m] if m in left else len(m.branches)) - 1
+            if not k:
+                order.append(m)
+    return order
+
+
 def _refine(nodes: list) -> dict:
     """Partition refinement; returns a map id(node) -> block index.
 
     Two nodes land in the same block exactly when they are bisimilar.
 
-    This is splitter-worklist refinement (Paige and Tarjan 1987,
-    Valmari 2009).  Blocks start as the classes of local signatures.
-    A round signs nodes by their block and their children's blocks in
-    label order, and splits each block by signature.  The first round
-    signs every node; each later round signs only the predecessors of
-    the nodes that changed block in the round before.  The unsigned
-    members of a block still share one signature, and a signed member
-    differs from them, since one of its children holds a block index
-    made in the round before; so the unsigned members form one part.
-    The largest part of a split keeps the block's index and the others
-    move to new ones.  A node thus only moves into a block at most half
-    the size of its old one, at most log2 n times, and refinement signs
-    O(m log n) nodes for m edges.  Predecessors and block members are
-    built at the first split, so a graph whose local signatures already
-    give the bisimilarity classes costs at most one signing pass.
+    Blocks start as the classes of local signatures.  A round signs
+    nodes by their block and their children's blocks in label order,
+    and splits each block by signature.  The first round signs every
+    node; if it splits no block, no predecessor list is built.  Else
+    the well-founded nodes, which reach no cycle, are peeled from those
+    without children up (:func:`_peel`; Dovier, Piazza and Policriti
+    2004), each signed once more, by its local signature and children's
+    classes, and equal signatures share a class: exact, as only a node
+    that reaches a cycle, like its parents, has an infinite unfolding.
+    Rounds go on over the others alone (Paige and Tarjan 1987, Valmari
+    2009), so a graph with no cycle runs none past the first; they start
+    again if a node was peeled, and each later round signs only the
+    predecessors of the nodes that changed block in the round before.
+    The unsigned members of a block still share one signature, and a
+    signed member differs from them, since one of its children holds a
+    block index made in the round before; so the unsigned members form
+    one part.  The largest part of a split keeps the block's index and
+    the others move to new ones.  A node thus only moves into a block
+    at most half the size of its old one, and the rounds sign
+    O(m log n) nodes for the m edges among the nodes that reach a cycle.
     """
     index = {}
     block = {}
     for n in nodes:
         block[id(n)] = index.setdefault(n._local_sig(), len(index))
-    fresh = len(index)
+    cyclic = fresh = len(index)  # peeled classes are numbered from here
     members = preds = None
-    # blocks of one node each cannot split
-    signed = nodes if fresh < len(nodes) else ()
+    signed = nodes if fresh < len(nodes) else ()  # else no block can split
     while signed:
         parts = {}
         for n in signed:
-            br = n.branches
-            sig = (block[id(n)], tuple([block[id(br[lab])] for lab in sorted(br)]))
-            parts.setdefault(sig, []).append(id(n))
-        if members is None:
+            sig = [block[id(n)]]
+            for lab in sorted(n.branches):
+                sig.append(block[id(n.branches[lab])])
+            parts.setdefault(tuple(sig), []).append(n)
+        if preds is None:
             if len(parts) == fresh:
                 return block
-            members, preds = {}, {}
+            preds = {n: [] for n in nodes}
             for n in nodes:
-                members.setdefault(block[id(n)], set()).add(id(n))
                 for child in n.branches.values():
-                    preds.setdefault(id(child), []).append(n)
+                    preds[child].append(n)
+            for n in _peel([n for n in nodes if not n.branches], preds):
+                sig = [block[id(n)]]
+                for lab in sorted(n.branches):
+                    sig.append(block[id(n.branches[lab])])
+                block[id(n)] = index.setdefault(tuple(sig), len(index))
+            looping = [n for n in nodes if block[id(n)] < cyclic]
+            members = {}
+            for n in looping:
+                members.setdefault(block[id(n)], set()).add(n)
+            if fresh < len(index):
+                fresh, signed = len(index), looping
+                continue
         splits = {}
-        for (b, _), part in parts.items():
-            splits.setdefault(b, []).append(part)
+        for sig, part in parts.items():
+            splits.setdefault(sig[0], []).append(part)
         moved = []
         for b, split in splits.items():
             old = members[b]
@@ -222,13 +249,13 @@ def _refine(nodes: list) -> dict:
             for part in split:
                 if part is big:
                     continue
-                for i in part:
-                    block[i] = fresh
+                for n in part:
+                    block[id(n)] = fresh
                 old.difference_update(part)
                 members[fresh] = set(part)
                 fresh += 1
                 moved.extend(part)
-        signed = {id(p): p for i in moved for p in preds.get(i, ())}.values()
+        signed = dict.fromkeys([p for n in moved for p in preds[n]])
     return block
 
 
@@ -248,24 +275,22 @@ def _canonical_key(root):
     # number the blocks by a depth-first walk of the quotient graph,
     # taking branches in label order, so the key only depends on the
     # graph up to bisimilarity
-    number = {}
-    order = []
+    number = {}  # in the order of the walk
     stack = [block[id(root)]]
     while stack:
         b = stack.pop()
         if b in number:
             continue
         number[b] = len(number)
-        order.append(b)
         n = rep[b]
         for lab in sorted(n.branches, reverse=True):
             stack.append(block[id(n.branches[lab])])
     entries = []
-    for b in order:
+    for b in number:
         n = rep[b]
         entries.append((n._local_sig(),
-                        tuple((lab, number[block[id(n.branches[lab])]])
-                              for lab in sorted(n.branches))))
+                        tuple([(lab, number[block[id(n.branches[lab])]])
+                               for lab in sorted(n.branches)])))
     return tuple(entries)
 
 
@@ -274,8 +299,14 @@ def bisimilar(a, b) -> bool:
 
 
 def minimize(root):
-    """The quotient of ``root`` by bisimilarity, as a fresh graph."""
-    return _build_quotient(root, *_classes(root))
+    """The quotient of ``root`` by bisimilarity, as a fresh graph with a
+    node per entry of its key; a key cached on ``root`` is read, not stored."""
+    key = root._key or _canonical_key(root)
+    # a local signature starts with the kind, sender and receiver
+    fresh = [GNode(*sig[:3]) for sig, _ in key]
+    for node, (_, arms) in zip(fresh, key):
+        node.branches = {lab: fresh[i] for lab, i in arms}
+    return fresh[0]
 
 
 def quotient(root):
@@ -283,16 +314,7 @@ def quotient(root):
     two of the nodes it reaches are bisimilar, else :func:`minimize` of
     it."""
     block, rep = _classes(root)
-    return root if len(rep) == len(block) else _build_quotient(root, block,
-                                                               rep)
-
-
-def _build_quotient(root, block, rep):
-    fresh = {b: n._bare_clone() for b, n in rep.items()}
-    for b, n in rep.items():
-        for lab, child in n.branches.items():
-            fresh[b].branches[lab] = fresh[block[id(child)]]
-    return fresh[block[id(root)]]
+    return root if len(rep) == len(block) else minimize(root)
 
 
 def subterms(root) -> list:

@@ -26,6 +26,7 @@ from mpst.terms import (
     Msg,
     Queue,
     _children,
+    _peel,
     bisimilar,
     players,
     reachable_nodes,
@@ -86,27 +87,33 @@ def depth(g: GNode, p: str):
 def bounded_witness(g: GNode) -> Optional[dict]:
     """None when bounded, else a subterm and participant with
     infinite depth: the first such subterm in :func:`reachable_nodes`
-    order, and its least such participant."""
+    order, and its least such participant.
+
+    A subterm that reaches p's nodes has finite depth for p exactly when
+    every maximal path from it meets one: when the peel from them finds it.
+    """
     nodes = reachable_nodes(g)
     preds = {n: [] for n in nodes}
+    own = {}  # participant -> the nodes where it moves
     for n in nodes:
+        if n.kind != END:
+            own.setdefault(n.player, []).append(n)
         for c in n.branches.values():
             preds[c].append(n)
-    reaching = {}  # participant -> (subterms it plays a part in, memo)
-    for p in sorted(players(g)):
-        seen = {n for n in nodes if n.player == p}
+    unbounded = []  # (participant, the subterms where its depth is INF)
+    for p in sorted(own):
+        seen = set(own[p])
         stack = list(seen)
         while stack:
             for m in preds[stack.pop()]:
                 if m not in seen:
                     seen.add(m)
                     stack.append(m)
-        reaching[p] = (seen, {})
+        seen.difference_update(_peel(own[p], preds))
+        unbounded.append((p, seen))
     for sub in nodes:
-        for p, (seen, memo) in reaching.items():
-            # a walk from an earlier subterm may have valued this one
-            if sub in seen and (memo[sub] if sub in memo else _longest(
-                    sub, _children, lambda n: n.player == p, memo)) == INF:
+        for p, seen in unbounded:
+            if sub in seen:
                 return {"participant": p, "subterm": sub}
     return None
 

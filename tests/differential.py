@@ -22,7 +22,7 @@ three: ``r`` is absent and ``p`` or ``q`` may end, so outputs and
 queued messages land on lanes that nobody can read.  The
 protocol sessions are network ``N`` of ``protocols/hospital.mps``,
 ``burst.mps`` and ``growing.mps`` with the empty queue, whose queues
-grow past ``terms._SHORT`` messages at long horizons.  The 87,618
+grow past ``terms._SHORT`` messages at long horizons.  The 88,854
 calls:
 
 - ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
@@ -76,7 +76,19 @@ calls:
   ``QM_STEPS`` for seeds 16000-17999 (2,000 calls), and at
   ``LONG_QM_STEPS`` for ``LONG_MACHINE_SEEDS`` (200 calls), where a
   run that neither accepts nor stops early makes every step: the
-  result.
+  result;
+- ``key``, ``minimize``, ``quotient``, ``subterms`` and
+  ``bounded_witness`` of ``gen.random_gnode`` at its defaults and with
+  ``FEW`` labels (``p`` and ``q``; ``a``, ``b`` and ``c``; up to 40
+  nodes) and of ``gen.random_pnode`` for ``p``, each for
+  ``GRAPH_SEEDS``, and of ``gen.ring``, ``gen.chain`` and
+  ``gen.diamonds`` for n = 1..12 (1,236 calls): the key; the shape of
+  ``minimize``, first with no key cached on the graph and then with
+  one, as each node's local signature and its children's indices in
+  ``reachable_nodes`` order, labels sorted; whether ``quotient``
+  returns the graph itself; the ``reachable_nodes`` indices of
+  ``subterms``; and the witness as its participant and its subterm's
+  index.
 
 A raise is an answer: its class and message are compared.  After the
 mismatch count, one line gives the states that ``check_liveness``
@@ -88,7 +100,7 @@ counts as a mismatch.  Then one line per change of a
 one's, gives how many calls made it, and a last one how many
 ``check_liveness`` mismatches keep their class and differ in the trace
 alone (trace-only).  ``--sample N`` runs only N calls, split about
-evenly over the nine kinds and spread evenly within each.
+evenly over the ten kinds and spread evenly within each.
 """
 
 from __future__ import annotations
@@ -122,6 +134,9 @@ UNREAD_SEEDS = range(15000, 15300)
 MACHINE_SEEDS = range(16000, 18000)
 LONG_MACHINE_SEEDS = range(19000, 19200)
 FORMAT_SEEDS = range(18000, 18300)
+GRAPH_SEEDS = range(20000, 20400)
+# few labels, so that many nodes are bisimilar
+FEW = dict(parts=["p", "q"], labels=["a", "b", "c"], max_nodes=40)
 UNPRINTABLE = ["1x", "end", "q-r"]
 QM_STEPS = 2000
 LONG_QM_STEPS = 10**5
@@ -187,6 +202,10 @@ def call_set() -> list:
               for source, key in configs for check in CHECKS]
     calls += [("qm_run", seed) for seed in MACHINE_SEEDS]
     calls += [("long_qm_run", seed) for seed in LONG_MACHINE_SEEDS]
+    calls += [("graphs", source, seed)
+              for source in ("gnode", "few", "pnode") for seed in GRAPH_SEEDS]
+    calls += [("graphs", family, n)
+              for family in ("ring", "chain", "diamonds") for n in range(1, 13)]
     return calls
 
 
@@ -214,9 +233,11 @@ def emit(src: str, n) -> None:
                              format_proc, format_queue, parse)
     from mpst import wellformed as W
     from mpst.machines import encode_config, qm_run, qm_start
-    from mpst.terms import Comm, Network, Queue, gend, pin, reachable_nodes
-    from gen import (diamonds, random_gnode, random_machine, random_network,
-                     random_pnode, random_queue, random_word)
+    from mpst.terms import (Comm, Network, Queue, gend, minimize, pin,
+                            quotient, reachable_nodes, subterms)
+    from gen import (chain, diamonds, random_gnode, random_machine,
+                     random_network, random_pnode, random_queue, random_word,
+                     ring)
 
     if not Path(mpst.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {mpst.__file__}, not from {src}")
@@ -351,8 +372,37 @@ def emit(src: str, n) -> None:
             derivation(g, verdict.derivation)
             if isinstance(verdict, W.Accept) else [])
 
+    def graph(source, key):
+        if source in ("ring", "chain", "diamonds"):
+            return {"ring": ring, "chain": chain, "diamonds": diamonds}[
+                source](key)
+        rng = random.Random(key)
+        if source == "pnode":
+            return random_pnode(rng, "p")
+        return random_gnode(rng, **(FEW if source == "few" else {}))
+
+    def shape(root):
+        nodes = reachable_nodes(root)
+        at = {id(n): i for i, n in enumerate(nodes)}
+        return [(n._local_sig(), [(lab, at[id(n.branches[lab])])
+                                  for lab in sorted(n.branches)])
+                for n in nodes]
+
+    def graphs(source, key):
+        g = graph(source, key)
+        at = {id(n): i for i, n in enumerate(reachable_nodes(g))}
+        before = shape(minimize(g))  # with no key cached on g
+        witness = W.bounded_witness(g)
+        return [repr(g.key()), repr(before), repr(shape(minimize(g))),
+                str(quotient(g) is g),
+                repr([at[id(sub)] for sub in subterms(g)]),
+                repr(witness and (witness["participant"],
+                                  at[id(witness["subterm"])]))]
+
     def run(call):
         what, seed, *args = call
+        if what == "graphs":
+            return graphs(seed, *args)
         if what == "parse":
             return printed(parse(text(seed, *args)))
         if what == "format":

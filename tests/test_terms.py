@@ -153,6 +153,19 @@ class TestBisimilarity:
         two.branches["l"] = gout("p", "q", {"l": two})
         assert len(reachable_nodes(minimize(two))) == 1
 
+    def test_minimize_reads_a_cached_key_and_stores_none(self, monkeypatch):
+        g = chain(3)
+        m = minimize(g)
+        assert g._key is None and m._key is None
+        key = g.key()
+        with monkeypatch.context() as patch:
+            patch.setattr(terms, "_canonical_key", None)  # not to be called
+            again = minimize(g)
+        assert g._key is key and again is not m and again is not g
+        assert again.key() == key
+        assert not set(map(id, reachable_nodes(again))) & set(
+            map(id, reachable_nodes(g)))
+
     def test_quotient_keeps_a_minimal_graph(self):
         # a graph whose nodes are pairwise not bisimilar is its own
         # quotient; any other gets minimize's fresh one
@@ -193,7 +206,90 @@ def shape(root):
             for n in nodes]
 
 
+class CountingBranches(dict):
+    """A branch map that counts how often it is iterated, as signing a
+    node, which sorts its labels, does."""
+
+    sorts = 0
+
+    def __iter__(self):
+        self.sorts += 1
+        return super().__iter__()
+
+
+def tailed_cycle(lengths):
+    """A cycle of ``p q!`` outputs, one per length in ``lengths``, each
+    going on to the next by ``a`` and out by ``t`` to a fresh
+    ``chain(length)``, so that tails of one length are bisimilar."""
+    nodes = [gout("p", "q") for _ in lengths]
+    for i, (node, n) in enumerate(zip(nodes, lengths)):
+        node.branches["a"] = nodes[(i + 1) % len(nodes)]
+        node.branches["t"] = chain(n)
+    return nodes[0]
+
+
+def peel_cases():
+    """Hand-built graphs for the peel in ``_refine``, by name; each has
+    a ``chain`` of two or more pairs, so that the first round splits."""
+    loop = gout("p", "q")
+    loop.branches["a"] = loop
+    unrolled = gout("p", "q")
+    unrolled.branches["a"] = gout("p", "q", {"a": unrolled})
+    shared = gin("p", "q", {"x": gend()})
+    return {
+        "cycle into bisimilar tails": tailed_cycle((1, 2, 1, 2)),
+        "two bisimilar cycles with tails": gout("r", "p", {
+            "x": tailed_cycle((1, 2)), "y": tailed_cycle((1, 2, 1, 2))}),
+        "self-loop": gout("r", "p", {"x": loop, "y": unrolled, "z": chain(2)}),
+        "two labels to one child": gout("r", "p", {
+            "x": gout("p", "q", {"a": shared, "b": shared}),
+            "y": gout("p", "q", {"a": shared, "b": gin("p", "q", {
+                "x": gend()})}),
+            "z": chain(2)}),
+        "empty choice beside end": gout("r", "p", {
+            "x": gout("p", "q"), "y": gout("p", "q", {"a": gend()}),
+            "z": gout("p", "q"), "w": gout("p", "q", {"a": gout("p", "q")}),
+            "v": chain(2)}),
+    }
+
+
 class TestRefinement:
+    @pytest.mark.parametrize("name", list(peel_cases()))
+    def test_peel_cases_match_oracles(self, name, monkeypatch):
+        peeled, peel = [], terms._peel
+
+        def spy(seeds, preds):
+            order = peel(seeds, preds)
+            peeled.extend(order)
+            return order
+
+        monkeypatch.setattr(terms, "_peel", spy)
+        nodes = reachable_nodes(peel_cases()[name])
+        block = terms._refine(nodes)
+        assert partition(block) == partition(oracle_refine(nodes))
+        for a in nodes:
+            for b in nodes:
+                assert (block[id(a)] == block[id(b)]) == oracle_bisimilar(a, b)
+        # the peel ran, and each case merges some pair of distinct nodes
+        assert peeled and len(set(block.values())) < len(nodes)
+
+    def test_no_cycle_takes_no_rounds(self):
+        # a node over chains of k lengths, whose children settle in k
+        # different rounds of splitting, would be signed again in each;
+        # peeled, it is signed as often whatever k is
+        def sorts(k):
+            root = gout("p", "q")
+            root.branches = CountingBranches(
+                {f"l{i}": chain(i) for i in range(1, k + 1)})
+            nodes = reachable_nodes(root)
+            root.branches.sorts = 0
+            block = terms._refine(nodes)
+            sorts = root.branches.sorts
+            assert partition(block) == partition(oracle_refine(nodes))
+            return sorts
+
+        assert sorts(10) == sorts(40)
+
     def test_partition_matches_moore_oracle(self):
         refined = 0
         for root in few_labels(29, 300, 40):

@@ -17,6 +17,8 @@ from mpst.terms import (
     gend,
     gin,
     gout,
+    minimize,
+    quotient,
     reachable_nodes,
 )
 from mpst.wellformed import (
@@ -124,6 +126,61 @@ class TestDepthAndWeight:
         assert bounded(hospital().g) and bounded(burst_choice().g)
         ub = unread_branch()
         assert weight(ub.probe, ub.g) == INF
+
+
+def loop_back(node, label):
+    """``node`` with a branch ``label`` back to itself."""
+    node.branches[label] = node
+    return node
+
+
+def witness_cases():
+    """Hand-built graphs for the peel in ``bounded_witness``: name ->
+    (graph, the witness as (participant, path of labels to the subterm)
+    or None)."""
+    cycle = loop_back(gout("q", "r"), "c")
+    tie = gout("p", "r", {"a": loop_back(gout("r", "p", {"c": gout(
+        "q", "p", {"d": gout("p", "q", {"e": gend()})})}), "b")})
+    once = gout("p", "q", {"c": gend()})
+    return {
+        "end below a p node": (
+            gout("p", "q", {"a": gout("q", "r", {"b": gend()})}), None),
+        "cycle entered where p plays no part": (
+            gout("p", "q", {"a": gout("r", "s", {"b": cycle})}), None),
+        "cycle entered where p plays a part": (
+            gout("p", "q", {"a": gout("r", "s", {"b": cycle, "d": gout(
+                "p", "q", {"e": gout("q", "r", {"f": gend()})})})}),
+            ("p", "a")),
+        "self-loop": (
+            loop_back(gout("q", "r", {"b": gout("p", "q", {"c": gend()})}),
+                      "a"),
+            ("p", "")),
+        "two labels to one child": (
+            gout("q", "r", {"a": once, "b": once}), None),
+        "a p node whose children all meet p, beside an end": (
+            gout("q", "r", {"a": gout("p", "q", {"c": gout("q", "r", {
+                "d": gout("p", "q", {"e": gend()})})}),
+                "b": gout("q", "r", {"f": gend()})}),
+            ("p", "")),
+        "least participant first": (
+            gout("s", "t", {"a": loop_back(gout("s", "t"), "c"), "b": gout(
+                "p", "q", {"x": gout("q", "p", {"y": gend()})})}),
+            ("p", "")),
+        "first subterm first": (tie, ("q", "")),
+    }
+
+
+@pytest.mark.parametrize("name", list(witness_cases()))
+def test_bounded_witness_cases(name):
+    g, want = witness_cases()[name]
+    if want is not None:
+        sub = g
+        for label in want[1]:
+            sub = sub.branches[label]
+        want = (want[0], sub)
+    assert oracle_witness(g) == want
+    got = bounded_witness(g)
+    assert (got and (got["participant"], got["subterm"])) == want
 
 
 class TestQueueEquivalence:
@@ -440,6 +497,15 @@ def test_deep_inputs_do_not_recurse():
     g = chain(5000)
     assert len(g.key()) == 2 * 5000 + 1
     assert len(ring(10**4).key()) == 10**4
+    assert len(reachable_nodes(minimize(chain(5000)))) == 2 * 5000 + 1
+    big = ring(10**4)
+    assert quotient(big) is big
+    # a ring whose root also leads to a chain: q never moves on the ring
+    tailed = ring(10**4)
+    tailed.branches["t"] = chain(5000)
+    assert len(tailed.key()) == 10**4 + 2 * 5000 + 1
+    assert len(reachable_nodes(minimize(tailed))) == 10**4 + 2 * 5000 + 1
+    assert bounded_witness(tailed) == {"participant": "q", "subterm": tailed}
     stray = Msg("p", "z", "r")
     queue = Queue.from_msgs([stray])
     assert depth(g, "q") == 2
