@@ -22,8 +22,10 @@ order.  A lane that its receiver can no longer read, because the
 receiver is absent or its node reaches no input from the sender, is
 kept up to its emptiness only: dropped under input-enabling, one marker
 under queue-consuming.  A readable lane keeps one label per class that
-its receiver cannot tell apart: labels that every input from the sender
-offers with bisimilar continuations or not at all.  A state where
+its receiver cannot tell apart, by the one label-class rule of
+``terms._alike`` that the well-formedness judgments use: labels that
+every input from the sender offers with bisimilar continuations or not
+at all.  A state where
 nobody can move and something is owed is reported when it is generated,
 and a failed obligation as a lasso found on the strongly connected
 components of the states that starve it: a shortest trace to a state,
@@ -41,7 +43,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from mpst.terms import (Comm, END, IN, Network, OUT, Queue, _children,
-                        _lane_pop, _lane_push, quotient, reachable_nodes)
+                        _label_classes, _lane_pop, _lane_push, quotient,
+                        reachable_nodes)
 
 
 class _Sentinel:
@@ -381,21 +384,26 @@ class _Reads:
 
 
 class _Labels:
-    """The representative labels of a liveness check's lanes.  Labels l
-    and l' on channel (s, r) share one when every input from s in
-    ``inputs[s, r]``, the input nodes from s that r's start quotient
-    reaches, offers neither label or both with the same continuation
-    node; the quotient makes bisimilar continuations one node.  The
-    representative of a class is its first label asked for."""
+    """The representative labels of a liveness check's lanes.  Labels
+    on channel (s, r) share one when r's start quotient cannot tell them
+    apart by the label-class rule of ``terms._alike``, each occurring
+    or not: every input from s that it reaches offers neither label or
+    both with the same continuation node, since the quotient makes
+    bisimilar continuations one node.  So they share one exactly when
+    their ``terms._label_classes`` are equal, a label that no input
+    offers in the class of none.  The representative of a class is its
+    first label asked for."""
 
-    def __init__(self, inputs: dict):
-        self.inputs = inputs
-        self.classes = {}  # per channel and continuations: a label
+    def __init__(self, start: dict):
+        self.start = start  # participant -> its start quotient
+        self.memo = {}  # for terms._label_classes
+        self.classes = {}  # per channel and label class: a label
 
     def rep(self, sender, receiver, label):
         """The representative of ``label`` on channel (sender, receiver)."""
-        then = tuple([node.branches.get(label)
-                      for node in self.inputs.get((sender, receiver), ())])
+        proc = self.start.get(receiver)
+        then = () if proc is None else _label_classes(
+            proc, (sender, None), self.memo).get(label, ())
         return self.classes.setdefault((sender, receiver, then), label)
 
 
@@ -634,16 +642,12 @@ def check_liveness(session: Session, horizon: int = 50,
     place = {name: i for i, name in enumerate(names)}
     start = [quotient(proc) for _, proc in session.net.items()]
     chans = set(session.queue.channels())
-    inputs = {}  # per channel: the input nodes of its receiver from its sender
     for name, proc in zip(names, start):
-        for node in reachable_nodes(proc):
-            if node.kind == OUT:
-                chans.add((name, node.receiver))
-            elif node.kind == IN:
-                inputs.setdefault((node.sender, name), []).append(node)
+        chans.update((name, node.receiver) for node in reachable_nodes(proc)
+                     if node.kind == OUT)
     chans = sorted(chans)
     slot = {chan: i for i, chan in enumerate(chans, len(names))}
-    labels = _Labels(inputs)
+    labels = _Labels(dict(zip(names, start)))
     # each communication's mover, lane and receiver positions, the last
     # None for an absent receiver, its sender's bit and the
     # representative of its label

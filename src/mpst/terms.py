@@ -270,8 +270,9 @@ def _classes(root):
     return block, rep
 
 
-def _canonical_key(root):
-    block, rep = _classes(root)
+def _canonical_key(root, classes=None):
+    """The key of ``root`` from its :func:`_classes`, refined unless given."""
+    block, rep = classes or _classes(root)
     # number the blocks by a depth-first walk of the quotient graph,
     # taking branches in label order, so the key only depends on the
     # graph up to bisimilarity
@@ -298,10 +299,8 @@ def bisimilar(a, b) -> bool:
     return a.key() == b.key()
 
 
-def minimize(root):
-    """The quotient of ``root`` by bisimilarity, as a fresh graph with a
-    node per entry of its key; a key cached on ``root`` is read, not stored."""
-    key = root._key or _canonical_key(root)
+def _build(key):
+    """A fresh graph with a node per entry of ``key``."""
     # a local signature starts with the kind, sender and receiver
     fresh = [GNode(*sig[:3]) for sig, _ in key]
     for node, (_, arms) in zip(fresh, key):
@@ -309,17 +308,58 @@ def minimize(root):
     return fresh[0]
 
 
+def minimize(root):
+    """The quotient of ``root`` by bisimilarity, as a fresh graph with a
+    node per entry of its key; a key cached on ``root`` is read, not stored."""
+    return _build(root._key or _canonical_key(root))
+
+
 def quotient(root):
     """The quotient of ``root`` by bisimilarity: ``root`` itself when no
     two of the nodes it reaches are bisimilar, else :func:`minimize` of
-    it."""
-    block, rep = _classes(root)
-    return root if len(rep) == len(block) else minimize(root)
+    it, built from the same refinement."""
+    classes = _classes(root)
+    if len(classes[1]) == len(classes[0]):
+        return root
+    return _build(_canonical_key(root, classes))
 
 
 def subterms(root) -> list:
     """One representative per bisimilarity class of subterm of ``root``."""
     return list(_classes(root)[1].values())
+
+
+def _label_classes(root, chan, memo) -> dict:
+    """Each label that occurs in the graph of ``root`` mapped to its
+    class on ``chan``: the pairs (i, continuation) of the i-th input on
+    ``chan`` that ``root`` reaches, in :func:`reachable_nodes` order,
+    for the inputs that offer it.  A process input from p is on (p,
+    None).  ``memo`` maps each (root, chan) to its result for one check.
+    """
+    classes = memo.get((root, chan))
+    if classes is None:
+        nodes = reachable_nodes(root)
+        classes = {lab: [] for n in nodes for lab in n.branches}
+        for i, n in enumerate([n for n in nodes if n.kind == IN and (
+                n.sender, n.receiver) == chan]):
+            for lab, child in n.branches.items():
+                classes[lab].append((i, child))
+        classes = memo[root, chan] = {lab: tuple(c)
+                                      for lab, c in classes.items()}
+    return classes
+
+
+def _alike(root, chan, a, b, memo) -> bool:
+    """The one label-class rule: whether ``root`` cannot tell labels
+    ``a`` and ``b`` on ``chan`` apart.  Both occur in its graph, and
+    every input on ``chan`` that it reaches offers neither or both with
+    bisimilar continuations: their :func:`_label_classes` pair the same
+    inputs with continuations that are one node or bisimilar."""
+    classes = _label_classes(root, chan, memo)
+    ca, cb = classes.get(a), classes.get(b)
+    return (ca is not None and cb is not None and len(ca) == len(cb)
+            and all(i == j and (x is y or bisimilar(x, y))
+                    for (i, x), (j, y) in zip(ca, cb)))
 
 
 def players(g: GNode) -> set:

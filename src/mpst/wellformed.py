@@ -6,7 +6,11 @@ read and that queue growth between recurrences of a type stays
 harmless.  Supporting judgments: depth and boundedness of types,
 weight of a message, readability and deep readability of queues, the
 type-indexed queue equivalence, and the agreement between a type and
-the queue growth it produces.
+the queue growth it produces.  Readability, and agreement without
+``mod_g``, are decided lane by lane.  One label-class rule, ``terms._alike``, says when a type
+cannot tell two labels apart; it serves ``indistinguishable``, the
+queue equivalence and agreement's swap test, as it serves the label
+classes of the liveness check.
 
 Balancing is undecidable (queue machines embed into it), so the main
 entry points answer Accept, with a reusable derivation, or Unknown.
@@ -25,9 +29,9 @@ from mpst.terms import (
     GNode,
     Msg,
     Queue,
+    _alike,
     _children,
     _peel,
-    bisimilar,
     players,
     reachable_nodes,
 )
@@ -78,10 +82,12 @@ def _longest(start, succ, target, memo):
 
 
 def depth(g: GNode, p: str):
-    """How long p can be kept waiting in g; 0 when p plays no part."""
-    if p not in players(g):
-        return 0
-    return 1 + _longest(g, _children, lambda n: n.player == p, {})
+    """How long p can be kept waiting in g; 0 when p plays no part.
+
+    Every path from g meets a node of p or runs into End or a cycle, so
+    a finite wait shows that p plays a part."""
+    wait = _longest(g, _children, lambda n: n.player == p, {})
+    return 0 if wait == INF and p not in players(g) else 1 + wait
 
 
 def bounded_witness(g: GNode) -> Optional[dict]:
@@ -259,43 +265,26 @@ def indistinguishable(m1: Msg, m2: Msg, g: GNode) -> bool:
 
     Both labels must occur in g, and every input choice on their
     channel must either offer neither or offer both with bisimilar
-    continuations.
+    continuations: the label-class rule, ``terms._alike``.
     """
     if m1.channel != m2.channel:
         raise ChannelMismatch(f"{m1} and {m2} travel on different channels")
-    nodes = reachable_nodes(g)
-    occurring = {lab for n in nodes for lab in n.branches}
-    if m1.label not in occurring or m2.label not in occurring:
-        return False
-    for node in nodes:
-        if node.kind != IN or (node.sender, node.receiver) != m1.channel:
-            continue
-        offered = {m1.label, m2.label} & set(node.branches)
-        if not offered:
-            continue
-        if offered != {m1.label, m2.label}:
-            return False
-        if not bisimilar(node.branches[m1.label], node.branches[m2.label]):
-            return False
-    return True
+    return _alike(g, m1.channel, m1.label, m2.label, {})
 
 
 def queue_equiv_g(q1: Queue, q2: Queue, g: GNode) -> bool:
     """Queue equivalence extended with replacement of messages that g
     cannot tell apart; per channel, positionwise."""
-    if q1.channels() != q2.channels():
-        return False
-    for chan in q1.channels():
-        lanes = zip(q1.labels(*chan), q2.labels(*chan))
-        if len(q1.labels(*chan)) != len(q2.labels(*chan)):
-            return False
-        for a, b in lanes:
-            if a == b:
-                continue
-            if not indistinguishable(Msg(chan[0], a, chan[1]),
-                                     Msg(chan[0], b, chan[1]), g):
-                return False
-    return True
+    return _equiv(q1, q2, g, {})
+
+
+def _equiv(q1, q2, g, memo) -> bool:
+    """:func:`queue_equiv_g` sharing ``memo`` with other calls."""
+    k1, k2 = q1.key(), q2.key()
+    return len(k1) == len(k2) and all(
+        c1 == c2 and len(l1) == len(l2)
+        and all(a == b or _alike(g, c1, a, b, memo) for a, b in zip(l1, l2))
+        for (c1, l1), (c2, l2) in zip(k1, k2))
 
 
 # ---------------------------------------------------------------------------
@@ -310,54 +299,81 @@ def agree(g: GNode, queue: Queue, mod_g: bool = False) -> bool:
     continuation; the front message moves out of the way exactly when
     the continuation cannot distinguish the two.  A path stops where its
     (node, queue) state recurs, with ``mod_g`` up to that same
-    equivalence.  Without ``mod_g``, a finished state holds on every
-    path, so agreement means that no reachable state breaks it; the
-    calls of one balancing check share only states finished by calls
-    that held, as one that failed may have finished a state reaching an
-    ancestor that was still open and failed.  ``mod_g`` finishes none.
+    equivalence.
+
+    Without ``mod_g``, agreement means that no reachable state breaks
+    it, and it is decided lane by lane, over (node, lane) states.  An
+    output on channel c whose lane is non-empty rotates lane c: it
+    drops the head and appends its label; an output onto an empty lane
+    pushes nothing, and every other node passes the queue on unchanged.
+    So the reachable (node, lane c) pairs do not depend on the other
+    lanes, and the swap test at a state reads only its node and lane c:
+    agreement holds exactly when it holds for each lane alone.  A lane
+    walk that held finished every state it met, since all of their
+    successors were met too; the calls of one balancing check share
+    those, per (node, channel, lane).  ``mod_g`` prunes a path by the
+    equivalence on the whole queue, which does not follow from the
+    equivalence lane by lane, so it walks (node, queue) states.
     """
-    return _agree(g, queue, mod_g, set())
+    return _agree(g, queue, mod_g, {})
 
 
-def _agree(g, queue, mod_g, table) -> bool:
-    """:func:`agree` that skips, and when it holds extends, ``table``."""
-    # path: node -> its queues met, oldest first, as the keys of a
-    # dict.  Without ``mod_g`` that is every state visited; under it
-    # only those on the current path, and (node, None) is an exit,
-    # which pops the last one entered (a queue occurs at most once per
-    # node on the path)
-    path, swaps = {}, set()
+def _agree(g, queue, mod_g, memo) -> bool:
+    """:func:`agree` that skips the finished lane states in ``memo``,
+    adds those of each lane that held, and keeps the label classes
+    there (see :func:`_grown`)."""
+    if mod_g:
+        return _agree_mod_g(g, queue, memo)
+    for chan, labels in queue.key():
+        done = memo.setdefault(chan, set())
+        seen = set()
+        stack = [(g, labels)]
+        while stack:
+            state = stack.pop()
+            if state in seen or state in done:
+                continue
+            seen.add(state)
+            node, lane = state
+            if node.kind == OUT and (node.sender, node.receiver) == chan:
+                head, rest = lane[0], lane[1:]
+                for lab, child in node.branches.items():
+                    if head != lab and not _alike(child, chan, head, lab,
+                                                  memo):
+                        return False
+                    stack.append((child, (*rest, lab)))
+            else:
+                for child in node.branches.values():
+                    stack.append((child, lane))
+        done |= seen
+    return True
+
+
+def _agree_mod_g(g, queue, memo) -> bool:
+    """:func:`agree` with ``mod_g``: a depth-first walk of (node, queue)
+    states, with the queues of the current path per node, against which
+    a state recurs; (node, None) is an exit, which pops the last one."""
+    path = {}
     stack = [(g, queue)]
     while stack:
         node, q = stack.pop()
         if q is None:
-            path[node].popitem()
+            path[node].pop()
             continue
-        if node.kind == END or (node, q) in table:
+        hyps = path.setdefault(node, [])
+        if node.kind == END or any(_equiv(hq, q, node, memo) for hq in hyps):
             continue
-        hyps = path.setdefault(node, {})
-        if q in hyps or mod_g and any(queue_equiv_g(hq, q, node)
-                                      for hq in hyps):
-            continue
-        hyps[q] = None
-        if mod_g:
-            stack.append((node, None))
+        hyps.append(q)
+        stack.append((node, None))
         chan = (node.sender, node.receiver)
         head = q.head(*chan) if node.kind == OUT else None
         for lab, child in node.branches.items():
             if head is None:
                 stack.append((child, q))
-                continue
-            # the first failed swap ends the call, so only swaps that
-            # held are remembered
-            swap = (chan, head, lab, child)
-            if head != lab and swap not in swaps:
-                if not indistinguishable(Msg(chan[0], head, chan[1]),
-                                         Msg(chan[0], lab, chan[1]), child):
-                    return False
-                swaps.add(swap)
-            stack.append((child, q.pop(*chan)[1].push(chan[0], lab, chan[1])))
-    table.update((node, q) for node, qs in path.items() for q in qs)
+            elif head != lab and not _alike(child, chan, head, lab, memo):
+                return False
+            else:
+                stack.append((child, q.pop(*chan)[1].push(chan[0], lab,
+                                                          chan[1])))
     return True
 
 
@@ -389,19 +405,23 @@ def ok(g: GNode, hyp_queue: Queue, queue: Queue, weak: bool = False,
     unless ``weak``, that is deeply readable while the old part stays
     readable.  Returns the suffix when all conditions hold.
     """
-    read_memo = {}
-    readable = weak or _readable(g, hyp_queue, read_memo)
-    return (_grown(g, hyp_queue, queue, weak, mod_g, set(), read_memo)
+    memo = {}
+    readable = weak or _readable(g, hyp_queue, memo)
+    return (_grown(g, hyp_queue, queue, weak, mod_g, memo)
             if readable else None)
 
 
-def _grown(g, hyp_queue, queue, weak, mod_g, table,
-           read_memo) -> Optional[Queue]:
-    """:func:`ok` less its ``read``, for hypotheses read when pushed."""
+def _grown(g, hyp_queue, queue, weak, mod_g, memo) -> Optional[Queue]:
+    """:func:`ok` less its ``read``, for hypotheses read when pushed.
+
+    ``memo`` holds what the premises of one check share, each kind
+    under keys of its own shape: a :func:`_readers` table per (channel,
+    label), the label classes per (node, channel) and the set of
+    finished agreement states (node, lane) per channel."""
     suffix = _split_suffix(hyp_queue, queue)
-    if suffix is None or not _agree(g, suffix, mod_g, table):
+    if suffix is None or not _agree(g, suffix, mod_g, memo):
         return None
-    return suffix if weak or _dread(g, suffix, read_memo) else None
+    return suffix if weak or _dread(g, suffix, memo) else None
 
 
 class Accept:
@@ -432,7 +452,7 @@ def _inductive(g, queue, weak, max_revisits, mod_g):
     # node.  Only frames at nodes entered before are kept, so only there
     # and while one is open are (node, view) entries logged; an exit
     # marker has the frame's derivation and start in the log, or None
-    root, path, read_memo, table = {}, {}, {}, set()
+    root, path, shared = {}, {}, {}
     memo, log, open_frames = {}, [], 0
     stack = [(g, queue, root, "derivation")]
     while stack:
@@ -461,7 +481,7 @@ def _inductive(g, queue, weak, max_revisits, mod_g):
         if open_frames or start is not None:
             log.append((node, hyps.copy()))
         for hq in hyps:
-            suffix = _grown(node, hq, q, weak, mod_g, table, read_memo)
+            suffix = _grown(node, hq, q, weak, mod_g, shared)
             if suffix is not None:
                 parent[slot] = {"rule": "ib-Cycle", "type": node, "queue": q,
                                 "hypothesis_queue": hq, "suffix": suffix}
@@ -470,7 +490,7 @@ def _inductive(g, queue, weak, max_revisits, mod_g):
             chan = (node.sender, node.receiver)
             head = q.head(*chan)
             if (len(hyps) > max_revisits
-                    or not (weak or _readable(node, q, read_memo))
+                    or not (weak or _readable(node, q, shared))
                     or node.kind == IN and head not in node.branches):
                 return Unknown()
             hyps.append(q)

@@ -1,6 +1,6 @@
 """Seeded random generators for graphs, networks, queues and machines,
-and the ``ring``, ``chain``, ``diamonds``, ``chain_network`` and
-``pairs`` scaling families."""
+and the ``ring``, ``chain``, ``diamonds``, ``lane_loop``,
+``chain_network`` and ``pairs`` scaling families."""
 
 from __future__ import annotations
 
@@ -123,6 +123,18 @@ def diamonds(n: int) -> GNode:
         for label in ("x", "y"):
             out.branches[label] = gin("p", "q", {label: outs[(i + 1) % n]})
     return outs[0]
+
+
+def lane_loop(k: int):
+    """The k-lane loop and its queue: ``G_i = p_i q_i!{a; G_i+1, b;
+    G_i+1}`` for i < k, closed back to ``G_0``, with one message
+    ``p_i->q_i:a`` on every lane.  Its (node, queue) states number
+    k 2^k, its (node, lane) states 2k per lane."""
+    outs = [gout(f"p{i}", f"q{i}") for i in range(k)]
+    for i, out in enumerate(outs):
+        out.branches.update(a=outs[(i + 1) % k], b=outs[(i + 1) % k])
+    return outs[0], Queue.from_msgs([Msg(f"p{i}", "a", f"q{i}")
+                                     for i in range(k)])
 
 
 def chain_network(n: int, restart: bool = False) -> Network:

@@ -822,12 +822,8 @@ def test_label_classes_match_a_walk():
     rng = random.Random(101)
     for _ in range(200):
         net = random_network(rng)
-        inputs = {}
-        for name, proc in net.items():
-            for node in reachable_nodes(quotient(proc)):
-                if node.kind == IN:
-                    inputs.setdefault((node.sender, name), []).append(node)
-        labels = sessions._Labels(inputs)
+        labels = sessions._Labels({name: quotient(proc)
+                                   for name, proc in net.items()})
         chans = [(s, r) for r in sorted(net.players()) for s in PARTS
                  if s != r]
         asks = [(s, r, lab) for s, r in chans for lab in LABELS]

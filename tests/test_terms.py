@@ -181,6 +181,18 @@ class TestBisimilarity:
             kept += minimal
         assert 0 < kept < 200
 
+    def test_quotient_refines_once(self, monkeypatch):
+        # the quotient of a graph that is not minimal is built from the
+        # blocks that found it not minimal, with no second refinement
+        refine, calls = terms._refine, []
+        monkeypatch.setattr(terms, "_refine",
+                            lambda nodes: calls.append(nodes) or refine(nodes))
+        two = gout("p", "q")
+        two.branches["l"] = gout("p", "q", {"l": two})
+        q = quotient(two)
+        assert q is not two and len(reachable_nodes(q)) == 1
+        assert len(calls) == 1 and two._key is None
+
 
 def partition(block):
     classes = {}

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from mpst import terms
 from mpst.machines import Accepted, encode_config, qm_run, qm_start
 from mpst.terms import (
     IN,
@@ -44,6 +45,7 @@ from gen import (
     PARTS,
     chain,
     diamonds,
+    lane_loop,
     random_gnode,
     random_machine,
     random_queue,
@@ -93,6 +95,18 @@ class TestDepthAndWeight:
         for g in gs:
             for p in PARTS:
                 assert depth(g, p) == oracle_depth(g, p)
+
+    def test_a_finite_depth_walks_no_players(self, monkeypatch):
+        # only a participant that never moves makes depth look for it
+        walks = []
+        reach = terms.reachable_nodes
+        monkeypatch.setattr(terms, "reachable_nodes",
+                            lambda root: walks.append(root) or reach(root))
+        g = gout("p", "q", {"a": gin("p", "q", {"a": gend()}),
+                            "b": gout("q", "p", {"c": gend()})})
+        assert (depth(g, "p"), depth(g, "q")) == (1, 2)
+        assert walks == []
+        assert depth(g, "r") == 0 and walks == [g]
 
     def test_weight_matches_oracle(self):
         rng, gs = graphs(4, 400)
@@ -416,6 +430,20 @@ class TestAgreementAndBalancing:
         verdict = weakly_balanced_inductive(g, Queue(), max_revisits=1)
         assert isinstance(verdict, Accept)
 
+    def test_agreement_walks_each_lane_alone(self):
+        # on the k-lane loop, the (node, queue) states number k 2^k but
+        # the (node, lane) states only 2k per lane.  Every expanded state
+        # walks its branch map once, and a lane's one swap test walks
+        # the k nodes twice, for reachable_nodes and the label classes
+        k = 12
+        g, queue = lane_loop(k)
+        for node in reachable_nodes(g):
+            node.branches = CountingBranches(node.branches)
+        assert agree(g, queue)
+        walked = sum(node.branches.walks for node in reachable_nodes(g))
+        assert walked <= 5 * k * k
+        assert isinstance(weakly_balanced_inductive(*lane_loop(k)), Accept)
+
     def test_balancing_matches_oracle(self):
         verdicts = set()
         for g, queue in walk_inputs():
@@ -471,6 +499,25 @@ class TestAgreementAndBalancing:
         b_loop = branches["b"]["branch"]["branches"]["b"]
         c_loop = branches["c"]["branch"]["branches"]["b"]
         assert (b_loop["rule"], c_loop["rule"]) == ("ib-Cycle", "ib-In")
+
+
+class CountingBranches(dict):
+    """A branch map that counts how often it is walked: iterated, or
+    its items or values taken."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
 
 
 def check_balancing(g, queue) -> set:
