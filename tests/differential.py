@@ -22,7 +22,7 @@ three: ``r`` is absent and ``p`` or ``q`` may end, so outputs and
 queued messages land on lanes that nobody can read.  The
 protocol sessions are network ``N`` of ``protocols/hospital.mps``,
 ``burst.mps`` and ``growing.mps`` with the empty queue, whose queues
-grow past ``terms._SHORT`` messages at long horizons.  The 88,854
+grow past ``terms._SHORT`` messages at long horizons.  The 94,854
 calls:
 
 - ``check_liveness`` in both modes, for seeds 3000-3399 at horizons 2
@@ -72,6 +72,10 @@ calls:
   n = 1..10 (9,720 calls): the verdict and, for an Accept, its
   derivation written out as a tree, a line per rule with its node's
   index in ``reachable_nodes`` and its queues' keys;
+- ``lanes``: the same checks of ``gen.lane_loop(k)`` for k = 1..10,
+  and of ``gen.random_gnode`` with a queue of one to three labels on
+  each of three to five channels drawn from ``gen.PARTS``, for
+  ``LANE_SEEDS`` (6,000 calls): as for balancing;
 - ``qm_run`` of ``gen.random_machine`` on ``gen.random_word`` at
   ``QM_STEPS`` for seeds 16000-17999 (2,000 calls), and at
   ``LONG_QM_STEPS`` for ``LONG_MACHINE_SEEDS`` (200 calls), where a
@@ -100,7 +104,7 @@ counts as a mismatch.  Then one line per change of a
 one's, gives how many calls made it, and a last one how many
 ``check_liveness`` mismatches keep their class and differ in the trace
 alone (trace-only).  ``--sample N`` runs only N calls, split about
-evenly over the ten kinds and spread evenly within each.
+evenly over the eleven kinds and spread evenly within each.
 """
 
 from __future__ import annotations
@@ -135,6 +139,7 @@ MACHINE_SEEDS = range(16000, 18000)
 LONG_MACHINE_SEEDS = range(19000, 19200)
 FORMAT_SEEDS = range(18000, 18300)
 GRAPH_SEEDS = range(20000, 20400)
+LANE_SEEDS = range(21000, 21490)
 # few labels, so that many nodes are bisimilar
 FEW = dict(parts=["p", "q"], labels=["a", "b", "c"], max_nodes=40)
 UNPRINTABLE = ["1x", "end", "q-r"]
@@ -200,6 +205,10 @@ def call_set() -> list:
                + [("diamonds", n) for n in range(1, 11)])
     calls += [("balancing", source, key, *check)
               for source, key in configs for check in CHECKS]
+    calls += [("lanes", source, key, *check)
+              for source, keys in (("loop", range(1, 11)),
+                                   ("random", LANE_SEEDS))
+              for key in keys for check in CHECKS]
     calls += [("qm_run", seed) for seed in MACHINE_SEEDS]
     calls += [("long_qm_run", seed) for seed in LONG_MACHINE_SEEDS]
     calls += [("graphs", source, seed)
@@ -235,9 +244,9 @@ def emit(src: str, n) -> None:
     from mpst.machines import encode_config, qm_run, qm_start
     from mpst.terms import (Comm, Network, Queue, gend, minimize, pin,
                             quotient, reachable_nodes, subterms)
-    from gen import (chain, diamonds, random_gnode, random_machine,
-                     random_network, random_pnode, random_queue, random_word,
-                     ring)
+    from gen import (LABELS, PARTS, chain, diamonds, lane_loop,
+                     random_gnode, random_machine, random_network,
+                     random_pnode, random_queue, random_word, ring)
 
     if not Path(mpst.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {mpst.__file__}, not from {src}")
@@ -335,7 +344,15 @@ def emit(src: str, n) -> None:
     def config(source, key):
         if source == "diamonds":
             return diamonds(key), Queue()
+        if source == "loop":
+            return lane_loop(key)
         rng = random.Random(key)
+        if source == "random":
+            chans = rng.sample(list(itertools.permutations(PARTS, 2)),
+                               rng.randint(3, 5))
+            return random_gnode(rng), Queue({
+                chan: rng.choices(LABELS, k=rng.randint(1, 3))
+                for chan in chans})
         if source == "gtype":
             return random_gnode(rng), random_queue(rng)
         machine = random_machine(rng)
@@ -407,7 +424,7 @@ def emit(src: str, n) -> None:
             return printed(parse(text(seed, *args)))
         if what == "format":
             return formatted(seed, *args).splitlines()
-        if what == "balancing":
+        if what in ("balancing", "lanes"):
             return balancing(seed, *args)
         if what in ("qm_run", "long_qm_run"):
             rng = random.Random(seed)
