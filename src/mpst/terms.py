@@ -318,10 +318,9 @@ def quotient(root):
     """The quotient of ``root`` by bisimilarity: ``root`` itself when no
     two of the nodes it reaches are bisimilar, else :func:`minimize` of
     it, built from the same refinement."""
-    classes = _classes(root)
-    if len(classes[1]) == len(classes[0]):
-        return root
-    return _build(_canonical_key(root, classes))
+    block, rep = classes = _classes(root)
+    return root if len(rep) == len(block) else _build(
+        _canonical_key(root, classes))
 
 
 def subterms(root) -> list:
