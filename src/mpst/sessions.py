@@ -8,7 +8,12 @@ head through a function.  Single steps, lockstep rounds (every
 participant able to move performs one communication) and simulation
 perform what it offers through one round function, ``_perform``, in
 place on a working process map (name order, no ended participant) and
-lane map, handing out snapshots that later rounds never change.  The
+lane map, handing out snapshots that later rounds never change.  One
+builder, ``_snapshot``, makes each: two map copies, of the process map
+and of the lane map, and four slotted objects, a network, a queue, a
+session and for a run its trace step, with no dataclass ``__init__``.
+Snapshots share the move table and the append-only list buffers of long
+lanes, which no round changes under them.  The
 liveness check performs its rounds on flat tuple states instead.
 The rule reads a participant's moves at a node from a move table keyed
 by ``(participant, node)`` and filled on the pair's first visit: every
@@ -70,10 +75,32 @@ class Classification(enum.Enum):
     DEADLOCKED = "deadlocked"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
+    """A network side by side with a queue: immutable, and compared and
+    hashed by its fields."""
+
     net: Network
     queue: Queue
+
+
+@dataclass(frozen=True, slots=True)
+class TraceStep:
+    """Step ``step`` of a run, from 1, the communications ``delta`` that
+    it performed and the ``session`` after them: immutable, and compared
+    and hashed by its fields."""
+
+    step: int
+    delta: frozenset
+    session: Session
+
+
+# the slot setters of the two result types, which _snapshot calls in
+# place of their frozen __init__
+_SET_NET, _SET_QUEUE = [Session.__dict__[name].__set__
+                        for name in ("net", "queue")]
+_SET_STEP, _SET_DELTA, _SET_SESSION = [
+    TraceStep.__dict__[name].__set__ for name in ("step", "delta", "session")]
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +137,33 @@ def _working(session: Session) -> tuple:
     return dict(session.net.items()), lanes, head, session.net._moves
 
 
-def _snapshot(procs: dict, lanes: dict, moves: dict) -> Session:
-    return Session(Network._of(procs.copy(), moves), Queue._of(lanes.copy()))
+def _snapshot(procs: dict, lanes: dict, moves: dict, step=None, comms=()):
+    """The session of a working state, or, given ``step``, the
+    :class:`TraceStep` of ``comms`` that holds it.  It makes two map
+    copies, of ``procs`` and ``lanes``, and four slotted objects, the
+    network, the queue, the session and the step (three with no
+    ``step``), with no dataclass ``__init__``: it sets their slots as
+    :meth:`Network._of`, :meth:`Queue._of` and the frozen ``__init__``
+    would, the last through the slots' descriptors.  Snapshots share the
+    move table ``moves`` and the append-only list buffers of long lanes
+    (:func:`_lane_push`), which later rounds never change."""
+    net = object.__new__(Network)
+    net._procs = procs.copy()
+    net._key = None
+    net._moves = moves
+    queue = object.__new__(Queue)
+    queue._lanes = lanes.copy()
+    queue._key = queue._hash = None
+    session = object.__new__(Session)
+    _SET_NET(session, net)
+    _SET_QUEUE(session, queue)
+    if step is None:
+        return session
+    trace_step = object.__new__(TraceStep)
+    _SET_STEP(trace_step, step)
+    _SET_DELTA(trace_step, frozenset(comms))
+    _SET_SESSION(trace_step, session)
+    return trace_step
 
 
 def step_session(session: Session, comm: Comm):
@@ -248,13 +300,6 @@ def lockstep(session: Session, policy: ChoicePolicy = None):
     return NOT_LIVE
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    step: int
-    delta: frozenset
-    session: Session
-
-
 def simulate(session: Session, policy: ChoicePolicy = None,
              max_steps: int = 20, lockstep_rounds: bool = False):
     """Iterate until quiescence or ``max_steps``.
@@ -262,7 +307,10 @@ def simulate(session: Session, policy: ChoicePolicy = None,
     By default one communication happens per step, chosen by the
     policy among everything enabled.  With ``lockstep_rounds`` each
     step is a whole round instead.  Each :class:`TraceStep` holds its
-    own immutable snapshot of the run's one working state.  A single
+    own immutable snapshot of the run's one working state, which
+    :func:`_snapshot` builds from two map copies and four slotted
+    objects, with no dataclass ``__init__``; snapshots share the move
+    table and the append-only list buffers of long lanes.  A single
     step's options are merged and sorted once per run per configuration.
     """
     policy = policy or MinLabelPolicy()
@@ -281,8 +329,7 @@ def simulate(session: Session, policy: ChoicePolicy = None,
                     itertools.chain(*key), key=_SORT_KEY))
             comms = (_choose(policy, options),)
         _perform(procs, lanes, comms)
-        yield TraceStep(index + 1, frozenset(comms),
-                        _snapshot(procs, lanes, moves))
+        yield _snapshot(procs, lanes, moves, index + 1, comms)
 
 
 # ---------------------------------------------------------------------------

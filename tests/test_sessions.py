@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -21,6 +22,7 @@ from mpst.sessions import (
     ScriptMismatch,
     ScriptPolicy,
     Session,
+    TraceStep,
     Verified,
     _options_by_player,
     _perform,
@@ -256,6 +258,8 @@ class TestSnapshots:
     @pytest.mark.parametrize("make, policy, steps, rounds", [
         (growing, MinLabelPolicy(), 300, True),
         (hospital, RandomPolicy(3), 2000, False),
+        (growing, RandomPolicy(3), 2000, False),
+        (hospital, MinLabelPolicy(), 2000, True),
     ])
     def test_snapshots_never_change(self, make, policy, steps, rounds):
         s = fresh(make().net)
@@ -284,6 +288,66 @@ class TestSnapshots:
         trace = list(simulate(fresh(hospital().net), RandomPolicy(3), 2000))
         assert len(trace) == 2000
         assert len(keys) <= 40
+
+
+class TestResultTypes:
+    # Session and TraceStep are public: however a run builds them, they
+    # are frozen dataclasses with these fields, of these types, compared,
+    # hashed and printed by them
+
+    FIELDS = {Session: {"net": Network, "queue": Queue},
+              TraceStep: {"step": int, "delta": frozenset, "session": Session}}
+    # a change to one field that makes an unequal instance
+    CHANGE = {Session: lambda s: {"queue": s.queue.push("x", "zz", "y")},
+              TraceStep: lambda t: {"step": t.step + 1}}
+
+    @staticmethod
+    def made_by(source):
+        h = hospital()
+        user = Session(h.net, Queue({("p", "s"): ["nd"]}))
+        if source == "constructor":
+            return [user, TraceStep(1, frozenset(), user)]
+        if source in ("simulate", "simulate rounds"):
+            trace = list(simulate(fresh(h.net), RandomPolicy(5), 20,
+                                  source == "simulate rounds"))
+            return trace + [step.session for step in trace]
+        if source == "step_session":
+            return [step_session(fresh(h.net), Comm.parse("p->s!nd"))]
+        if source == "lockstep":
+            return [lockstep(user)[1]]
+        doc = parse((PROTOCOLS / "mp.mps").read_text())
+        result = check_liveness(fresh(doc.networks["N"]), 10)
+        return [after for _, after in result.trace]
+
+    @pytest.mark.parametrize("source", [
+        "constructor", "simulate", "simulate rounds", "step_session",
+        "lockstep", "counterexample"])
+    def test_the_public_contract_holds(self, source):
+        made = self.made_by(source)
+        assert made
+        for obj in made:
+            cls = type(obj)
+            names = tuple(self.FIELDS[cls])
+            values = [getattr(obj, name) for name in names]
+            assert [type(value) for value in values] == list(
+                self.FIELDS[cls].values())
+            assert dataclasses.is_dataclass(obj)
+            assert tuple(f.name for f in dataclasses.fields(obj)) == names
+            twin = cls(*values)
+            assert twin == obj and hash(twin) == hash(obj)
+            shown = ", ".join(f"{name}={value!r}"
+                              for name, value in zip(names, values))
+            assert repr(obj) == f"{cls.__name__}({shown})"
+            same = dataclasses.replace(obj)
+            assert same == obj and same is not obj
+            change = self.CHANGE[cls](obj)
+            other = dataclasses.replace(obj, **change)
+            assert type(other) is cls and other != obj
+            for name, value in zip(names, values):
+                assert getattr(other, name) is change.get(name, value)
+                assert getattr(obj, name) is value
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, name, value)
 
 
 class TestHospitalTrace:
@@ -655,8 +719,8 @@ class TestLiveness:
 
     def test_exploration_builds_no_network(self, monkeypatch):
         # states are flat tuples of process nodes and label tuples: a
-        # network or a queue is built, checked or not, only for a
-        # returned trace, and pairs(3) returns none
+        # network or a queue is built, checked or not, or a snapshot of
+        # them, only for a returned trace, and pairs(3) returns none
         built = []
 
         def counting(real):
@@ -672,12 +736,14 @@ class TestLiveness:
         for cls in (Network, Queue):
             monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
             monkeypatch.setattr(cls, "_of", counting(cls._of))
+        monkeypatch.setattr(sessions, "_snapshot",
+                            counting(sessions._snapshot))
         assert check_liveness(s, 6) == Verified()
         assert len(built) == 0
-        # the replay of a returned trace builds its network and its
-        # queue unchecked, and the count sees both
+        # the replay of a returned trace builds one snapshot of its
+        # network and its queue per round, and the count sees it
         assert len(check_liveness(wrong, 3).trace) == 1
-        assert len(built) == 2
+        assert len(built) == 1
 
     def test_empty_choice_never_reaches_the_check(self):
         # the completion test assumes that no choice is empty: p, stuck
