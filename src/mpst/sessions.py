@@ -13,28 +13,27 @@ builder, ``_snapshot``, makes each: two map copies, of the process map
 and of the lane map, and four slotted objects, a network, a queue, a
 session and for a run its trace step, with no dataclass ``__init__``.
 Snapshots share the move table and the append-only list buffers of long
-lanes, which no round changes under them.  The
-liveness check performs its rounds on flat tuple states instead.
-The rule reads a participant's moves at a node from a move table keyed
-by ``(participant, node)`` and filled on the pair's first visit: every
-network that a round derives from a session's shares that network's
-table, and the check keeps its own for the quotients it explores.
-The check explores the reachable lockstep states once, breadth-first,
-with ``horizon`` bounding the depth; a state is one flat tuple of the
-quotients of its processes under bisimilarity, in name order, and of
-a label tuple per lane that the session can hold, in a fixed sorted
-order.  A lane that its receiver can no longer read, because the
-receiver is absent or its node reaches no input from the sender, is
-kept up to its emptiness only: dropped under input-enabling, one marker
-under queue-consuming.  A readable lane keeps one label per class that
-its receiver cannot tell apart, by the one label-class rule of
-``terms._alike`` that the well-formedness judgments use: labels that
-every input from the sender offers with bisimilar continuations or not
-at all.  A state where
-nobody can move and something is owed is reported when it is generated,
-and a failed obligation as a lasso found on the strongly connected
-components of the states that starve it: a shortest trace to a state,
-then a cycle back to it, replayed until the concrete session recurs.
+lanes, which no round changes under them.  The liveness check performs
+its rounds on flat tuple states instead.  The rule reads a participant's
+moves at a node from a move table keyed by ``(participant, node)`` and
+filled on the pair's first visit: every network that a round derives
+from a session's shares that network's table; the check keeps its own
+per participant, of move records.  The check explores the reachable
+lockstep states once, breadth-first, with ``horizon`` bounding the
+depth; a state is one flat tuple of the quotients of its processes under
+bisimilarity, in name order, and of a label tuple per lane that the
+session can hold, in a fixed sorted order.  A lane that its receiver can
+no longer read, because the receiver is absent or its node reaches no
+input from the sender, is kept up to its emptiness only: dropped under
+input-enabling, one marker under queue-consuming.  A readable lane keeps
+one label per class that its receiver cannot tell apart, by the one
+label-class rule of ``terms._alike`` that the well-formedness judgments
+use: labels that every input from the sender offers with bisimilar
+continuations or not at all.  A state where nobody can move and
+something is owed is reported when it is generated, and a failed
+obligation as a lasso found on the strongly connected components of the
+states that starve it: a shortest trace to a state, then a cycle back to
+it, replayed until the concrete session recurs.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from mpst.terms import (Comm, END, IN, Network, OUT, Queue, _children,
-                        _label_classes, _lane_pop, _lane_push, quotient,
-                        reachable_nodes)
+                        _label_classes, _lane_pop, _lane_push,
+                        _quotient_nodes)
 
 
 class _Sentinel:
@@ -362,27 +361,43 @@ class HorizonExceeded:
     horizon: int
 
 
-def _starved(mode, names, chans, state, options) -> tuple:
-    """What a state of :func:`check_liveness`, ``state``, whose slots
-    hold the processes of ``names`` and then the lanes of ``chans``, and
-    whose options are ``options``, owes and none of its rounds serves:
-    the participants waiting on an input that cannot move, or the
-    channels holding a message that no option reads.  A participant able
-    to read has only that input, so it reads in every round.  With no
-    options this is what the state owes."""
+def _state_options(state, tables, moves_at) -> dict:
+    """A :func:`check_liveness` state's options as :func:`_options_by_player`
+    gives them on the concrete session, keyed by position, each move a
+    record: the mover's position, the lane's slot, the receiver's
+    position or None, the sender's bit, the label's representative, the
+    continuation and whether it reads.  ``tables[r]`` holds participant
+    r's ``moves_at(r, node)``: an input's slot and label map, else records."""
+    opts = {}
+    for r, table in enumerate(tables):
+        if (moves := table.get(node := state[r])) is None:
+            moves = table[node] = moves_at(r, node)
+        if moves and node.kind == IN:
+            lane = state[moves[0]]
+            moves = lane and moves[1].get(lane[0])
+        if moves:
+            opts[r] = moves
+    return opts
+
+
+def _starved(mode, n, state, options) -> tuple:
+    """What ``state`` of :func:`check_liveness`, ``n`` processes and then
+    lanes, with ``options``, owes and none of its rounds serves: the
+    positions of the participants waiting on an input that cannot move,
+    or the slots of the lanes holding a message that no option reads.  A
+    participant able to read has only that input, so it reads in every
+    round.  With no options this is what the state owes."""
     if mode is LivenessMode.INPUT_ENABLING:
-        return tuple([name for name, proc in zip(names, state)
-                      if proc.kind == IN and name not in options])
-    read = {(comms[0].sender, name) for name, comms in options.items()
-            if comms[0].kind == IN}
-    return tuple([chan for chan, lane in zip(chans, state[len(names):])
-                  if lane and chan not in read])
+        return tuple([r for r in range(n) if state[r].kind == IN
+                      and r not in options])
+    read = {moves[0][1] for moves in options.values() if moves[0][6]}
+    return tuple([i for i in range(n, len(state))
+                  if state[i] and i not in read])
 
 
 def _rounds(options) -> Iterable:
-    """The lockstep rounds of a state's options, one communication per
-    participant able to move, in a fixed order; none when nobody can
-    move."""
+    """The lockstep rounds of a state's options, one move per participant
+    able to move, in a fixed order; none when nobody can move."""
     return itertools.product(*options.values()) if options else ()
 
 
@@ -442,15 +457,15 @@ class _Labels:
     first label asked for."""
 
     def __init__(self, start: dict):
-        self.start = start  # participant -> its start quotient
+        self.start = start  # participant -> its start quotient's nodes
         self.memo = {}  # for terms._label_classes
         self.classes = {}  # per channel and label class: a label
 
     def rep(self, sender, receiver, label):
         """The representative of ``label`` on channel (sender, receiver)."""
-        proc = self.start.get(receiver)
-        then = () if proc is None else _label_classes(
-            proc, (sender, None), self.memo).get(label, ())
+        nodes = self.start.get(receiver)
+        then = () if nodes is None else _label_classes(
+            nodes[0], (sender, None), self.memo, nodes).get(label, ())
         return self.classes.setdefault((sender, receiver, then), label)
 
 
@@ -604,15 +619,18 @@ def check_liveness(session: Session, horizon: int = 50,
     ``horizon`` rounds deep, and check the mode's obligations.
 
     Every reachable state is visited once.  Each start process is
-    replaced by its quotient, :func:`quotient`, so bisimilar processes
-    reached later are one node.  A state is one flat tuple, which is its
-    own key: the process nodes in name order, ended ones included, then
-    one label tuple per lane, in sorted order, for each channel of the
-    start queue and each pair of a participant and the receiver of an
-    output that it can reach, so equal states are equal tuples.  A round
-    writes its movers' nodes and lanes into a list copy of its state: it
-    builds no process map, queue or sorted key.  A state is kept as that
-    key, its parent link and, once expanded, its edges and what it
+    replaced by its quotient, whose one walk (``terms._quotient_nodes``)
+    gives the channels and label classes, so bisimilar processes reached
+    later are one node.  A state is one flat tuple, which is its own
+    key: the process nodes in name order, ended ones included, then one
+    label tuple per lane, in sorted order, for each channel of the start
+    queue and each pair of a participant and the receiver of an output
+    that it can reach, so equal states are equal tuples.  A round is a
+    product of move records, in the order of :func:`_rounds` on the
+    concrete session (:func:`_state_options`): it writes its movers'
+    nodes and lanes into a list copy of its state and builds no
+    communication, process map, queue or sorted key.  A state is kept as
+    that key, its parent link and, once expanded, its edges and what it
     starves; its options are kept only until its layer is expanded, so
     the options of each state are built once.  A state owes the
     participants waiting on an input, or the channels holding a message,
@@ -620,18 +638,18 @@ def check_liveness(session: Session, horizon: int = 50,
     Where nobody can move it has completed exactly when it owes nothing,
     since every participant left there waits on an input (no choice is
     empty, as :class:`Network` enforces); otherwise it yields its
-    shortest trace.
-    Each state is tested for this when it is generated, so the first one
-    generated is reported before anything found later.  The states that
-    starve each obligation are searched for a cycle after the first
-    layer that closes a cycle, then once the expanded states have doubled
-    since the last check, and after the last layer.  A failed obligation
-    yields a lasso: a shortest trace to a state that starves it, followed
-    by a cycle back to that state on which it is never served, so the
-    trace ends in a state it passed before.  A returned trace is replayed
-    from ``session``, the cycle as many turns as its labels need (see
-    below).  Otherwise the result is Verified, weakened to
-    HorizonExceeded if some state at depth ``horizon`` could still move.
+    shortest trace.  Each state is tested for this when it is generated,
+    so the first one generated is reported before anything found later.
+    The states that starve each obligation are searched for a cycle
+    after the first layer that closes a cycle, then once the expanded
+    states have doubled since the last check, and after the last layer.
+    A failed obligation yields a lasso: a shortest trace to a state that
+    starves it, followed by a cycle back to that state on which it is
+    never served, so the trace ends in a state it passed before.  A
+    returned trace is replayed from ``session``, the cycle as many turns
+    as its labels need (see below).  Otherwise the result is Verified,
+    weakened to HorizonExceeded if some state at depth ``horizon`` could
+    still move.
 
     States are kept up to unread lanes.  A lane (s, r) is unread at a
     state when r is absent or r's node reaches no input from s; an
@@ -651,24 +669,25 @@ def check_liveness(session: Session, horizon: int = 50,
     the round: the lane is readable if the receiver waits on that sender
     there, else by the node's read mask (:class:`_Reads`), whose first
     lookup meets the receiver.  When a participant met moves to a node
-    whose mask shrank, the lanes into it that it can no longer read are
-    collapsed.  A lane that becomes unread before its receiver is met
-    keeps its messages until its next push collapses it, so no unread
-    lane grows either way.  An edge whose push finds its lane unread is
-    growing: its concrete lane gets longer.  A participant's mask is the
-    same all along a cycle, so a cycle that pushes onto a lane that it
-    cannot read has a growing edge, and an edge that shrinks a mask,
-    marked or not, lies on no cycle.  A cycle with no growing edge
-    therefore replays to a state equal up to labels (see below), and
-    only such a cycle makes a lasso.  A starving cycle that grows a lane
-    has none, and the concrete run around it never repeats a state: it
-    makes the answer HorizonExceeded, never Verified.
+    whose mask shrank, its lanes, listed once per participant, from the
+    senders that it no longer reads are collapsed.  A lane that
+    becomes unread before its receiver is met keeps its messages until
+    its next push collapses it, so no unread lane grows either way.  An
+    edge whose push finds its lane unread is growing: its concrete lane
+    gets longer.  A participant's mask is the same all along a cycle, so
+    a cycle that pushes onto a lane that it cannot read has a growing
+    edge, and an edge that shrinks a mask, marked or not, lies on no
+    cycle.  A cycle with no growing edge therefore replays to a state
+    equal up to labels (see below), and only such a cycle makes a lasso.
+    A starving cycle that grows a lane has none, and the concrete run
+    around it never repeats a state: it makes the answer
+    HorizonExceeded, never Verified.
 
     States are also kept up to labels that no reader can tell apart, as
     the paper's queue equivalence indexed by the type lets such messages
     trade places (``wellformed.indistinguishable``): a lane holds one
     representative per class of :class:`_Labels`, found once per
-    communication on its first visit, and so does the start queue.
+    output on its node's first visit, and so does the start queue.
     Concrete states that differ only within classes have the same
     options, since an input offered on one head is offered on the other
     and leads to the same node, hence the same rounds at the same
@@ -687,21 +706,32 @@ def check_liveness(session: Session, horizon: int = 50,
     """
     names = [name for name, _ in session.net.items()]
     place = {name: i for i, name in enumerate(names)}
-    start = [quotient(proc) for _, proc in session.net.items()]
-    chans = set(session.queue.channels())
-    for name, proc in zip(names, start):
-        chans.update((name, node.receiver) for node in reachable_nodes(proc)
-                     if node.kind == OUT)
-    chans = sorted(chans)
+    nodes = [_quotient_nodes(proc) for _, proc in session.net.items()]
+    start = [graph[0] for graph in nodes]
+    chans = sorted(set(session.queue.channels()).union(*[
+        [(name, v.receiver) for v in graph if v.kind == OUT]
+        for name, graph in zip(names, nodes)]))
     slot = {chan: i for i, chan in enumerate(chans, len(names))}
-    labels = _Labels(dict(zip(names, start)))
-    # each communication's mover, lane and receiver positions, the last
-    # None for an absent receiver, its sender's bit and the
-    # representative of its label
-    where = {}
-    table = {}  # the quotients' moves, kept out of session.net's table
+    labels = _Labels(dict(zip(names, nodes)))
     reads = _Reads(start)
     masks, always, shrinks = reads.masks, reads.always, reads.shrinks
+    # per participant: the sender's bit and the slot of each lane into it
+    into = [[(reads.bit(s), i) for (s, to), i in slot.items() if to == name]
+            for name in names]
+    tables = [{} for _ in names]  # the quotients' moves, per participant
+
+    def moves_at(r, node):
+        """The move records of participant ``r`` at ``node``."""
+        name, to = names[r], node.receiver
+        if node.kind == IN:
+            lane = slot.get((node.sender, name))
+            return () if lane is None else (lane, {
+                lab: ((r, lane, None, 0, lab, then, True),)
+                for lab, then in node.branches.items()})
+        return tuple([(r, slot.get((name, to)), place.get(to), reads.bit(name),
+                       labels.rep(name, to, lab), node.branches[lab], False)
+                      for lab in sorted(node.branches)])
+
     unread = () if mode is LivenessMode.INPUT_ENABLING else _UNREAD
     initial = list(start)
     for sender, receiver in chans:
@@ -726,15 +756,10 @@ def check_liveness(session: Session, horizon: int = 50,
         is not expanded: its options are built only if it owes something,
         or until one such state can move."""
         nonlocal truncated
-        if deep and truncated and not _starved(mode, names, chans, state, {}):
+        if deep and truncated and not _starved(mode, len(names), state, {}):
             return {}
-
-        def head(sender, receiver):
-            i = slot.get((sender, receiver))
-            return state[i][0] if i is not None and state[i] else None
-
-        opts = _options_by_player(zip(names, state), head, table)
-        if not opts and _starved(mode, names, chans, state, opts):
+        opts = _state_options(state, tables, moves_at)
+        if not opts and _starved(mode, len(names), state, opts):
             return None
         truncated = truncated or deep and bool(opts)
         return opts
@@ -755,38 +780,28 @@ def check_liveness(session: Session, horizon: int = 50,
         layer.reverse()  # popped as expanded, freeing each state's options
         for i in range(first, layer_end):
             current, opts = layer.pop()
-            starved.append(_starved(mode, names, chans, current, opts))
+            starved.append(_starved(mode, len(names), current, opts))
             out = []
             # a completed state has no options, and so no round
             for k, combo in enumerate(_rounds(opts)):
                 state = list(current)
                 g = k  # the edge's round, ~k if it grows
-                for comm in combo:
-                    at = where.get(comm)
-                    if at is None:
-                        at = where[comm] = (
-                            place[comm.play], slot[comm.sender, comm.receiver],
-                            place.get(comm.receiver), reads.bit(comm.sender),
-                            labels.rep(comm.sender, comm.receiver, comm.label))
-                    mover, lane, receiver, bit, label = at
-                    node = state[mover]
-                    state[mover] = node.branches[comm.label]
-                    if comm.kind == IN:
+                for mover, lane, receiver, bit, label, then, read in combo:
+                    node, state[mover] = state[mover], then
+                    if read:
                         state[lane] = state[lane][1:]
                     elif receiver is not None and (
                             always[receiver] & bit
-                            or state[receiver].sender == comm.sender
+                            or state[receiver].sender == names[mover]
                             or reads.mask(receiver, state[receiver]) & bit):
                         state[lane] = (*state[lane], label)
                     else:
                         state[lane] = unread
                         g = ~k
-                    if shrinks[mover] and masks[node] != masks[state[mover]]:
-                        lost = masks[node] & ~masks[state[mover]]
-                        for sender, gone in reads.bits.items():
-                            other = slot.get((sender, comm.play))
-                            if gone & lost and other is not None \
-                                    and state[other]:
+                    if shrinks[mover] and masks[node] != masks[then]:
+                        lost = masks[node] & ~masks[then]
+                        for gone, other in into[mover]:
+                            if gone & lost and state[other]:
                                 state[other] = unread
                 state = tuple(state)
                 j = index.setdefault(state, len(parent))

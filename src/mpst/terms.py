@@ -299,28 +299,33 @@ def bisimilar(a, b) -> bool:
     return a.key() == b.key()
 
 
-def _build(key):
-    """A fresh graph with a node per entry of ``key``."""
+def _build(key) -> list:
+    """A fresh graph with a node per entry of ``key``, as its node list."""
     # a local signature starts with the kind, sender and receiver
     fresh = [GNode(*sig[:3]) for sig, _ in key]
     for node, (_, arms) in zip(fresh, key):
         node.branches = {lab: fresh[i] for lab, i in arms}
-    return fresh[0]
+    return fresh
 
 
 def minimize(root):
     """The quotient of ``root`` by bisimilarity, as a fresh graph with a
     node per entry of its key; a key cached on ``root`` is read, not stored."""
-    return _build(root._key or _canonical_key(root))
+    return _build(root._key or _canonical_key(root))[0]
+
+
+def _quotient_nodes(root) -> list:
+    """The nodes of :func:`quotient` of ``root``, in walk (key) order."""
+    block, rep = classes = _classes(root)
+    return list(rep.values()) if len(rep) == len(block) else _build(
+        _canonical_key(root, classes))
 
 
 def quotient(root):
     """The quotient of ``root`` by bisimilarity: ``root`` itself when no
     two of the nodes it reaches are bisimilar, else :func:`minimize` of
     it, built from the same refinement."""
-    block, rep = classes = _classes(root)
-    return root if len(rep) == len(block) else _build(
-        _canonical_key(root, classes))
+    return _quotient_nodes(root)[0]
 
 
 def subterms(root) -> list:
@@ -328,16 +333,16 @@ def subterms(root) -> list:
     return list(_classes(root)[1].values())
 
 
-def _label_classes(root, chan, memo) -> dict:
+def _label_classes(root, chan, memo, nodes=None) -> dict:
     """Each label that occurs in the graph of ``root`` mapped to its
     class on ``chan``: the pairs (i, continuation) of the i-th input on
     ``chan`` that ``root`` reaches, in :func:`reachable_nodes` order,
     for the inputs that offer it.  A process input from p is on (p,
     None).  ``memo`` maps each (root, chan) to its result for one check.
-    """
+    Given ``nodes``, those of ``root`` in that order, it walks no more."""
     classes = memo.get((root, chan))
     if classes is None:
-        nodes = reachable_nodes(root)
+        nodes = nodes or reachable_nodes(root)
         classes = {lab: [] for n in nodes for lab in n.branches}
         for i, n in enumerate([n for n in nodes if n.kind == IN and (
                 n.sender, n.receiver) == chan]):

@@ -96,11 +96,12 @@ calls:
 
 A raise is an answer: its class and message are compared.  After the
 mismatch count, one line gives the states that ``check_liveness``
-built over all its calls on each side: the calls of
-``sessions._options_by_player`` less one per round of a returned
-trace, which its replay makes.  The line is for information and never
-counts as a mismatch.  Then one line per change of a
-``check_liveness`` result class, from the other checkout's to this
+built over all its calls on each side: the calls of its per-state
+options builder, ``sessions._state_options``, or in a checkout that
+has none, the calls of ``sessions._options_by_player`` less one per
+round of a returned trace, which its replay makes.  The line is for
+information and never counts as a mismatch.  Then one line per change
+of a ``check_liveness`` result class, from the other checkout's to this
 one's, gives how many calls made it, and a last one how many
 ``check_liveness`` mismatches keep their class and differ in the trace
 alone (trace-only).  ``--sample N`` runs only N calls, split about
@@ -251,14 +252,18 @@ def emit(src: str, n) -> None:
     if not Path(mpst.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"imported {mpst.__file__}, not from {src}")
 
-    options_by_player = S._options_by_player
-    built, states = [0], [0]  # calls of _options_by_player, states built
+    # the states that check_liveness builds, from the calls of its own
+    # options builder, or of the shared rule that its replay calls too
+    own = hasattr(S, "_state_options")
+    builder = "_state_options" if own else "_options_by_player"
+    options_of = getattr(S, builder)
+    built, states = [0], [0]  # calls of the builder, states built
 
     def counted(*args):
         built[0] += 1
-        return options_by_player(*args)
+        return options_of(*args)
 
-    S._options_by_player = counted
+    setattr(S, builder, counted)
 
     def show(s):
         return f"{s.net.key()!r} {s.queue.key()!r}"
@@ -437,7 +442,8 @@ def emit(src: str, n) -> None:
             horizon, mode = args
             before = built[0]
             result = S.check_liveness(s, horizon, S.LivenessMode[mode])
-            states[0] += built[0] - before - len(getattr(result, "trace", ()))
+            states[0] += built[0] - before - (
+                0 if own else len(getattr(result, "trace", ())))
             lines = [type(result).__name__]
             for comms, after in getattr(result, "trace", ()):
                 lines.append(f"{delta(comms)} | {show(after)}")

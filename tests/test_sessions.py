@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mpst import sessions
+from mpst import sessions, terms
 from mpst.sessions import (
     ChoicePolicy,
     Classification,
@@ -28,6 +28,7 @@ from mpst.sessions import (
     _perform,
     _rounds,
     _starved,
+    _state_options,
     check_liveness,
     classify,
     deadlock_info,
@@ -38,8 +39,9 @@ from mpst.sessions import (
     LivenessMode,
 )
 from mpst.syntax import parse
-from mpst.terms import (Comm, END, IN, Network, OUT, Queue, _SHORT, gend, gout,
-                        pin, pout, quotient, reachable_nodes)
+from mpst.terms import (Comm, END, IN, Network, OUT, Queue, _SHORT,
+                        _quotient_nodes, gend, gout, pin, pout, quotient,
+                        reachable_nodes)
 from gen import (
     LABELS,
     PARTS,
@@ -480,9 +482,9 @@ class TestLiveness:
 
         def counted(*args):
             built.append(args)
-            return _options_by_player(*args)
+            return _state_options(*args)
 
-        monkeypatch.setattr(sessions, "_options_by_player", counted)
+        monkeypatch.setattr(sessions, "_state_options", counted)
         assert check_liveness(fresh(net), 5) == Verified()
         assert len(built) == 9
         # under queue-consuming the ended q leaves x or y unread
@@ -504,9 +506,9 @@ class TestLiveness:
 
         def counted(*args):
             built.append(args)
-            return _options_by_player(*args)
+            return _state_options(*args)
 
-        monkeypatch.setattr(sessions, "_options_by_player", counted)
+        monkeypatch.setattr(sessions, "_state_options", counted)
         assert check_liveness(fresh(net), 5) == Verified()
         assert len(built) == 5
 
@@ -542,9 +544,9 @@ class TestLiveness:
 
         def counted(*args):
             built.append(args)
-            return _options_by_player(*args)
+            return _state_options(*args)
 
-        monkeypatch.setattr(sessions, "_options_by_player", counted)
+        monkeypatch.setattr(sessions, "_state_options", counted)
         for mode, (answer, count) in zip(LivenessMode, answers):
             built.clear()
             assert type(check_liveness(s, 6, mode)) is answer
@@ -712,10 +714,11 @@ class TestLiveness:
             assert check_liveness(fresh(net), 3, mode) == HorizonExceeded(3)
 
     def test_an_empty_lane_is_owed_nothing(self):
-        # every lane keeps its slot in the tuple, empty or not
+        # every lane keeps its slot in the tuple, empty or not: slot 1
+        # is p->q and slot 2 q->p
         state = (pin("q", {"a": gend()}), (), ("a",))
-        assert _starved(LivenessMode.QUEUE_CONSUMING, ["p"],
-                        [("p", "q"), ("q", "p")], state, {}) == (("q", "p"),)
+        assert _starved(LivenessMode.QUEUE_CONSUMING, 1, state, {}) == (2,)
+        assert _starved(LivenessMode.INPUT_ENABLING, 1, state, {}) == (0,)
 
     def test_exploration_builds_no_network(self, monkeypatch):
         # states are flat tuples of process nodes and label tuples: a
@@ -818,6 +821,70 @@ class TestMoveTable:
         assert sorted(map(str, built)) == [
             "p->q!l", "p->q?l", "r->q!lp", "r->q?lp"]
 
+    def test_one_walk_per_start_process(self, monkeypatch):
+        # the quotient's one walk gives the check its channels and label
+        # classes: no other walk of a start process
+        walks, real = [], terms.reachable_nodes
+
+        def counted(root):
+            walks.append(root)
+            return real(root)
+
+        monkeypatch.setattr(terms, "reachable_nodes", counted)
+        rng = random.Random("corpus/1/net/61")
+        corpus = fresh(random_network(rng), random_queue(rng))
+        for s, horizon, mode in [(fresh(hospital().net), 8, mode)
+                                 for mode in LivenessMode] + [
+                                     (corpus, 3, LivenessMode.INPUT_ENABLING)]:
+            walks.clear()
+            check_liveness(s, horizon, mode)
+            assert walks == [proc for _, proc in s.net.items()]
+
+    def test_the_check_takes_the_quotients_nodes(self):
+        # the node list that the check takes is the quotient's, in walk
+        # order, whether quotient keeps the graph or builds a new one
+        def shape(nodes):
+            at = {id(n): i for i, n in enumerate(nodes)}
+            return [(n._local_sig(), sorted((lab, at[id(child)]) for lab, child
+                                            in n.branches.items()))
+                    for n in nodes]
+
+        rng = random.Random(103)
+        kept = 0
+        for _ in range(300):
+            proc = random_pnode(rng, "p")
+            nodes = _quotient_nodes(proc)
+            walk = reachable_nodes(nodes[0])
+            assert len(nodes) == len(walk)
+            assert all(a is b for a, b in zip(nodes, walk))
+            assert shape(nodes) == shape(reachable_nodes(quotient(proc)))
+            kept += nodes[0] is proc
+        assert 0 < kept < 300
+
+    def test_exploration_builds_no_comm(self, monkeypatch):
+        # the check's rounds combine move records: a communication is
+        # built only by the replay of a returned trace
+        built, replaying = [], []
+
+        def counted(*args):
+            built.append(Comm(*args))
+            return built[-1]
+
+        def replay(*args):
+            replaying.append(len(built))
+            return real(*args)
+
+        real = sessions._replay
+        monkeypatch.setattr(sessions, "Comm", counted)
+        monkeypatch.setattr(sessions, "_replay", replay)
+        for mode in LivenessMode:
+            assert check_liveness(fresh(growing().net), 8, mode) \
+                == HorizonExceeded(8)
+        assert built == [] and replaying == []
+        result = check_liveness(fresh(mp().net), 10)
+        assert replaying == [0] and len(built) > 0
+        assert {c for delta, _ in result.trace for c in delta} <= set(built)
+
     def test_liveness_keeps_its_own_table(self):
         # the quotient nodes of a check never enter the caller's table
         s = fresh(growing().net)
@@ -888,7 +955,7 @@ def test_label_classes_match_a_walk():
     rng = random.Random(101)
     for _ in range(200):
         net = random_network(rng)
-        labels = sessions._Labels({name: quotient(proc)
+        labels = sessions._Labels({name: _quotient_nodes(proc)
                                    for name, proc in net.items()})
         chans = [(s, r) for r in sorted(net.players()) for s in PARTS
                  if s != r]
